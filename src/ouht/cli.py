@@ -105,6 +105,13 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _resolve_workers(args, defaults: dict[str, str]) -> int:
+    workers = int(_resolve(args, defaults, "workers", int, fallback=os.cpu_count() or 1))
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
+    return workers
+
+
 def _make_params(gamma, a) -> ProcessParams:
     if gamma is None:
         raise ConfigError("missing required parameter: gamma")
@@ -188,7 +195,7 @@ def cmd_simulate(args) -> int:
     if n_paths < 1:
         raise ConfigError(f"paths: must be >= 1, got {n_paths}")
     seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = int(_resolve(args, defaults, "workers", int, fallback=os.cpu_count() or 1))
+    workers = _resolve_workers(args, defaults)
     fmt = _resolve(args, defaults, "format", str, fallback="csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {fmt!r}")
@@ -272,7 +279,7 @@ def cmd_verify(args) -> int:
     n_paths = int(_resolve(args, defaults, "paths", int, fallback=100_000))
     dt = _check_positive("dt", _resolve(args, defaults, "dt", float, fallback=0.002))
     seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = int(_resolve(args, defaults, "workers", int, fallback=os.cpu_count() or 1))
+    workers = _resolve_workers(args, defaults)
     out = _resolve(args, defaults, "out", str, fallback="verify_report")
     bias = args.inject_weight_bias or 0.0
 
@@ -334,6 +341,7 @@ def cmd_density(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {fmt!r}")
     out = _resolve(args, defaults, "out", str, fallback=f"ouht_density.{fmt}")
+    _resolve_workers(args, defaults)  # tabulation runs in-process; still reject bad values
 
     xs = (np.geomspace if spacing == "log" else np.linspace)(x_min, x_max, points)
     killed = killed_ou_density(params, t, xs)
@@ -396,7 +404,7 @@ def cmd_local_martingale(args) -> int:
     times = _check_times(args.t or (_float_list(defaults["t"]) if "t" in defaults else [0.25, 0.5, 1.0, 2.0, 4.0]))
     n_paths = int(_resolve(args, defaults, "paths", int, fallback=100_000))
     seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = int(_resolve(args, defaults, "workers", int, fallback=os.cpu_count() or 1))
+    workers = _resolve_workers(args, defaults)
     out = _resolve(args, defaults, "out", str, fallback="ouht_local_martingale.csv")
 
     curve = local_martingale_curve(params, times, n_paths, seed, workers)

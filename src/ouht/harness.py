@@ -1,12 +1,13 @@
-"""Statistical plumbing: estimates with standard errors, two-sample
-Kolmogorov-Smirnov distance, and the check/report records the verification
-suite emits."""
+"""Statistical plumbing: estimates with standard errors merged block by block,
+two-sample Kolmogorov-Smirnov distance, and the check/report records the
+verification suite emits."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,21 +22,47 @@ class MCEstimate:
     seed: int | None = None
 
 
-def aggregate(samples, seed: int | None = None) -> MCEstimate:
-    """Exactly-rounded mean and standard error of a sample stream.
+class BlockStats(NamedTuple):
+    """Sufficient statistics of one block of samples: count, sum, and sum of
+    squared deviations from the block's own mean."""
 
-    Sums use math.fsum, so the result is identical under any permutation of
-    the input (well inside the 1e-13 reproducibility contract).
+    n: int
+    total: float
+    m2: float
+
+    @classmethod
+    def of(cls, samples) -> "BlockStats":
+        x = np.asarray(samples, dtype=float)
+        n = x.size
+        if n == 0:
+            return cls(0, 0.0, 0.0)
+        total = float(x.sum())
+        dev = x - total / n
+        return cls(n, total, float((dev * dev).sum()))
+
+
+def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
+    """Mean and standard error of the union of blocks, merged in block order.
+
+    The block sums and the between-block correction of Chan, Golub and
+    LeVeque (1983) are added with math.fsum, so a count of 0/1 flags gives
+    exactly count/N.  Empty blocks are allowed.
     """
-    arr = samples if isinstance(samples, np.ndarray) else np.fromiter(samples, dtype=float)
-    arr = arr.astype(float, copy=False)
-    n = arr.size
+    blocks = list(blocks)
+    n = sum(b.n for b in blocks)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    mean = math.fsum(arr.tolist()) / n
-    dev = arr - mean
-    var = math.fsum((dev * dev).tolist()) / (n - 1)
+    mean = math.fsum(b.total for b in blocks) / n
+    m2 = math.fsum(b.m2 + b.n * (b.total / b.n - mean) ** 2 for b in blocks if b.n)
+    var = m2 / (n - 1)
     return MCEstimate(mean=mean, stderr=math.sqrt(var / n), n=n, seed=seed)
+
+
+def aggregate(samples, seed: int | None = None) -> MCEstimate:
+    """Mean and standard error of a sample stream: reduce_blocks on the whole
+    input taken as one block."""
+    arr = samples if isinstance(samples, np.ndarray) else np.fromiter(samples, dtype=float)
+    return reduce_blocks([BlockStats.of(arr)], seed=seed)
 
 
 def ks_statistic(sample_a, sample_b) -> float:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .density import survival_probability
-from .harness import MCEstimate, aggregate
+from .harness import BlockStats, MCEstimate, reduce_blocks
 from .process import ProcessParams, sample_radial_exact
 from .rng import block_sizes, derive_seed, map_blocks, stream
 from .simulate import KilledPaths, TimeGrid, simulate_killed_ou_exact
@@ -140,28 +141,77 @@ def radial_weighted_sample(
     return WeightedSample(value=r, weight=inverse_weight(params, r, t))
 
 
-# --- block workers (module level so they survive pickling) ----------------
+# --- block-wise estimation -------------------------------------------------
+#
+# A sampler is called as sampler(params, t, rng, n) and returns n terminal
+# values; an integrand maps those values to the samples being averaged.
+# Both are module-level functions (or partials of them) so that tasks pickle.
 
-def _weighted_radial_block(task):
-    params, f, t, seed, block, n, weight_scale = task
-    rng = stream(seed, block)
-    r = sample_radial_exact(params, t, rng, size=n)
+def _killed_terminal(params, t, rng, n):
+    """X_{t and T0} for n exact killed-OU paths: 0 for paths absorbed by t."""
+    paths = simulate_killed_ou_exact(params, TimeGrid(np.array([0.0, t])), rng, n)
+    return paths.values[:, 1]
+
+
+def _raw_block(task):
+    sampler, params, t, seed, block, n = task
+    return sampler(params, t, stream(seed, block), n)
+
+
+def _stats_block(task):
+    x, integrand = _raw_block(task[:-1]), task[-1]
+    return BlockStats.of(x if integrand is None else integrand(x))
+
+
+def _tasks(sampler, params, t, n_paths, seed):
+    return [(sampler, params, t, seed, i, n) for i, n in enumerate(block_sizes(n_paths))]
+
+
+def _block_stats(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> list[BlockStats]:
+    """Per-block statistics of integrand(sampler draws), in block order;
+    block j draws from stream(seed, j)."""
+    tasks = [task + (integrand,) for task in _tasks(sampler, params, t, n_paths, seed)]
+    return map_blocks(_stats_block, tasks, workers)
+
+
+def mc_estimate(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> MCEstimate:
+    """Mean of integrand(sampler draws) over n_paths draws, reduced block by
+    block so that no worker returns more than a few numbers."""
+    return reduce_blocks(
+        _block_stats(sampler, params, t, n_paths, seed, workers, integrand), seed=seed
+    )
+
+
+def terminal_draws(sampler, params, t, n_paths, seed, workers=1) -> np.ndarray:
+    """The raw draws behind mc_estimate, concatenated in block order; for
+    checks that need the whole sample, such as a KS distance."""
+    tasks = _tasks(sampler, params, t, n_paths, seed)
+    return np.concatenate(map_blocks(_raw_block, tasks, workers))
+
+
+def _inverse_weighted(params, t, f, weight_scale, r):
     vals = f(r) * inverse_weight(params, r, t)
     return vals * weight_scale if weight_scale != 1.0 else vals
 
 
-def _killed_terminal_block(task):
-    params, t, seed, block, n = task
-    rng = stream(seed, block)
-    grid = TimeGrid(np.array([0.0, t]))
-    paths = simulate_killed_ou_exact(params, grid, rng, n)
-    return paths.values[:, 1]
+def _forward_weighted(params, t, f, x):
+    return f(x) * (x * (math.exp(params.gamma * t) / params.a))
 
 
-def _radial_terminal_block(task):
-    params, t, seed, block, n = task
-    rng = stream(seed, block)
-    return sample_radial_exact(params, t, rng, size=n)
+def _alive(f, x):
+    return f(x) * (x > 0.0)
+
+
+def _survivors(f, x):
+    return f(x[x > 0.0])
+
+
+def _over(f, r):
+    return f(r) / r
+
+
+def _scaled_reciprocal(c, r):
+    return c / r
 
 
 def _check_functional(f) -> None:
@@ -170,10 +220,6 @@ def _check_functional(f) -> None:
             "estimators only accept the bounded TestFunctional suite; "
             f"got {type(f).__name__}"
         )
-
-
-def _terminal_tasks(params, t, seed, n_paths):
-    return [(params, t, seed, i, n) for i, n in enumerate(block_sizes(n_paths))]
 
 
 def estimate_killed_expectation_via_Q(
@@ -192,12 +238,8 @@ def estimate_killed_expectation_via_Q(
     hook; leave it at 1.0 for estimation.
     """
     _check_functional(f)
-    tasks = [
-        (params, f, t, seed, i, n, weight_scale)
-        for i, n in enumerate(block_sizes(n_paths))
-    ]
-    chunks = map_blocks(_weighted_radial_block, tasks, workers)
-    return aggregate(np.concatenate(chunks), seed=seed)
+    integrand = partial(_inverse_weighted, params, t, f, weight_scale)
+    return mc_estimate(sample_radial_exact, params, t, n_paths, seed, workers, integrand)
 
 
 def estimate_killed_expectation_direct(
@@ -211,9 +253,7 @@ def estimate_killed_expectation_direct(
     """E[f(X_t) 1_{t<T0}] by plain killed-OU simulation (the unweighted side
     of the transport identity)."""
     _check_functional(f)
-    chunks = map_blocks(_killed_terminal_block, _terminal_tasks(params, t, seed, n_paths), workers)
-    x = np.concatenate(chunks)
-    return aggregate(f(x) * (x > 0.0), seed=seed)
+    return mc_estimate(_killed_terminal, params, t, n_paths, seed, workers, partial(_alive, f))
 
 
 def estimate_Q_expectation_via_P(
@@ -227,10 +267,8 @@ def estimate_Q_expectation_via_P(
     """E_Q[f(R_t)] estimated from killed-OU paths: average of
     f(X_t) (X_{t and T0}/a) e^{gamma t}; absorbed paths contribute 0."""
     _check_functional(f)
-    chunks = map_blocks(_killed_terminal_block, _terminal_tasks(params, t, seed, n_paths), workers)
-    x = np.concatenate(chunks)
-    weights = x * (math.exp(params.gamma * t) / params.a)
-    return aggregate(f(x) * weights, seed=seed)
+    integrand = partial(_forward_weighted, params, t, f)
+    return mc_estimate(_killed_terminal, params, t, n_paths, seed, workers, integrand)
 
 
 def estimate_radial_expectation_direct(
@@ -244,8 +282,7 @@ def estimate_radial_expectation_direct(
     """E_Q[f(R_t)] by exact radial sampling (comparator for the weighted
     killed-OU estimator)."""
     _check_functional(f)
-    chunks = map_blocks(_radial_terminal_block, _terminal_tasks(params, t, seed, n_paths), workers)
-    return aggregate(f(np.concatenate(chunks)), seed=seed)
+    return mc_estimate(sample_radial_exact, params, t, n_paths, seed, workers, f)
 
 
 @dataclass(frozen=True)
@@ -288,31 +325,24 @@ def conditional_identity_detail(
     seed_inv = derive_seed(seed, "conditional-qinv")
     seed_cond = derive_seed(seed, "conditional-killed")
 
-    lhs_chunks = map_blocks(
-        _radial_terminal_block, _terminal_tasks(params, t, seed_lhs, n_paths), workers
-    )
-    r = np.concatenate(lhs_chunks)
-    lhs = aggregate(f(r) / r, seed=seed_lhs)
+    lhs = mc_estimate(sample_radial_exact, params, t, n_paths, seed_lhs, workers,
+                      partial(_over, f))
+    q_inv = mc_estimate(sample_radial_exact, params, t, n_paths, seed_inv, workers,
+                        partial(_scaled_reciprocal, 1.0))
 
-    inv_chunks = map_blocks(
-        _radial_terminal_block, _terminal_tasks(params, t, seed_inv, n_paths), workers
-    )
-    q_inv = aggregate(1.0 / np.concatenate(inv_chunks), seed=seed_inv)
-
-    killed_chunks = map_blocks(
-        _killed_terminal_block, _terminal_tasks(params, t, seed_cond, n_paths), workers
-    )
-    x = np.concatenate(killed_chunks)
-    survivors = x[x > 0.0]
-    if survivors.size < 2:
+    # the survivor side averages over survivors only; a block may have none
+    blocks = _block_stats(_killed_terminal, params, t, n_paths, seed_cond, workers,
+                         partial(_survivors, f))
+    n_survivors = sum(b.n for b in blocks)
+    if n_survivors < 2:
         raise ValueError(
-            f"only {survivors.size} surviving paths out of {n_paths}: "
+            f"only {n_survivors} surviving paths out of {n_paths}: "
             "n_paths too small for a conditional estimate"
         )
-    cond = aggregate(f(survivors), seed=seed_cond)
+    cond = reduce_blocks(blocks, seed=seed_cond)
 
     return ConditionalIdentityResult(
-        lhs=lhs, q_inverse_mean=q_inv, conditional_mean=cond, n_survivors=survivors.size
+        lhs=lhs, q_inverse_mean=q_inv, conditional_mean=cond, n_survivors=n_survivors
     )
 
 
@@ -358,10 +388,7 @@ def local_martingale_curve(
     out = []
     for i, t in enumerate(times):
         seed_t = derive_seed(seed, "local-martingale", i)
-        chunks = map_blocks(
-            _radial_terminal_block, _terminal_tasks(params, t, seed_t, n_paths), workers
-        )
-        r = np.concatenate(chunks)
-        est = aggregate(math.exp(-params.gamma * t) / r, seed=seed_t)
+        integrand = partial(_scaled_reciprocal, math.exp(-params.gamma * t))
+        est = mc_estimate(sample_radial_exact, params, t, n_paths, seed_t, workers, integrand)
         out.append(CurvePoint(t=t, estimate=est, closed_form=survival_probability(params, t) / params.a))
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -47,14 +48,46 @@ def block_sizes(n_total: int, block_size: int = BLOCK_SIZE) -> list[int]:
     return [block_size] * full + ([rest] if rest else [])
 
 
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_in_block_worker = False
+
+
+def _mark_block_worker() -> None:
+    global _in_block_worker
+    _in_block_worker = True
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_workers
+    if _pool is not None:
+        _pool.shutdown()
+    _pool, _pool_workers = None, 0
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` processes, kept across calls."""
+    global _pool, _pool_workers
+    if _pool_workers != workers:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_mark_block_worker)
+        _pool_workers = workers
+    return _pool
+
+
 def map_blocks(worker, tasks, workers: int = 1) -> list:
     """Apply ``worker`` to each task, in order; optionally on a process pool.
 
-    The returned list is always in task order, so downstream reductions are
+    The pool is made on first use and reused by later calls with the same
+    worker count; a block worker never starts a pool of its own.  The
+    returned list is always in task order, so downstream reductions are
     independent of the worker count.
     """
     tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    if workers <= 1 or len(tasks) <= 1 or _in_block_worker:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
-        return list(ex.map(worker, tasks))
+    try:
+        return list(_executor(workers).map(worker, tasks))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise

@@ -36,16 +36,22 @@ from .harness import (
 )
 from .measure import (
     TestFunctional,
-    _radial_terminal_block,
-    _terminal_tasks,
     conditional_identity_detail,
     default_functional_suite,
     estimate_killed_expectation_direct,
     estimate_killed_expectation_via_Q,
     estimate_Q_expectation_via_P,
     local_martingale_curve,
+    mc_estimate,
+    terminal_draws,
 )
-from .process import ProcessParams, martingale_value, radial_transition, sample_ou_exact
+from .process import (
+    ProcessParams,
+    martingale_value,
+    radial_transition,
+    sample_ou_exact,
+    sample_radial_exact,
+)
 from .rng import block_sizes, derive_seed, map_blocks, stream
 from .simulate import SchemeConfig, TimeGrid, euler_radial, simulate_killed_ou_exact
 
@@ -104,19 +110,15 @@ class SuiteConfig:
         }
 
 
-# --- block workers ---------------------------------------------------------
+# --- samplers and block workers ---------------------------------------------
 
-def _martingale_block(task):
-    params, t, seed, block, n = task
-    rng = stream(seed, block)
-    x = sample_ou_exact(params, t, rng, size=n)
-    return martingale_value(params, x, t)
+def _martingale_values(params, t, rng, n):
+    return martingale_value(params, sample_ou_exact(params, t, rng, size=n), t)
 
 
-def _exact_survival_block(task):
-    params, t, n_intervals, seed, block, n = task
-    rng = stream(seed, block)
-    paths = simulate_killed_ou_exact(params, TimeGrid.uniform(t, n_intervals), rng, n)
+def _survival_flags(params, t, rng, n):
+    """1.0 for each bridge-corrected killed path (16 intervals) alive at t."""
+    paths = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n)
     return (~paths.killing_flag).astype(float)
 
 
@@ -125,10 +127,6 @@ def _euler_radial_block(task):
     rng = stream(seed, block)
     sample = euler_radial(params, TimeGrid(np.array([0.0, t])), SchemeConfig(dt=dt), rng, n)
     return sample.values[:, 1], sample.clamp_count
-
-
-def _tasks(extra, seed, n_paths):
-    return [extra + (seed, i, n) for i, n in enumerate(block_sizes(n_paths))]
 
 
 # --- the suite -------------------------------------------------------------
@@ -186,11 +184,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
             col.skip(check, idn, "starting point a", too_few)
             continue
         seed = derive_seed(config.seed, "martingale", f"{t:g}")
-        est = aggregate(
-            np.concatenate(map_blocks(_martingale_block, _tasks((p, t), seed, config.n_paths),
-                                      config.workers)),
-            seed=seed,
-        )
+        est = mc_estimate(_martingale_values, p, t, config.n_paths, seed, config.workers)
         col.add(check, idn, "starting point a", est.mean, p.a,
                 _sigma_gap(est.mean, p.a, est.stderr), SIGMA_THRESHOLD, seed)
 
@@ -305,11 +299,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     check, idn = "survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1"
     if enough:
         seed = derive_seed(config.seed, "survival-exact")
-        flags = np.concatenate(
-            map_blocks(_exact_survival_block, _tasks((p, t_mid, 16), seed, config.n_paths),
-                       config.workers)
-        )
-        est = aggregate(flags, seed=seed)
+        est = mc_estimate(_survival_flags, p, t_mid, config.n_paths, seed, config.workers)
         target = survival_probability(p, t_mid)
         col.add(check, idn, "closed-form survival", est.mean, target,
                 _sigma_gap(est.mean, target, est.stderr), SIGMA_THRESHOLD, seed)
@@ -322,15 +312,13 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         n_euler = min(config.n_paths, 50_000)
         seed_e = derive_seed(config.seed, "euler-radial")
         seed_x = derive_seed(config.seed, "euler-radial-reference")
-        parts = map_blocks(
-            _euler_radial_block, _tasks((p, t_mid, config.dt), seed_e, n_euler), config.workers
-        )
+        tasks = [(p, t_mid, config.dt, seed_e, i, n)
+                 for i, n in enumerate(block_sizes(n_euler))]
+        parts = map_blocks(_euler_radial_block, tasks, config.workers)
         euler_terminal = np.concatenate([v for v, _ in parts])
         clamps = sum(c for _, c in parts)
-        exact_terminal = np.concatenate(
-            map_blocks(_radial_terminal_block, _terminal_tasks(p, t_mid, seed_x, n_euler),
-                       config.workers)
-        )
+        exact_terminal = terminal_draws(sample_radial_exact, p, t_mid, n_euler, seed_x,
+                                        config.workers)
         ks = ks_statistic(euler_terminal, exact_terminal)
         crit = ks_two_sample_critical(n_euler, n_euler, alpha=0.01)
         col.add("euler-radial-ks", idn_ks, "exact radial sampler", ks, 0.0, ks, crit, seed_e)

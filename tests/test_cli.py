@@ -241,3 +241,20 @@ def test_unwritable_output_exits_1(tmp_path):
     )
     assert res.returncode == 1
     assert "cannot write" in res.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_every_command_rejects_workers_below_one(tmp_path, workers):
+    commands = [
+        ["verify", "--paths", "200"],
+        ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1",
+         "--paths", "10"],
+        ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1",
+         "--x-max", "2", "--x-points", "5"],
+        ["local-martingale", "--paths", "200"],
+    ]
+    for argv in commands:
+        res = run_cli(argv + [f"--workers={workers}", "--out", "out"], tmp_path)
+        assert res.returncode == 2, argv
+        assert f"workers: must be >= 1, got {workers}" in res.stderr, argv
+    assert not list(tmp_path.iterdir())  # rejected before any output is written

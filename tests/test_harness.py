@@ -1,16 +1,19 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from ouht.harness import (
+    BlockStats,
     CheckResult,
     ExperimentReport,
     MCEstimate,
     aggregate,
     ks_statistic,
     ks_two_sample_critical,
+    reduce_blocks,
 )
 from ouht.process import ProcessParams, sample_ou_exact, sample_radial_exact
 from ouht.rng import stream
@@ -58,6 +61,51 @@ def test_aggregate_accepts_streams_and_rejects_tiny_input():
         aggregate([1.0])
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def _split(x, cuts):
+    return [BlockStats.of(x[lo:hi]) for lo, hi in zip((0,) + cuts, cuts + (x.size,))]
+
+
+def test_reduce_blocks_matches_aggregate_for_any_split():
+    rng = stream(406, 0)
+    x = rng.lognormal(0.0, 2.0, size=10_000)
+    whole = aggregate(x, seed=3)
+    splits = [
+        (5_000,),
+        (1, 2, 3),                      # size-1 blocks
+        (0, 0, 4_000, 4_000, 10_000),   # empty blocks, first, middle and last
+        tuple(range(0, 10_000, 65)),    # many uneven blocks
+        tuple(sorted(rng.choice(10_000, size=40, replace=False).tolist())),
+    ]
+    for cuts in splits:
+        est = reduce_blocks(_split(x, cuts), seed=3)
+        assert est.n == whole.n and est.seed == 3
+        assert abs(est.mean - whole.mean) <= 1e-13 * abs(whole.mean), cuts
+        assert abs(est.stderr - whole.stderr) <= 1e-13 * whole.stderr, cuts
+
+
+def test_reduce_blocks_counts_flags_exactly():
+    flags = (stream(407, 0).random(200_003) < 0.3).astype(float)
+    count = int(flags.sum())
+    est = reduce_blocks(_split(flags, tuple(range(0, flags.size, 65_536))))
+    assert est.mean == count / flags.size
+    assert aggregate(flags).mean == count / flags.size
+
+
+def test_reduce_blocks_needs_two_samples():
+    with pytest.raises(ValueError):
+        reduce_blocks([])
+    with pytest.raises(ValueError):
+        reduce_blocks([BlockStats.of(np.array([])), BlockStats.of(np.array([1.0]))])
+    est = reduce_blocks([BlockStats.of(np.array([1.0])), BlockStats.of(np.array([3.0]))])
+    assert est.mean == 2.0 and est.stderr == 1.0
+
+
+def test_block_stats_pickle_small():
+    stats = BlockStats.of(stream(408, 0).normal(size=65_536))
+    assert len(pickle.dumps(stats)) < 200
+    assert pickle.loads(pickle.dumps(stats)) == stats
 
 
 def test_ks_statistic_edges():

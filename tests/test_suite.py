@@ -5,6 +5,8 @@ import pytest
 from ouht.harness import FAIL, PASS, SKIPPED
 from ouht.suite import SuiteConfig, run_suite
 
+import refvalues as ref
+
 
 def _strip_meta(report_json: str) -> str:
     body = json.loads(report_json)
@@ -87,3 +89,17 @@ def test_report_seeds_recorded():
     seeded = [c for c in rep.checks if c.seed is not None]
     assert seeded
     assert len({c.seed for c in seeded}) > 1  # disjoint substreams
+
+
+def test_report_matches_values_pinned_before_blockwise_reduction():
+    # block-wise sums move values by a few ulp; statuses must not move at all.
+    # Degenerate (constant-sample) gaps are divided by a 1e-11 stderr floor,
+    # so one ulp of value shows up there as ~1e-5 of gap.
+    rep = run_suite(SuiteConfig(n_paths=20_000, seed=96))
+    assert [(c.check, c.status) for c in rep.checks] == [
+        (name, status) for name, status, *_ in ref.SUITE_N20000_SEED96
+    ]
+    for c, (name, _, value, target, gap) in zip(rep.checks, ref.SUITE_N20000_SEED96):
+        assert c.value == pytest.approx(value, rel=1e-13, abs=0.0), name
+        assert c.target == pytest.approx(target, rel=1e-13, abs=0.0), name
+        assert c.gap == pytest.approx(gap, rel=0.0, abs=1e-4), name
