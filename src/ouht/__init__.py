@@ -5,7 +5,6 @@ killed semigroups, and a Monte Carlo verification suite."""
 __version__ = "0.1.0"
 
 from .density import (
-    DensityCurve,
     density_identity_residual,
     gaussian_pdf,
     killed_density_mass,
@@ -17,7 +16,6 @@ from .density import (
 from .harness import MCEstimate, aggregate, ks_statistic, ks_two_sample_critical
 from .measure import (
     TestFunctional,
-    WeightedSample,
     conditional_identity_gap,
     default_functional_suite,
     estimate_killed_expectation_direct,

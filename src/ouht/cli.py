@@ -17,11 +17,13 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .density import (
+    density_identity_residual,
     killed_density_mass,
     killed_ou_density,
     radial_density,
@@ -30,10 +32,16 @@ from .density import (
     survival_probability,
 )
 from .harness import aggregate
-from .measure import local_martingale_curve
-from .process import ProcessParams, sample_radial_exact
-from .rng import block_sizes, map_blocks, stream
-from .simulate import SchemeConfig, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
+from .measure import (
+    killed_euler,
+    killed_exact,
+    local_martingale_curve,
+    radial_euler,
+    radial_exact,
+    terminal_draws,
+)
+from .process import ProcessParams
+from .simulate import SchemeConfig
 from .suite import SuiteConfig, run_suite
 
 OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
@@ -150,32 +158,12 @@ def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
 
 # --- simulate --------------------------------------------------------------
 
-def _sim_ou_block(task):
-    params, times, scheme, seed, block, n = task
-    rng = stream(seed, block)
-    grid = TimeGrid.from_times(times)
-    if scheme is None:
-        paths = simulate_killed_ou_exact(params, grid, rng, n)
-    else:
-        paths = euler_ou(params, grid, scheme, rng, n)
-    alive = paths.values[:, 1:] > 0.0
-    return paths.values[:, 1:], ~alive
-
-
-def _sim_radial_exact_block(task):
-    params, times, _scheme, seed, block, n = task
-    rng = stream(seed, block)
-    values = np.column_stack(
-        [sample_radial_exact(params, t, rng, size=n) for t in times]
-    )
-    return values, np.zeros(values.shape, dtype=bool)
-
-
-def _sim_radial_euler_block(task):
-    params, times, scheme, seed, block, n = task
-    rng = stream(seed, block)
-    sample = euler_radial(params, TimeGrid.from_times(times), scheme, rng, n)
-    return sample.values[:, 1:], np.zeros((n, len(times)), dtype=bool)
+_SIM_SAMPLERS = {
+    ("ou-killed", "exact"): killed_exact,
+    ("ou-killed", "euler"): killed_euler,
+    ("radial", "exact"): radial_exact,
+    ("radial", "euler"): radial_euler,
+}
 
 
 def cmd_simulate(args) -> int:
@@ -202,23 +190,14 @@ def cmd_simulate(args) -> int:
     out = _resolve(args, defaults, "out", str, fallback=f"ouht_simulate.{fmt}")
 
     scheme = None
+    sampler = _SIM_SAMPLERS[process, scheme_name]
     if scheme_name == "euler":
         dt = _resolve(args, defaults, "dt", float, required=True)
         scheme = SchemeConfig(dt=_check_positive("dt", dt))
+        sampler = partial(sampler, scheme=scheme)
 
-    if process == "ou-killed":
-        worker = _sim_ou_block
-    elif scheme is None:
-        worker = _sim_radial_exact_block
-    else:
-        worker = _sim_radial_euler_block
-
-    tasks = [
-        (params, tuple(times), scheme, seed, i, n) for i, n in enumerate(block_sizes(n_paths))
-    ]
-    parts = map_blocks(worker, tasks, workers)
-    values = np.concatenate([p[0] for p in parts])
-    absorbed = np.concatenate([p[1] for p in parts])
+    values = terminal_draws(sampler, params, times, n_paths, seed, workers)
+    absorbed = values <= 0.0  # killed paths sit at 0; radial values are > 0
 
     pairs = [
         ("process", process), ("scheme", scheme_name), ("gamma", params.gamma),
@@ -346,7 +325,7 @@ def cmd_density(args) -> int:
     xs = (np.geomspace if spacing == "log" else np.linspace)(x_min, x_max, points)
     killed = killed_ou_density(params, t, xs)
     radial = radial_density(params, t, xs)
-    residual = killed - (params.a / xs) * math.exp(-params.gamma * t) * radial
+    residual = density_identity_residual(params, t, xs)
     residual_rel = relative_identity_residual(params, t, xs)
     mass_killed = killed_density_mass(params, t)
     mass_radial = radial_density_mass(params, t)

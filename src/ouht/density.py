@@ -15,8 +15,7 @@ verification gate, not an implementation shortcut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import integrate
@@ -172,30 +171,3 @@ def killed_expectation_quadrature(
         points=pts or None, epsabs=1e-12, epsrel=1e-12, limit=200,
     )
     return val
-
-
-@dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """A tabulated density: strictly increasing abscissae, values >= 0."""
-
-    abscissae: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.abscissae, dtype=float)
-        vs = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "abscissae", xs)
-        object.__setattr__(self, "values", vs)
-        if xs.shape != vs.shape or xs.ndim != 1:
-            raise ValueError("abscissae and values must be 1-d and equal length")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("abscissae must be strictly increasing")
-        if np.any(vs < 0):
-            raise ValueError("density values must be >= 0")
-
-    def write_csv(self, fh, header_lines: Sequence[str] = ()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,density\n")
-        for x, v in zip(self.abscissae, self.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")

@@ -22,9 +22,9 @@ import numpy as np
 
 from .density import survival_probability
 from .harness import BlockStats, MCEstimate, reduce_blocks
-from .process import ProcessParams, sample_radial_exact
+from .process import ProcessParams, sample_ou_exact, sample_radial_exact
 from .rng import block_sizes, derive_seed, map_blocks, stream
-from .simulate import KilledPaths, TimeGrid, simulate_killed_ou_exact
+from .simulate import KilledPaths, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
 
@@ -106,18 +106,6 @@ def default_functional_suite() -> tuple[TestFunctional, ...]:
     )
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One terminal draw with its measure-transport weight."""
-
-    value: float
-    weight: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
-
-
 def forward_weight(params: ProcessParams, paths: KilledPaths, t: float) -> np.ndarray:
     """(X_{t and T0} / a) e^{gamma t} per path; 0 for paths absorbed by t."""
     x = paths.values_at(t)  # already 0 after absorption
@@ -133,60 +121,98 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def radial_weighted_sample(
-    params: ProcessParams, t: float, rng: np.random.Generator
-) -> WeightedSample:
-    """One exact radial draw packaged with its inverse weight."""
-    r = sample_radial_exact(params, t, rng)
-    return WeightedSample(value=r, weight=inverse_weight(params, r, t))
+# --- terminal samplers -----------------------------------------------------
+#
+# A sampler is called as sampler(params, times, rng, n) with ascending times
+# and returns an (n, len(times)) array whose column j holds the values at
+# times[j].  Samplers are module-level functions, the Euler ones bound to
+# their SchemeConfig by functools.partial(..., scheme=...), so that tasks
+# pickle.  They look the process and simulate functions up in this module's
+# globals at call time, so a wrapper rebound there sees every call.
+
+def killed_exact(params, times, rng, n):
+    """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed."""
+    return simulate_killed_ou_exact(params, TimeGrid.from_times(times), rng, n).values[:, 1:]
+
+
+def killed_euler(params, times, rng, n, *, scheme):
+    """X_{t and T0} by Euler-Maruyama with sign-check killing: 0 once absorbed."""
+    return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
+
+
+def radial_exact(params, times, rng, n):
+    """R_t by exact 3-d Gaussian draws, one independent draw per time."""
+    return np.column_stack([sample_radial_exact(params, t, rng, size=n) for t in times])
+
+
+def radial_euler_clamps(params, times, rng, n, *, scheme):
+    """radial_euler's values together with the block's positivity-clamp count."""
+    sample = euler_radial(params, TimeGrid.from_times(times), scheme, rng, n)
+    return sample.values[:, 1:], sample.clamp_count
+
+
+def radial_euler(params, times, rng, n, *, scheme):
+    """R_t by Euler-Maruyama with the retry-then-clamp positivity guard."""
+    return radial_euler_clamps(params, times, rng, n, scheme=scheme)[0]
+
+
+def ou_exact(params, times, rng, n):
+    """Unkilled X_t from the exact marginal, one independent draw per time."""
+    return np.column_stack([sample_ou_exact(params, t, rng, size=n) for t in times])
+
+
+def survival_flags(params, times, rng, n):
+    """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
+    a single time only."""
+    (t,) = times
+    paths = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n)
+    return (~paths.killing_flag).astype(float)[:, None]
 
 
 # --- block-wise estimation -------------------------------------------------
 #
-# A sampler is called as sampler(params, t, rng, n) and returns n terminal
-# values; an integrand maps those values to the samples being averaged.
-# Both are module-level functions (or partials of them) so that tasks pickle.
-
-def _killed_terminal(params, t, rng, n):
-    """X_{t and T0} for n exact killed-OU paths: 0 for paths absorbed by t."""
-    paths = simulate_killed_ou_exact(params, TimeGrid(np.array([0.0, t])), rng, n)
-    return paths.values[:, 1]
-
+# Block j of n_paths draws from stream(seed, j).  An integrand maps one
+# column of draws to the samples being averaged.
 
 def _raw_block(task):
-    sampler, params, t, seed, block, n = task
-    return sampler(params, t, stream(seed, block), n)
+    sampler, params, times, seed, block, n = task
+    return sampler(params, times, stream(seed, block), n)
 
 
 def _stats_block(task):
-    x, integrand = _raw_block(task[:-1]), task[-1]
+    x, integrand = _raw_block(task[:-1])[:, 0], task[-1]
     return BlockStats.of(x if integrand is None else integrand(x))
 
 
-def _tasks(sampler, params, t, n_paths, seed):
-    return [(sampler, params, t, seed, i, n) for i, n in enumerate(block_sizes(n_paths))]
+def _tasks(sampler, params, times, n_paths, seed, *extra):
+    return [(sampler, params, times, seed, i, n, *extra)
+            for i, n in enumerate(block_sizes(n_paths))]
 
 
 def _block_stats(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> list[BlockStats]:
-    """Per-block statistics of integrand(sampler draws), in block order;
-    block j draws from stream(seed, j)."""
-    tasks = [task + (integrand,) for task in _tasks(sampler, params, t, n_paths, seed)]
+    """Per-block statistics of integrand(sampler draws at t), in block order."""
+    tasks = _tasks(sampler, params, (t,), n_paths, seed, integrand)
     return map_blocks(_stats_block, tasks, workers)
 
 
 def mc_estimate(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> MCEstimate:
-    """Mean of integrand(sampler draws) over n_paths draws, reduced block by
-    block so that no worker returns more than a few numbers."""
+    """Mean of integrand(sampler draws at t) over n_paths draws, reduced
+    block by block so that no worker returns more than a few numbers."""
     return reduce_blocks(
         _block_stats(sampler, params, t, n_paths, seed, workers, integrand), seed=seed
     )
 
 
-def terminal_draws(sampler, params, t, n_paths, seed, workers=1) -> np.ndarray:
-    """The raw draws behind mc_estimate, concatenated in block order; for
-    checks that need the whole sample, such as a KS distance."""
-    tasks = _tasks(sampler, params, t, n_paths, seed)
-    return np.concatenate(map_blocks(_raw_block, tasks, workers))
+def block_draws(sampler, params, times, n_paths, seed, workers=1) -> list:
+    """The sampler's result for each block, unchanged and in block order."""
+    tasks = _tasks(sampler, params, tuple(times), n_paths, seed)
+    return map_blocks(_raw_block, tasks, workers)
+
+
+def terminal_draws(sampler, params, times, n_paths, seed, workers=1) -> np.ndarray:
+    """The (n_paths, len(times)) draws behind mc_estimate, concatenated in
+    block order; for checks and outputs that need the whole sample."""
+    return np.concatenate(block_draws(sampler, params, times, n_paths, seed, workers))
 
 
 def _inverse_weighted(params, t, f, weight_scale, r):
@@ -239,7 +265,7 @@ def estimate_killed_expectation_via_Q(
     """
     _check_functional(f)
     integrand = partial(_inverse_weighted, params, t, f, weight_scale)
-    return mc_estimate(sample_radial_exact, params, t, n_paths, seed, workers, integrand)
+    return mc_estimate(radial_exact, params, t, n_paths, seed, workers, integrand)
 
 
 def estimate_killed_expectation_direct(
@@ -253,7 +279,7 @@ def estimate_killed_expectation_direct(
     """E[f(X_t) 1_{t<T0}] by plain killed-OU simulation (the unweighted side
     of the transport identity)."""
     _check_functional(f)
-    return mc_estimate(_killed_terminal, params, t, n_paths, seed, workers, partial(_alive, f))
+    return mc_estimate(killed_exact, params, t, n_paths, seed, workers, partial(_alive, f))
 
 
 def estimate_Q_expectation_via_P(
@@ -268,7 +294,7 @@ def estimate_Q_expectation_via_P(
     f(X_t) (X_{t and T0}/a) e^{gamma t}; absorbed paths contribute 0."""
     _check_functional(f)
     integrand = partial(_forward_weighted, params, t, f)
-    return mc_estimate(_killed_terminal, params, t, n_paths, seed, workers, integrand)
+    return mc_estimate(killed_exact, params, t, n_paths, seed, workers, integrand)
 
 
 def estimate_radial_expectation_direct(
@@ -282,7 +308,7 @@ def estimate_radial_expectation_direct(
     """E_Q[f(R_t)] by exact radial sampling (comparator for the weighted
     killed-OU estimator)."""
     _check_functional(f)
-    return mc_estimate(sample_radial_exact, params, t, n_paths, seed, workers, f)
+    return mc_estimate(radial_exact, params, t, n_paths, seed, workers, f)
 
 
 @dataclass(frozen=True)
@@ -325,13 +351,13 @@ def conditional_identity_detail(
     seed_inv = derive_seed(seed, "conditional-qinv")
     seed_cond = derive_seed(seed, "conditional-killed")
 
-    lhs = mc_estimate(sample_radial_exact, params, t, n_paths, seed_lhs, workers,
+    lhs = mc_estimate(radial_exact, params, t, n_paths, seed_lhs, workers,
                       partial(_over, f))
-    q_inv = mc_estimate(sample_radial_exact, params, t, n_paths, seed_inv, workers,
+    q_inv = mc_estimate(radial_exact, params, t, n_paths, seed_inv, workers,
                         partial(_scaled_reciprocal, 1.0))
 
     # the survivor side averages over survivors only; a block may have none
-    blocks = _block_stats(_killed_terminal, params, t, n_paths, seed_cond, workers,
+    blocks = _block_stats(killed_exact, params, t, n_paths, seed_cond, workers,
                          partial(_survivors, f))
     n_survivors = sum(b.n for b in blocks)
     if n_survivors < 2:
@@ -389,6 +415,6 @@ def local_martingale_curve(
     for i, t in enumerate(times):
         seed_t = derive_seed(seed, "local-martingale", i)
         integrand = partial(_scaled_reciprocal, math.exp(-params.gamma * t))
-        est = mc_estimate(sample_radial_exact, params, t, n_paths, seed_t, workers, integrand)
+        est = mc_estimate(radial_exact, params, t, n_paths, seed_t, workers, integrand)
         out.append(CurvePoint(t=t, estimate=est, closed_form=survival_probability(params, t) / params.a))
     return out

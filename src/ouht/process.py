@@ -80,17 +80,21 @@ def _require_time(t: float) -> float:
     return t
 
 
-def _tau(gamma: float, t: float) -> float:
-    u = 2.0 * gamma * t
+def _tau(gamma: float, t: float, sign: float = 1.0) -> float:
+    """(e^{2 g t} - 1) / (2 g) with g = sign * gamma; an overflow names the
+    caller's gamma and t, not g."""
+    g = sign * gamma
+    u = 2.0 * g * t
     if u > _EXP_ARG_MAX:
         raise OverflowError(
-            f"exp(2*gamma*t) overflows for gamma*t = {gamma * t}; "
+            f"exp({'' if sign > 0 else '-'}2*gamma*t) overflows for gamma = {gamma:g}, "
+            f"t = {t:g} (gamma*t = {gamma * t:g}); "
             "the requested horizon is outside the usable range"
         )
     if abs(u) < SERIES_THRESHOLD:
-        v = gamma * t
+        v = g * t
         return t * (1.0 + v * (1.0 + v * (2.0 / 3.0 + v / 3.0)))
-    return math.expm1(u) / (2.0 * gamma)
+    return math.expm1(u) / (2.0 * g)
 
 
 def time_change(params: ProcessParams, t: float) -> float:
@@ -107,7 +111,7 @@ def ou_transition(params: ProcessParams, t: float) -> GaussianLaw:
     t = _require_time(t)
     # (1 - e^{-2 gamma t}) / (2 gamma) is tau with gamma negated; this route
     # stays finite for large gamma*t > 0 where tau itself would overflow.
-    variance = _tau(-params.gamma, t)
+    variance = _tau(params.gamma, t, sign=-1.0)
     return GaussianLaw(mean=params.a * math.exp(-params.gamma * t), variance=variance)
 
 

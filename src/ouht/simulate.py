@@ -16,7 +16,7 @@ Path sets are stored as (n_paths, n_times) arrays; absorbed entries are 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,11 @@ class KilledPaths:
     grid: TimeGrid
     values: np.ndarray
     killing_index: np.ndarray
-    killing_flag: np.ndarray
+
+    @property
+    def killing_flag(self) -> np.ndarray:
+        """True for each path absorbed somewhere on the grid."""
+        return self.killing_index >= 0
 
     @property
     def n_paths(self) -> int:
@@ -170,7 +174,7 @@ def simulate_killed_ou_exact(
         y = y_next
         values[:, i + 1] = np.where(alive, math.exp(-params.gamma * times[i + 1]) * y, 0.0)
 
-    return KilledPaths(grid, values, kill_idx, kill_idx >= 0)
+    return KilledPaths(grid, values, kill_idx)
 
 
 def _substep_counts(grid: TimeGrid, dt: float) -> list[int]:
@@ -212,7 +216,7 @@ def euler_ou(
             alive &= x > 0.0
         values[:, i + 1] = np.where(alive, x, 0.0)
 
-    return KilledPaths(grid, values, kill_idx, kill_idx >= 0)
+    return KilledPaths(grid, values, kill_idx)
 
 
 def _radial_step(r, h, params, scheme, rng, depth, telemetry):

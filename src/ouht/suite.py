@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .harness import (
 )
 from .measure import (
     TestFunctional,
+    block_draws,
     conditional_identity_detail,
     default_functional_suite,
     estimate_killed_expectation_direct,
@@ -43,17 +45,15 @@ from .measure import (
     estimate_Q_expectation_via_P,
     local_martingale_curve,
     mc_estimate,
+    ou_exact,
+    radial_euler_clamps,
+    radial_exact,
+    survival_flags,
     terminal_draws,
 )
-from .process import (
-    ProcessParams,
-    martingale_value,
-    radial_transition,
-    sample_ou_exact,
-    sample_radial_exact,
-)
-from .rng import block_sizes, derive_seed, map_blocks, stream
-from .simulate import SchemeConfig, TimeGrid, euler_radial, simulate_killed_ou_exact
+from .process import ProcessParams, martingale_value, radial_transition
+from .rng import derive_seed
+from .simulate import SchemeConfig
 
 MIN_PATHS_FOR_MC = 100
 SIGMA_THRESHOLD = 4.0
@@ -108,25 +108,6 @@ class SuiteConfig:
             "weight_bias": self.weight_bias,
             "functionals": [f.label() for f in self.functionals],
         }
-
-
-# --- samplers and block workers ---------------------------------------------
-
-def _martingale_values(params, t, rng, n):
-    return martingale_value(params, sample_ou_exact(params, t, rng, size=n), t)
-
-
-def _survival_flags(params, t, rng, n):
-    """1.0 for each bridge-corrected killed path (16 intervals) alive at t."""
-    paths = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n)
-    return (~paths.killing_flag).astype(float)
-
-
-def _euler_radial_block(task):
-    params, t, dt, seed, block, n = task
-    rng = stream(seed, block)
-    sample = euler_radial(params, TimeGrid(np.array([0.0, t])), SchemeConfig(dt=dt), rng, n)
-    return sample.values[:, 1], sample.clamp_count
 
 
 # --- the suite -------------------------------------------------------------
@@ -184,7 +165,8 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
             col.skip(check, idn, "starting point a", too_few)
             continue
         seed = derive_seed(config.seed, "martingale", f"{t:g}")
-        est = mc_estimate(_martingale_values, p, t, config.n_paths, seed, config.workers)
+        est = mc_estimate(ou_exact, p, t, config.n_paths, seed, config.workers,
+                          partial(martingale_value, p, t=t))
         col.add(check, idn, "starting point a", est.mean, p.a,
                 _sigma_gap(est.mean, p.a, est.stderr), SIGMA_THRESHOLD, seed)
 
@@ -299,7 +281,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     check, idn = "survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1"
     if enough:
         seed = derive_seed(config.seed, "survival-exact")
-        est = mc_estimate(_survival_flags, p, t_mid, config.n_paths, seed, config.workers)
+        est = mc_estimate(survival_flags, p, t_mid, config.n_paths, seed, config.workers)
         target = survival_probability(p, t_mid)
         col.add(check, idn, "closed-form survival", est.mean, target,
                 _sigma_gap(est.mean, target, est.stderr), SIGMA_THRESHOLD, seed)
@@ -312,13 +294,12 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         n_euler = min(config.n_paths, 50_000)
         seed_e = derive_seed(config.seed, "euler-radial")
         seed_x = derive_seed(config.seed, "euler-radial-reference")
-        tasks = [(p, t_mid, config.dt, seed_e, i, n)
-                 for i, n in enumerate(block_sizes(n_euler))]
-        parts = map_blocks(_euler_radial_block, tasks, config.workers)
-        euler_terminal = np.concatenate([v for v, _ in parts])
+        euler = partial(radial_euler_clamps, scheme=SchemeConfig(dt=config.dt))
+        parts = block_draws(euler, p, (t_mid,), n_euler, seed_e, config.workers)
+        euler_terminal = np.concatenate([v for v, _ in parts])[:, 0]
         clamps = sum(c for _, c in parts)
-        exact_terminal = terminal_draws(sample_radial_exact, p, t_mid, n_euler, seed_x,
-                                        config.workers)
+        exact_terminal = terminal_draws(radial_exact, p, (t_mid,), n_euler, seed_x,
+                                        config.workers)[:, 0]
         ks = ks_statistic(euler_terminal, exact_terminal)
         crit = ks_two_sample_critical(n_euler, n_euler, alpha=0.01)
         col.add("euler-radial-ks", idn_ks, "exact radial sampler", ks, 0.0, ks, crit, seed_e)

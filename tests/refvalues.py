@@ -98,3 +98,67 @@ SUITE_N20000_SEED96 = (
     ("euler-radial-msq", "pass", 1.438323448338656, 1.4323323583816938, 0.005991089956962181),
     ("euler-radial-positivity", "pass", 0.0, 0.0, 0.0),
 )
+
+
+# -- run_suite(SuiteConfig(n_paths=BLOCK_SIZE + 4_464, seed=98)), i.e. 70,000
+#    paths in two blocks per estimator, as computed at commit 2fe095a:
+#    (check, status, value, target, gap) ------------------------------------
+SUITE_N70000_SEED98 = (
+    ("martingale-mean[t=0.5]", "pass", 0.9997814991469799, 1.0, 0.06242006809559148),
+    ("martingale-mean[t=1]", "pass", 0.9984532283753169, 1.0, 0.22870872633692244),
+    ("martingale-mean[t=2]", "pass", 0.9794129667707748, 1.0, 1.0537987820787573),
+    ("weight-unit-mass[t=0.5]", "pass", 1.0033055565215225, 1.0, 1.0047474484500412),
+    ("weight-unit-mass[t=1]", "pass", 0.9957702561883408, 1.0, 0.7914969981280623),
+    ("weight-unit-mass[t=2]", "pass", 0.9999017754532199, 1.0, 0.009587515719790198),
+    ("transport-agreement[one]", "pass", 0.42303092690479055, 0.42322857142857145, 0.08986460151245626),
+    ("transport-agreement[1(x>1)]", "pass", 0.15020893971544141, 0.15064285714285713, 0.2987535354166725),
+    ("transport-agreement[1(x<0.5)]", "pass", 0.09631244793225212, 0.09785714285714285, 0.8491074670045056),
+    ("transport-agreement[min(x^1,10)]", "pass", 0.36787944117144233, 0.3684544466321241, 0.2921757839357424),
+    ("conditioning-gap[one]", "pass", 1.1504865626352332, 1.1492343275523604, 0.28651177911856884),
+    ("conditioning-gap[1(x>1)]", "pass", 0.40646522123871554, 0.4076412094875925, 0.32051538886636044),
+    ("conditioning-gap[1(x<0.5)]", "pass", 0.264820609623431, 0.2672340720022708, 0.5100155219297242),
+    ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 0.9987109961466278, 0.30981897468865127),
+    ("killed-semigroup[one]", "pass", 0.4228284101583026, 0.4241764417797156, 1.1351961677611684),
+    ("killed-semigroup[1(x>1)]", "pass", 0.14969916662792015, 0.1494366526861181, 0.495789610618468),
+    ("killed-semigroup[1(x<0.5)]", "pass", 0.09600658041866536, 0.09723219929053561, 0.9134395516249718),
+    ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714422, 1.1102230246251565e-05),
+    ("killed-density-mass[t=0.5]", "pass", 0.7193528563918147, 0.7193528563918145, 2.220446049250313e-16),
+    ("radial-density-mass[t=0.5]", "pass", 1.0, 1.0, 0.0),
+    ("htransform-residual[t=0.5]", "pass", 1.4054899920985245e-14, 0.0, 1.4054899920985245e-14),
+    ("killed-density-mass[t=1]", "pass", 0.4241764417797156, 0.42417644177971575, 1.6653345369377348e-16),
+    ("radial-density-mass[t=1]", "pass", 1.0, 1.0, 0.0),
+    ("htransform-residual[t=1]", "pass", 2.1401504431214863e-14, 0.0, 2.1401504431214863e-14),
+    ("killed-density-mass[t=2]", "pass", 0.15317431284600863, 0.15317431284600858, 5.551115123125783e-17),
+    ("radial-density-mass[t=2]", "pass", 1.0, 1.0, 0.0),
+    ("htransform-residual[t=2]", "pass", 1.4193645148510794e-14, 0.0, 1.4193645148510794e-14),
+    ("local-martingale-monotone", "pass", 0.7193528563918145, 1.0, -0.2710021289337072),
+    ("local-martingale-mc[t=0.5]", "pass", 0.7189820231367008, 0.7193528563918145, 0.1876682245924121),
+    ("local-martingale-mc[t=1]", "pass", 0.42454113337795574, 0.42417644177971575, 0.3096714122061035),
+    ("local-martingale-mc[t=2]", "pass", 0.1534280923383923, 0.15317431284600858, 0.5619918313416952),
+    ("survival-exact-scheme", "pass", 0.4250857142857143, 0.42417644177971575, 0.4866314488907832),
+    ("euler-radial-ks", "pass", 0.008660000000000001, 0.0, 0.008660000000000001),
+    ("euler-radial-msq", "pass", 1.5074031155977783, 1.4323323583816938, 0.07507075721608447),
+    ("euler-radial-positivity", "pass", 0.0, 0.0, 0.0),
+)
+
+# -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
+#    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
+#    as computed at commit 2fe095a ------------------------------------------
+SIMULATE_N65537_SEED12 = {
+    ("ou-killed", "exact"): (
+        "  t=0.5: mean=0.607833 stderr=0.00205 survival=0.718571",
+        "  t=1: mean=0.370397 stderr=0.00204 survival=0.426263",
+    ),
+    ("ou-killed", "euler"): (
+        "  t=0.5: mean=0.616995 stderr=0.00203 survival=0.752689",
+        "  t=1: mean=0.385884 stderr=0.00204 survival=0.461754",
+    ),
+    ("radial", "exact"): (
+        "  t=0.5: mean=1.06303 stderr=0.00169 survival=1",
+        "  t=1: mean=1.10324 stderr=0.00181 survival=1",
+    ),
+    ("radial", "euler"): (
+        "  t=0.5: mean=1.07503 stderr=0.00746 survival=1",
+        "  t=1: mean=1.11772 stderr=0.00488 survival=1",
+    ),
+}

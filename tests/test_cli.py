@@ -1,9 +1,20 @@
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ouht.cli import main
+from ouht.harness import ExperimentReport
+from ouht.simulate import euler_radial
+
+import refvalues as ref
+
+TRACED = Path(__file__).resolve().parents[1] / "benchmarks" / "traced.py"
 
 
 def run_cli(args, cwd):
@@ -258,3 +269,84 @@ def test_every_command_rejects_workers_below_one(tmp_path, workers):
         assert res.returncode == 2, argv
         assert f"workers: must be >= 1, got {workers}" in res.stderr, argv
     assert not list(tmp_path.iterdir())  # rejected before any output is written
+
+
+@pytest.mark.parametrize("process,scheme", list(ref.SIMULATE_N65537_SEED12))
+def test_simulate_across_blocks(tmp_path, capsys, process, scheme):
+    # 65,537 paths are two blocks: the second holds a single path
+    argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1",
+            "--a", "1", "--t", "0.5", "--t", "1", "--paths", "65537", "--seed", "12"]
+    if scheme == "euler":
+        argv += ["--dt", "0.01"]
+    csv = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+        csv[workers] = out.read_bytes()
+    assert csv["1"] == csv["2"]
+
+    summary = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  t=")]
+    assert summary == 2 * list(ref.SIMULATE_N65537_SEED12[process, scheme])
+
+    rows = [l.split(",") for l in csv["1"].decode().splitlines() if l[:1].isdigit()]
+    assert len(rows) == 2 * 65537
+    values = np.array([float(r[2]) for r in rows])
+    absorbed = np.array([r[3] for r in rows])
+    if process == "radial":
+        assert np.all(absorbed == "0") and np.all(values > 0.0)
+    else:
+        assert np.array_equal(absorbed == "1", values == 0.0)
+        assert set(absorbed) == {"0", "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--x-min", "0.1", "--x-max", "2"],
+    ["verify", "--paths", "200"],
+    ["simulate", "--process", "radial", "--paths", "10"],
+])
+def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--gamma", "-50", "--a", "1", "--t", "10", "--workers", "1",
+                        "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflows for gamma = -50, t = 10 (gamma*t = -500)" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def _load_traced():
+    spec = importlib.util.spec_from_file_location("ouht_benchmark_traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)  # defines LAYERS; install() is not called
+    return traced
+
+
+def test_benchmark_tracer_layers_resolve():
+    # traced.py wraps each named function by getattr; a renamed one would
+    # break `benchmarks/run.py --trace 1` with an AttributeError
+    for span, module, names, _ in _load_traced().LAYERS:
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{span}: {module.__name__}.{name}"
+    assert callable(ExperimentReport.to_json) and callable(ExperimentReport.to_csv)
+    # its euler_radial counter reads the scheme as the third positional argument
+    assert list(inspect.signature(euler_radial).parameters)[:3] == ["params", "grid", "scheme"]
+
+
+def test_traced_verify_records_the_sampler_layers(tmp_path):
+    # the samplers must call the layer functions through module globals, or
+    # the tracer's rebinding misses them and their counts read 0
+    res = subprocess.run(
+        [sys.executable, "-B", str(TRACED), "spans.json", "--",
+         "verify", "--paths", "200", "--workers", "1", "--out", "rep"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+    def total(name, key):
+        return sum(s["counts"][key] for s in spans if s["name"] == name)
+
+    assert total("process.sample_radial_exact", "draws") > 0
+    assert total("process.sample_ou_exact", "draws") > 0
+    assert total("simulate.simulate_killed_ou_exact", "path_steps") > 0
+    assert total("simulate.euler_radial", "path_substeps") > 0

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from scipy import integrate, stats
 
 from ouht.density import (
-    DensityCurve,
     density_identity_residual,
     gaussian_pdf,
     killed_density_mass,
@@ -194,19 +192,3 @@ def test_killed_expectation_quadrature_against_cdf_formula():
     # plain quadrature of the identity functional: E[X_t on survival] = a e^{-gamma t}
     got_mean = killed_expectation_quadrature(p, 1.0, lambda x: x)
     assert got_mean == pytest.approx(ref.OU_MEAN_G1_A1_T1, abs=1e-10)
-
-
-def test_density_curve_validation_and_csv():
-    xs = np.array([0.1, 0.2, 0.5])
-    with pytest.raises(ValueError):
-        DensityCurve(xs, np.array([0.1, -0.2, 0.3]))
-    with pytest.raises(ValueError):
-        DensityCurve(np.array([0.2, 0.1, 0.5]), np.array([0.1, 0.2, 0.3]))
-    curve = DensityCurve(xs, np.array([0.25, 0.5, 0.125]))
-    buf = io.StringIO()
-    curve.write_csv(buf, header_lines=["demo"])
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "x,density"
-    assert lines[2] == "0.10000000000000001,0.25"
-    assert len(lines) == 5

@@ -7,7 +7,6 @@ from scipy import integrate
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     TestFunctional,
-    WeightedSample,
     conditional_identity_detail,
     conditional_identity_gap,
     default_functional_suite,
@@ -18,7 +17,6 @@ from ouht.measure import (
     forward_weight,
     inverse_weight,
     local_martingale_curve,
-    radial_weighted_sample,
 )
 from ouht.process import ProcessParams, sample_radial_exact
 from ouht.rng import stream
@@ -86,15 +84,6 @@ def test_inverse_weight_mean_recovers_survival():
     w = inverse_weight(P11, r, 1.0)
     target = survival_probability(P11, 1.0)
     assert abs(w.mean() - target) <= 4.0 * w.std(ddof=1) / math.sqrt(n)
-
-
-def test_weighted_sample_record():
-    ws = radial_weighted_sample(P11, 1.0, stream(303, 0))
-    assert ws.value > 0 and ws.weight > 0
-    with pytest.raises(ValueError):
-        WeightedSample(value=1.0, weight=-0.1)
-    with pytest.raises(ValueError):
-        WeightedSample(value=1.0, weight=math.inf)
 
 
 def test_forward_weight_on_paths():

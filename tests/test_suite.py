@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ouht.harness import FAIL, PASS, SKIPPED
+from ouht.rng import BLOCK_SIZE
 from ouht.suite import SuiteConfig, run_suite
 
 import refvalues as ref
@@ -103,3 +104,36 @@ def test_report_matches_values_pinned_before_blockwise_reduction():
         assert c.value == pytest.approx(value, rel=1e-13, abs=0.0), name
         assert c.target == pytest.approx(target, rel=1e-13, abs=0.0), name
         assert c.gap == pytest.approx(gap, rel=0.0, abs=1e-4), name
+
+
+# Two blocks per estimator (70,000 = BLOCK_SIZE + 4,464 paths), so the
+# block merge of reduce_blocks and its between-block term are on the path of
+# every sampled check; 20,000 paths fit in one block and exercise neither.
+MULTI_BLOCK = SuiteConfig(n_paths=BLOCK_SIZE + 4_464, seed=98)
+
+
+@pytest.fixture(scope="module")
+def multi_block_report():
+    return run_suite(MULTI_BLOCK)
+
+
+def test_multi_block_report_matches_pinned_values(multi_block_report):
+    rep = multi_block_report
+    assert [(c.check, c.status) for c in rep.checks] == [
+        (name, status) for name, status, *_ in ref.SUITE_N70000_SEED98
+    ]
+    for c, (name, _, value, target, gap) in zip(rep.checks, ref.SUITE_N70000_SEED98):
+        assert c.value == pytest.approx(value, rel=1e-13, abs=0.0), name
+        assert c.target == pytest.approx(target, rel=1e-13, abs=0.0), name
+        assert c.gap == pytest.approx(gap, rel=0.0, abs=1e-4), name
+        # the between-block term is about 1/N of a variance, so it moves a
+        # gap by ~1e-5 relative, below the bound above; hold every gap not
+        # at ulp scale (the floored-stderr ones) to rel 1e-9 as well
+        if gap > 1e-3:
+            assert c.gap == pytest.approx(gap, rel=1e-9, abs=0.0), name
+
+
+def test_multi_block_report_identical_on_the_pool(multi_block_report):
+    rep2 = run_suite(SuiteConfig(n_paths=MULTI_BLOCK.n_paths, seed=MULTI_BLOCK.seed, workers=2))
+    assert _strip_meta(multi_block_report.to_json()) == _strip_meta(rep2.to_json())
+    assert multi_block_report.to_csv() == rep2.to_csv()
