@@ -41,6 +41,7 @@ from .measure import (
     terminal_draws,
 )
 from .process import ProcessParams
+from .rng import BLOCK_SIZE
 from .simulate import SchemeConfig
 from .suite import SuiteConfig, run_suite
 
@@ -166,6 +167,25 @@ _SIM_SAMPLERS = {
 }
 
 
+def _absorbed(values):
+    """Killed paths sit at 0 once absorbed; radial values are > 0."""
+    return values <= 0.0
+
+
+def _write_simulate_csv(fh, pairs, times, values) -> None:
+    """One t,path,value,absorbed row per path and time, BLOCK_SIZE rows per write."""
+    fh.write("\n".join(_header("simulate", pairs)) + "\nt,path,value,absorbed\n")
+    n_paths = values.shape[0]
+    for j, t in enumerate(times):
+        row = _fmt(t) + ",%d,%.17g,%d\n"
+        for start in range(0, n_paths, BLOCK_SIZE):
+            chunk = values[start:start + BLOCK_SIZE, j]
+            fh.write("".join(
+                row % r for r in zip(range(start, start + chunk.size), chunk.tolist(),
+                                     _absorbed(chunk).tolist())
+            ))
+
+
 def cmd_simulate(args) -> int:
     defaults = _read_defaults(args.defaults)
     process = _resolve(args, defaults, "process", str, required=True)
@@ -197,7 +217,6 @@ def cmd_simulate(args) -> int:
         sampler = partial(sampler, scheme=scheme)
 
     values = terminal_draws(sampler, params, times, n_paths, seed, workers)
-    absorbed = values <= 0.0  # killed paths sit at 0; radial values are > 0
 
     pairs = [
         ("process", process), ("scheme", scheme_name), ("gamma", params.gamma),
@@ -211,34 +230,28 @@ def cmd_simulate(args) -> int:
     for j, t in enumerate(times):
         col = values[:, j]
         est = aggregate(col, seed=seed)
-        survival = float(1.0 - absorbed[:, j].mean())
+        survival = float(1.0 - _absorbed(col).mean())
         summaries.append({"t": t, "n": n_paths, "mean": est.mean,
                           "stderr": est.stderr, "survival": survival})
         print(f"  t={t:g}: mean={est.mean:.6g} stderr={est.stderr:.3g} survival={survival:.6g}")
 
     try:
-        if fmt == "csv":
-            lines = _header("simulate", pairs)
-            lines.append("t,path,value,absorbed")
-            for j, t in enumerate(times):
-                tcol = _fmt(t)
-                col = values[:, j]
-                dead = absorbed[:, j]
-                for i in range(n_paths):
-                    lines.append(f"{tcol},{i},{_fmt(col[i])},{int(dead[i])}")
-            _write_file(out, "\n".join(lines) + "\n")
-        else:
-            body = {
-                "version": __version__,
-                "command": "simulate",
-                "config": dict(pairs, t=times),
-                "results": [
-                    dict(s, values=values[:, j].tolist(),
-                         absorbed=absorbed[:, j].astype(int).tolist())
-                    for j, s in enumerate(summaries)
-                ],
-            }
-            _write_file(out, json.dumps(body, sort_keys=True, indent=2) + "\n")
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            if fmt == "csv":
+                _write_simulate_csv(fh, pairs, times, values)
+            else:
+                body = {
+                    "version": __version__,
+                    "command": "simulate",
+                    "config": dict(pairs, t=times),
+                    "results": [
+                        dict(s, values=values[:, j].tolist(),
+                             absorbed=_absorbed(values[:, j]).astype(int).tolist())
+                        for j, s in enumerate(summaries)
+                    ],
+                }
+                json.dump(body, fh, sort_keys=True, indent=2)
+                fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return IO_ERROR

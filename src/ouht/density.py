@@ -18,7 +18,6 @@ import math
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import integrate
 
 from .process import ProcessParams, radial_transition, time_change
 
@@ -136,24 +135,23 @@ def _radial_support_cutoff(params: ProcessParams, t: float) -> float:
     return law.center + _TAIL_SIGMAS * math.sqrt(law.sigma2)
 
 
+def _quad(fn, hi: float, points=None) -> float:
+    """Adaptive quadrature of fn over (0, hi).  scipy is imported here, on
+    the first call, so that commands which never integrate do not load it."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(fn, 0.0, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val
+
+
 def killed_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the killed density over (0, inf); should equal S(t)."""
-    hi = _killed_support_cutoff(params, t)
-    val, _ = integrate.quad(
-        lambda x: killed_ou_density(params, t, x), 0.0, hi,
-        epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    return val
+    return _quad(lambda x: killed_ou_density(params, t, x), _killed_support_cutoff(params, t))
 
 
 def radial_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the radial density over (0, inf); should equal 1."""
-    hi = _radial_support_cutoff(params, t)
-    val, _ = integrate.quad(
-        lambda x: radial_density(params, t, x), 0.0, hi,
-        epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    return val
+    return _quad(lambda x: radial_density(params, t, x), _radial_support_cutoff(params, t))
 
 
 def killed_expectation_quadrature(
@@ -166,8 +164,4 @@ def killed_expectation_quadrature(
     killed-semigroup check.  Pass fn's discontinuity points as breakpoints."""
     hi = _killed_support_cutoff(params, t)
     pts = sorted(p for p in breakpoints if 0.0 < p < hi)
-    val, _ = integrate.quad(
-        lambda x: fn(x) * killed_ou_density(params, t, x), 0.0, hi,
-        points=pts or None, epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    return val
+    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), hi, pts or None)

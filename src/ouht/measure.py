@@ -22,7 +22,13 @@ import numpy as np
 
 from .density import survival_probability
 from .harness import BlockStats, MCEstimate, reduce_blocks
-from .process import ProcessParams, sample_ou_exact, sample_radial_exact
+from .process import (
+    ProcessParams,
+    radial_transition,
+    sample_ou_exact,
+    sample_radial_exact,
+    sample_radial_step,
+)
 from .rng import block_sizes, derive_seed, map_blocks, stream
 from .simulate import KilledPaths, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
@@ -141,8 +147,14 @@ def killed_euler(params, times, rng, n, *, scheme):
 
 
 def radial_exact(params, times, rng, n):
-    """R_t by exact 3-d Gaussian draws, one independent draw per time."""
-    return np.column_stack([sample_radial_exact(params, t, rng, size=n) for t in times])
+    """R_t along one path per row: the exact marginal at times[0], then the
+    exact transition from each time to the next."""
+    for t in times[1:]:
+        radial_transition(params, t)  # the domain check, naming the caller's t
+    cols = [sample_radial_exact(params, times[0], rng, size=n)]
+    for s, t in zip(times, times[1:]):
+        cols.append(sample_radial_step(params, cols[-1], t - s, rng))
+    return np.column_stack(cols)
 
 
 def radial_euler_clamps(params, times, rng, n, *, scheme):

@@ -142,6 +142,14 @@ def sample_ou_exact(
     return law.mean + sd * z
 
 
+def _gaussian_norm(center, sd: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """|(center, 0, 0) + sd Z| for size independent 3-d standard normals Z;
+    center may be a scalar or one value per draw."""
+    vec = sd * rng.standard_normal((int(size), 3))
+    vec[:, 0] += center
+    return np.sqrt(np.einsum("ij,ij->i", vec, vec))
+
+
 def sample_radial_exact(
     params: ProcessParams,
     t: float,
@@ -155,9 +163,23 @@ def sample_radial_exact(
         vec = sd * rng.standard_normal(3)
         vec[0] += law.center
         return float(np.sqrt(vec @ vec))
-    vec = sd * rng.standard_normal((int(size), 3))
-    vec[:, 0] += law.center
-    return np.sqrt(np.einsum("ij,ij->i", vec, vec))
+    return _gaussian_norm(law.center, sd, rng, size)
+
+
+def sample_radial_step(
+    params: ProcessParams,
+    r: np.ndarray,
+    dt: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw R_{s+dt} given R_s = r, exactly, for each value in r.
+
+    The 3-d vector moves to e^{-gamma dt} vec + sqrt(v(dt)) Z, with v(dt) the
+    scalar transition variance.  Z is isotropic, so the law of the new norm
+    depends on |vec| = r alone, and vec is taken along the first axis.
+    """
+    law = ou_transition(ProcessParams(params.gamma, 1.0), dt)  # from 1: mean e^{-gamma dt}
+    return _gaussian_norm(law.mean * r, math.sqrt(law.variance), rng, r.size)
 
 
 def martingale_value(params: ProcessParams, x, t: float):

@@ -219,25 +219,36 @@ def euler_ou(
     return KilledPaths(grid, values, kill_idx)
 
 
-def _radial_step(r, h, params, scheme, rng, depth, telemetry):
-    """One Euler step of dR = (1/R - gamma R) dt + dB for the paths in r.
+def _radial_step(r, out, noise, h, params, scheme, rng, depth, telemetry):
+    """One Euler step of dR = (1/R - gamma R) dt + dB for the paths in r,
+    written into out; noise is scratch of the same size, r is left as is.
 
     Proposals at or below the positivity floor are redone as two half steps
     (fresh noise), up to max_substep_depth, then clamped to the floor.
     """
-    proposal = r + (1.0 / r - params.gamma * r) * h + math.sqrt(h) * rng.standard_normal(r.size)
-    bad = proposal <= scheme.positivity_floor
-    n_bad = int(bad.sum())
+    # r + (1/r - gamma r) h + sqrt(h) z, in that operation order
+    np.divide(1.0, r, out=out)
+    np.multiply(r, params.gamma, out=noise)
+    out -= noise
+    out *= h
+    out += r
+    rng.standard_normal(out=noise)
+    noise *= math.sqrt(h)
+    out += noise
+    bad = out <= scheme.positivity_floor
+    n_bad = int(np.count_nonzero(bad))
     if n_bad == 0:
-        return proposal
+        return
     if depth >= scheme.max_substep_depth:
         telemetry[1] += n_bad
-        proposal[bad] = scheme.positivity_floor
-        return proposal
+        out[bad] = scheme.positivity_floor
+        return
     telemetry[0] += n_bad
-    half = _radial_step(r[bad], h / 2.0, params, scheme, rng, depth + 1, telemetry)
-    proposal[bad] = _radial_step(half, h / 2.0, params, scheme, rng, depth + 1, telemetry)
-    return proposal
+    sub = r[bad]  # a copy: it takes the second half step's result
+    half, scratch = np.empty_like(sub), np.empty_like(sub)
+    _radial_step(sub, half, scratch, h / 2.0, params, scheme, rng, depth + 1, telemetry)
+    _radial_step(half, sub, scratch, h / 2.0, params, scheme, rng, depth + 1, telemetry)
+    out[bad] = sub
 
 
 def euler_radial(
@@ -257,13 +268,16 @@ def euler_radial(
     times = grid.times
     values = np.empty((n_paths, times.size))
     values[:, 0] = params.a
-    r = np.full(n_paths, params.a)
+    # each substep writes into nxt, which then swaps with r; float64 even for an int a
+    r = np.full(n_paths, params.a, dtype=float)
+    nxt, noise = np.empty_like(r), np.empty_like(r)
     telemetry = [0, 0]  # [retries, clamps]
 
     for i, m in enumerate(_substep_counts(grid, scheme.dt)):
         h = (times[i + 1] - times[i]) / m
         for _ in range(m):
-            r = _radial_step(r, h, params, scheme, rng, 0, telemetry)
+            _radial_step(r, nxt, noise, h, params, scheme, rng, 0, telemetry)
+            r, nxt = nxt, r
         values[:, i + 1] = r
 
     return PathSample(grid, values, retry_count=telemetry[0], clamp_count=telemetry[1])

@@ -143,7 +143,8 @@ SUITE_N70000_SEED98 = (
 
 # -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
 #    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
-#    as computed at commit 2fe095a ------------------------------------------
+#    as computed at commit 2fe095a; the radial-exact t=1 line was re-pinned
+#    when radial_exact began drawing t=1 from each path's t=0.5 value --------
 SIMULATE_N65537_SEED12 = {
     ("ou-killed", "exact"): (
         "  t=0.5: mean=0.607833 stderr=0.00205 survival=0.718571",
@@ -155,10 +156,34 @@ SIMULATE_N65537_SEED12 = {
     ),
     ("radial", "exact"): (
         "  t=0.5: mean=1.06303 stderr=0.00169 survival=1",
-        "  t=1: mean=1.10324 stderr=0.00181 survival=1",
+        "  t=1: mean=1.10334 stderr=0.00182 survival=1",
     ),
     ("radial", "euler"): (
         "  t=0.5: mean=1.07503 stderr=0.00746 survival=1",
         "  t=1: mean=1.11772 stderr=0.00488 survival=1",
     ),
+}
+
+# -- SHA-256 of the files written by `ouht simulate --process P --scheme S
+#    --gamma 1 --a 1 --t 0.5 --t 1 --paths 65537 --seed 12 --format F`
+#    (plus --dt 0.01 for euler; radial exact with --t 0.5 only), as computed
+#    at commit cc2e725: (process, scheme, format) -> digest -----------------
+SIMULATE_SHA256_N65537_SEED12 = {
+    ("ou-killed", "exact", "csv"): "fde8c5dd7a246e2b60a26e23352a33bd12e8f26c70a5fb0a40af366854ff8d55",
+    ("ou-killed", "exact", "json"): "8ab7e4be3183f73828925fdf169cdfee4268a8813458f19c942afe084e22e235",
+    ("ou-killed", "euler", "csv"): "e6a92299f690934793de0f255bd533fd68ef7a0e8416236d6bd7949fa84a3a70",
+    ("ou-killed", "euler", "json"): "c09175e0a90f65c55b3c80a4bdaa1f2628a7a5fea516b874370700525818adc4",
+    ("radial", "euler", "csv"): "98feca6a99b86ec2ba9ee6bbf3a19c7dfa28d34bfcd0eba6b6c8de8a7aded317",
+    ("radial", "euler", "json"): "d796f95c773da3f4c149cb634fbdec131a44d3c9ef82e2c06ef9adf2fe7290e6",
+    ("radial", "exact", "csv"): "2c355f096f6c06087a5b29b990ff082c3af515595510838507a703596a316f70",
+    ("radial", "exact", "json"): "e62d4b8248eac7f03f62ff3609ea93459aa61eff201e5e973ef45a4e89256592",
+}
+
+# -- euler_radial(ProcessParams(0.5, 0.05), TimeGrid.from_times((0.5, 1)),
+#    SchemeConfig(dt=0.05, max_substep_depth=D), stream(4, 0), 4096), as
+#    computed at commit cc2e725: D -> (SHA-256 of values.tobytes(), retries,
+#    clamps) ----------------------------------------------------------------
+EULER_RADIAL_G05_A005 = {
+    1: ("33c2eec6dafe9b5352b2cb8330762a4bafbf5a93e9871b3eb08aa0066bd215fa", 46, 0),
+    0: ("04ad171c38a2458be249bb3bb0eda5d1a9b33d2fa597461804b6e65928c24ab6", 0, 44),
 }

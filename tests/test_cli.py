@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -254,6 +255,47 @@ def test_unwritable_output_exits_1(tmp_path):
     assert "cannot write" in res.stderr
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_unwritable_output_exits_1(tmp_path, fmt):
+    res = run_cli(
+        ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1",
+         "--paths", "10", "--workers", "1", "--format", fmt, "--out", f"no/such/dir/x.{fmt}"],
+        tmp_path,
+    )
+    assert res.returncode == 1
+    assert "cannot write" in res.stderr
+
+
+def test_simulate_does_not_load_scipy(tmp_path):
+    # only quadrature needs scipy; it costs every command that loads it
+    # about half a second of start-up
+    code = (
+        "import sys, ouht.cli\n"
+        "code = ouht.cli.main(['simulate', '--process', 'ou-killed', '--gamma', '1',"
+        " '--a', '1', '--t', '1', '--paths', '100', '--workers', '1', '--out', 'x.csv'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("process,scheme,fmt", list(ref.SIMULATE_SHA256_N65537_SEED12))
+def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
+    argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1",
+            "--a", "1", "--t", "0.5", "--paths", "65537", "--seed", "12",
+            "--workers", "1", "--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
+    if scheme == "euler":
+        argv += ["--dt", "0.01"]
+    if (process, scheme) != ("radial", "exact"):
+        argv += ["--t", "1"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
+    assert digest == ref.SIMULATE_SHA256_N65537_SEED12[process, scheme, fmt]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_every_command_rejects_workers_below_one(tmp_path, workers):
     commands = [
@@ -303,6 +345,7 @@ def test_simulate_across_blocks(tmp_path, capsys, process, scheme):
     ["density", "--x-min", "0.1", "--x-max", "2"],
     ["verify", "--paths", "200"],
     ["simulate", "--process", "radial", "--paths", "10"],
+    ["simulate", "--process", "radial", "--paths", "10", "--t", "0.1"],
 ])
 def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -17,8 +17,9 @@ from ouht.measure import (
     forward_weight,
     inverse_weight,
     local_martingale_curve,
+    radial_exact,
 )
-from ouht.process import ProcessParams, sample_radial_exact
+from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import stream
 from ouht.simulate import TimeGrid, simulate_killed_ou_exact
 
@@ -207,3 +208,30 @@ def test_estimators_are_deterministic_and_worker_invariant():
     a = estimate_killed_expectation_via_Q(P11, f, 1.0, 150_000, 316, workers=1)
     b = estimate_killed_expectation_via_Q(P11, f, 1.0, 150_000, 316, workers=3)
     assert a == b
+
+
+def test_radial_exact_rows_are_paths():
+    # R_s^2 is the squared norm of a 3-d Gaussian (center c, per-coordinate
+    # variance sigma2), so Var(R_s^2) = 6 sigma2^2 + 4 c^2 sigma2; along one
+    # path the vector decays by e^{-gamma (t-s)} and gains independent noise,
+    # so Cov(R_s^2, R_t^2) = e^{-2 gamma (t-s)} Var(R_s^2)
+    s, t, n = 0.5, 1.0, 50_000
+    draws = radial_exact(P11, (s, t), stream(301, 0), n)
+    sq_s, sq_t = draws[:, 0] ** 2, draws[:, 1] ** 2
+
+    law = radial_transition(P11, s)
+    target = math.exp(-2.0 * (t - s)) * (6.0 * law.sigma2**2 + 4.0 * law.center**2 * law.sigma2)
+    products = (sq_s - sq_s.mean()) * (sq_t - sq_t.mean())
+    stderr = products.std(ddof=1) / math.sqrt(n)
+    assert abs(products.mean() - target) <= 4.0 * stderr, (products.mean(), target, stderr)
+
+    # each later column keeps the exact marginal
+    target_t = radial_transition(P11, t).mean_square()
+    assert abs(sq_t.mean() - target_t) <= 4.0 * sq_t.std(ddof=1) / math.sqrt(n)
+
+
+def test_radial_exact_first_time_is_the_marginal_draw():
+    # the first column is sample_radial_exact's draw, so single-time
+    # estimators (and verify) see the same numbers as before
+    draws = radial_exact(P11, (0.5, 1.0, 2.0), stream(302, 0), 1_000)
+    assert np.array_equal(draws[:, 0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -182,6 +183,26 @@ def test_euler_radial_second_moment():
     target = radial_transition(P11, 1.0).mean_square()
     allowance = 4.0 * sq.std(ddof=1) / math.sqrt(n) + 5.0 * dt
     assert abs(sq.mean() - target) <= allowance
+
+
+@pytest.mark.parametrize("depth", sorted(ref.EULER_RADIAL_G05_A005))
+def test_euler_radial_values_retries_and_clamps_are_pinned(depth):
+    # from a = 0.05, steps of 0.05 send some proposals below the floor:
+    # depth 1 redoes them as half steps, depth 0 clamps them at once
+    sample = euler_radial(
+        ProcessParams(0.5, 0.05), TimeGrid.from_times((0.5, 1.0)),
+        SchemeConfig(dt=0.05, max_substep_depth=depth), stream(4, 0), 4096,
+    )
+    digest = hashlib.sha256(sample.values.tobytes()).hexdigest()
+    assert (digest, sample.retry_count, sample.clamp_count) == ref.EULER_RADIAL_G05_A005[depth]
+
+
+def test_euler_radial_takes_an_integer_start():
+    grid = TimeGrid.from_times((0.5, 1.0))
+    ints = euler_radial(ProcessParams(1, 1), grid, SchemeConfig(dt=0.01), stream(218, 0), 1_000)
+    floats = euler_radial(P11, grid, SchemeConfig(dt=0.01), stream(218, 0), 1_000)
+    assert ints.values.dtype == np.float64
+    assert np.array_equal(ints.values, floats.values)
 
 
 def test_euler_radial_floor_must_sit_below_start():
