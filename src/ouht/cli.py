@@ -3,11 +3,13 @@
 Commands: simulate, verify, density, local-martingale.  Exit codes:
 0 success, 1 I/O failure, 2 bad configuration, 3 verification failure.
 
-Core parameters come from flags; an optional key=value defaults file
-(--defaults) can fill in anything not given on the command line.  Every
-output file starts with comment lines echoing the tool version and the
-science configuration, and identical command line + seed reproduces output
-files byte for byte.
+Every option of every command is declared once, in ``_COMMANDS``: its flag,
+its fallback, its help text and its check.  A value comes from the flag,
+else from the key=value defaults file (--defaults, keys named as the flags),
+else from the fallback, and is checked as it is resolved.  Every output file
+starts with comment lines echoing the tool version and the science
+configuration, and identical command line + seed reproduces output files
+byte for byte.
 """
 
 from __future__ import annotations
@@ -18,28 +20,17 @@ import math
 import os
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .density import (
-    density_identity_residual,
-    killed_density_mass,
-    killed_ou_density,
-    radial_density,
-    radial_density_mass,
-    relative_identity_residual,
-    survival_probability,
-)
+from .density import (density_identity_residual, killed_density_mass, killed_ou_density,
+                      radial_density, radial_density_mass, relative_identity_residual,
+                      survival_probability)
 from .harness import aggregate
-from .measure import (
-    killed_euler,
-    killed_exact,
-    local_martingale_curve,
-    radial_euler,
-    radial_exact,
-    terminal_draws,
-)
+from .measure import (killed_euler, killed_exact, local_martingale_curve, radial_euler,
+                      radial_exact, terminal_draws)
 from .process import ProcessParams
 from .rng import BLOCK_SIZE
 from .simulate import SchemeConfig
@@ -48,7 +39,7 @@ from .suite import SuiteConfig, run_suite
 OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
@@ -56,7 +47,138 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-# --- defaults file ---------------------------------------------------------
+# --- checks ----------------------------------------------------------------
+# check(key, value, resolved) returns the value or raises ConfigError;
+# `resolved` holds the options resolved before this one.
+
+def _at_least(low: int):
+    def check(key, value, resolved):
+        if value < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {value}")
+        return value
+
+    return check
+
+
+def _positive(key, value, resolved=None):
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key}: must be finite and > 0, got {value}")
+    return value
+
+
+def _params(key, a, resolved):
+    """gamma and a are checked together, as a ProcessParams."""
+    try:
+        ProcessParams(gamma=resolved["gamma"], a=a)
+    except ValueError as exc:
+        field = "gamma" if "gamma" in str(exc) else "a"
+        raise ConfigError(f"{field}: {exc}") from exc
+    return a
+
+
+def _times(key, times, resolved):
+    if not times:
+        raise ConfigError("missing required parameter: t")
+    if any(not math.isfinite(t) or t <= 0 for t in times) or any(
+        b <= a for a, b in zip(times, times[1:])
+    ):
+        raise ConfigError("t: times must be positive, finite and strictly ascending")
+    return times
+
+
+def _one_time(key, times, resolved):
+    if not times:
+        raise ConfigError("missing required parameter: t")
+    if len(times) != 1:
+        raise ConfigError("t: density tabulation takes exactly one time")
+    return _positive(key, times[0])
+
+
+def _grid(key, value, resolved):
+    low, name = (resolved["x-min"], "x-min") if key == "x-max" else (0.0, "0")
+    if not (math.isfinite(value) and value > low):
+        raise ConfigError(f"{key}: must be > {name}, got {value}")
+    return value
+
+
+def _euler_dt(key, dt, resolved):
+    """simulate's dt is needed, and checked, for the Euler scheme only."""
+    if resolved["scheme"] != "euler":
+        return None
+    if dt is None:
+        raise ConfigError("missing required parameter: dt")
+    return _positive(key, dt)
+
+
+# --- the option table ------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class _Opt(NamedTuple):
+    """kind: float, int, str, a tuple of choices, or list (a repeatable float
+    flag; comma- or space-separated in the defaults file).  A str fallback
+    may name options resolved before it, as in "ouht_simulate.{format}"."""
+
+    kind: object
+    fallback: object
+    help: str
+    check: Callable | None = None
+
+
+_GAMMA = _Opt(float, _REQUIRED, "mean-reversion rate (any sign)")
+_A = _Opt(float, _REQUIRED, "starting point (> 0)", _params)
+_SEED = _Opt(int, 0, "master seed (default 0)", _at_least(0))
+_WORKERS = _Opt(int, os.cpu_count() or 1, "worker processes (default: CPU count)", _at_least(1))
+_FORMAT = _Opt(("csv", "json"), "csv", "output format (default csv)")
+
+# command -> (help, options in resolution order)
+_COMMANDS = {
+    "simulate": ("sample terminal values of a process", {
+        "process": _Opt(("ou-killed", "radial"), _REQUIRED, "which law to sample"),
+        "scheme": _Opt(("exact", "euler"), "exact",
+                       "exact transition sampling or Euler-Maruyama (default exact)"),
+        "gamma": _GAMMA, "a": _A,
+        "t": _Opt(list, _REQUIRED, "observation time (repeatable, ascending)", _times),
+        "paths": _Opt(int, 100_000, "number of paths (default 100000)", _at_least(1)),
+        "seed": _SEED, "workers": _WORKERS,
+        "dt": _Opt(float, None, "Euler step size (required for --scheme euler)", _euler_dt),
+        "format": _FORMAT,
+        "out": _Opt(str, "ouht_simulate.{format}", "output path"),
+    }),
+    "verify": ("run the full identity-verification suite", {
+        "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
+        "t": _Opt(list, [0.5, 1.0, 2.0], "check times (repeatable; default 0.5 1 2)", _times),
+        "paths": _Opt(int, 100_000, "paths per estimator (default 100000)", _at_least(1)),
+        "dt": _Opt(float, 0.002, "Euler step for scheme checks (default 0.002)", _positive),
+        "seed": _SEED, "workers": _WORKERS,
+        "out": _Opt(str, "verify_report", "output path"),
+    }),
+    "density": ("tabulate closed-form densities on an x grid", {
+        "gamma": _GAMMA, "a": _A,
+        "t": _Opt(list, _REQUIRED, "time of the marginal (one value)", _one_time),
+        "x-min": _Opt(float, _REQUIRED, "grid lower end (> 0)", _grid),
+        "x-max": _Opt(float, _REQUIRED, "grid upper end", _grid),
+        "x-points": _Opt(int, 500, "grid size (default 500)", _at_least(2)),
+        "x-scale": _Opt(("linear", "log"), "log", "grid spacing (default log)"),
+        "format": _FORMAT,
+        "out": _Opt(str, "ouht_density.{format}", "output path"),
+        # tabulation is in-process and draws nothing; bad values are still rejected
+        "workers": _WORKERS, "seed": _SEED,
+    }),
+    "local-martingale": ("tabulate m(t) = E_Q[(1/X_t) e^{-gamma t}] with its closed form", {
+        "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
+        "t": _Opt(list, [0.25, 0.5, 1.0, 2.0, 4.0],
+                  "curve times (repeatable; default 0.25 0.5 1 2 4)", _times),
+        "paths": _Opt(int, 100_000, "paths per point (default 100000)", _at_least(1)),
+        "seed": _SEED, "workers": _WORKERS,
+        "out": _Opt(str, "ouht_local_martingale.csv", "output path"),
+    }),
+}
+
+# flags every command has; each command's usage and help list them first, in this order
+_SHARED = ("gamma", "a", "seed", "workers", "out")
+
 
 def _read_defaults(path: str | None) -> dict[str, str]:
     if path is None:
@@ -78,67 +200,55 @@ def _read_defaults(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args, defaults: dict[str, str], key: str, cast, fallback=None, required=False):
-    """Flag wins, then the defaults file, then the built-in fallback."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in defaults:
-        try:
-            return cast(defaults[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad value {defaults[key]!r} in defaults file") from exc
-    if required and fallback is None:
-        raise ConfigError(f"missing required parameter: {key}")
-    return fallback
+def _cast(kind, text: str):
+    if kind is list:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    return text if isinstance(kind, tuple) else kind(text)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _resolve(args) -> dict:
+    """Every option of args.command: the flag wins, then the defaults file,
+    then the fallback; each value is checked as it is resolved."""
+    defaults = _read_defaults(args.defaults)
+    resolved: dict = {}
+    for key, opt in _COMMANDS[args.command][1].items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None and key in defaults:
+            try:
+                value = _cast(opt.kind, defaults[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: bad value {defaults[key]!r} in defaults file") from exc
+        if value is None:
+            if opt.fallback is _REQUIRED:
+                raise ConfigError(f"missing required parameter: {key}")
+            value = opt.fallback
+            if isinstance(value, str):
+                value = value.format_map(resolved)
+        if isinstance(opt.kind, tuple) and value not in opt.kind:
+            raise ConfigError(f"{key}: must be {' or '.join(opt.kind)}, got {value!r}")
+        resolved[key] = opt.check(key, value, resolved) if opt.check else value
+    return resolved
 
 
-def _check_times(times) -> list[float]:
-    if not times:
-        raise ConfigError("missing required parameter: t")
-    times = [float(t) for t in times]
-    if any(not math.isfinite(t) or t <= 0 for t in times) or any(
-        b <= a for a, b in zip(times, times[1:])
-    ):
-        raise ConfigError("t: times must be positive, finite and strictly ascending")
-    return times
+# --- output ----------------------------------------------------------------
 
+def _write(files: dict, name: str | None = None) -> int:
+    """Write each {path: write(fh)} file in turn and print `wrote ...`.
 
-def _check_positive(name: str, value: float) -> float:
-    if value is None or not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"{name}: must be finite and > 0, got {value}")
-    return value
-
-
-def _resolve_workers(args, defaults: dict[str, str]) -> int:
-    workers = int(_resolve(args, defaults, "workers", int, fallback=os.cpu_count() or 1))
-    if workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {workers}")
-    return workers
-
-
-def _make_params(gamma, a) -> ProcessParams:
-    if gamma is None:
-        raise ConfigError("missing required parameter: gamma")
-    if a is None:
-        raise ConfigError("missing required parameter: a")
+    On OSError print `cannot write <name>` (the failing path by default) and
+    return IO_ERROR."""
     try:
-        return ProcessParams(gamma=float(gamma), a=float(a))
-    except ValueError as exc:
-        field = "gamma" if "gamma" in str(exc) else "a"
-        raise ConfigError(f"{field}: {exc}") from exc
+        for path, write in files.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+    except OSError as exc:
+        print(f"error: cannot write {name or path}: {exc}", file=sys.stderr)
+        return IO_ERROR
+    print(f"wrote {' and '.join(files)}")
+    return OK
 
 
-def _write_file(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _config_echo(pairs: list[tuple[str, object]]) -> str:
+def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
     def show(v):
         if isinstance(v, float):
             return f"{v:g}"
@@ -146,15 +256,8 @@ def _config_echo(pairs: list[tuple[str, object]]) -> str:
             return ",".join(show(x) for x in v)
         return str(v)
 
-    return " ".join(f"{k}={show(v)}" for k, v in pairs)
-
-
-def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
-    return [
-        f"# ouht {__version__}",
-        f"# command: {command}",
-        f"# config: {_config_echo(pairs)}",
-    ]
+    config = " ".join(f"{k}={show(v)}" for k, v in pairs)
+    return [f"# ouht {__version__}", f"# command: {command}", f"# config: {config}"]
 
 
 # --- simulate --------------------------------------------------------------
@@ -186,46 +289,43 @@ def _write_simulate_csv(fh, pairs, times, values) -> None:
             ))
 
 
+def _write_simulate_json(fh, pairs, times, summaries, values) -> None:
+    """The layout of json.dump(sort_keys=True, indent=2), with each values and
+    absorbed array written BLOCK_SIZE items at a time."""
+    slot = "\0"  # stands in for each array; sorted keys put absorbed before values
+    body = {"version": __version__, "command": "simulate", "config": dict(pairs, t=times),
+            "results": [dict(s, absorbed=slot, values=slot) for s in summaries]}
+    pieces = json.dumps(body, sort_keys=True, indent=2).split(json.dumps(slot))
+    fh.write(pieces[0])
+    sep = ",\n" + 8 * " "
+    for k, piece in enumerate(pieces[1:]):
+        column = values[:, k // 2]
+        fh.write("[\n" + 8 * " ")
+        for start in range(0, column.size, BLOCK_SIZE):
+            chunk = column[start:start + BLOCK_SIZE]
+            if k % 2 == 0:
+                chunk = _absorbed(chunk).astype(np.int8)
+            fh.write((sep if start else "") + json.dumps(chunk.tolist())[1:-1].replace(", ", sep))
+        fh.write("\n" + 6 * " " + "]" + piece)
+    fh.write("\n")
+
+
 def cmd_simulate(args) -> int:
-    defaults = _read_defaults(args.defaults)
-    process = _resolve(args, defaults, "process", str, required=True)
-    if process not in ("ou-killed", "radial"):
-        raise ConfigError(f"process: must be ou-killed or radial, got {process!r}")
-    scheme_name = _resolve(args, defaults, "scheme", str, fallback="exact")
-    if scheme_name not in ("exact", "euler"):
-        raise ConfigError(f"scheme: must be exact or euler, got {scheme_name!r}")
-    params = _make_params(
-        _resolve(args, defaults, "gamma", float, required=True),
-        _resolve(args, defaults, "a", float, required=True),
-    )
-    times = _check_times(args.t or (_float_list(defaults["t"]) if "t" in defaults else None))
-    n_paths = int(_resolve(args, defaults, "paths", int, fallback=100_000))
-    if n_paths < 1:
-        raise ConfigError(f"paths: must be >= 1, got {n_paths}")
-    seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = _resolve_workers(args, defaults)
-    fmt = _resolve(args, defaults, "format", str, fallback="csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {fmt!r}")
-    out = _resolve(args, defaults, "out", str, fallback=f"ouht_simulate.{fmt}")
+    cfg = _resolve(args)
+    params = ProcessParams(gamma=cfg["gamma"], a=cfg["a"])
+    process, scheme, times = cfg["process"], cfg["scheme"], cfg["t"]
+    n_paths, seed, dt = cfg["paths"], cfg["seed"], cfg["dt"]
 
-    scheme = None
-    sampler = _SIM_SAMPLERS[process, scheme_name]
-    if scheme_name == "euler":
-        dt = _resolve(args, defaults, "dt", float, required=True)
-        scheme = SchemeConfig(dt=_check_positive("dt", dt))
-        sampler = partial(sampler, scheme=scheme)
+    sampler = _SIM_SAMPLERS[process, scheme]
+    if dt is not None:
+        sampler = partial(sampler, scheme=SchemeConfig(dt=dt))
+    values = terminal_draws(sampler, params, times, n_paths, seed, cfg["workers"])
 
-    values = terminal_draws(sampler, params, times, n_paths, seed, workers)
-
-    pairs = [
-        ("process", process), ("scheme", scheme_name), ("gamma", params.gamma),
-        ("a", params.a), ("t", times), ("paths", n_paths),
-        ("dt", scheme.dt if scheme else "none"), ("seed", seed),
-    ]
+    pairs = [("process", process), ("scheme", scheme), ("gamma", params.gamma), ("a", params.a),
+             ("t", times), ("paths", n_paths), ("dt", "none" if dt is None else dt), ("seed", seed)]
 
     summaries = []
-    print(f"ouht simulate: process={process} scheme={scheme_name} "
+    print(f"ouht simulate: process={process} scheme={scheme} "
           f"gamma={params.gamma:g} a={params.a:g} paths={n_paths} seed={seed}")
     for j, t in enumerate(times):
         col = values[:, j]
@@ -235,55 +335,20 @@ def cmd_simulate(args) -> int:
                           "stderr": est.stderr, "survival": survival})
         print(f"  t={t:g}: mean={est.mean:.6g} stderr={est.stderr:.3g} survival={survival:.6g}")
 
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt == "csv":
-                _write_simulate_csv(fh, pairs, times, values)
-            else:
-                body = {
-                    "version": __version__,
-                    "command": "simulate",
-                    "config": dict(pairs, t=times),
-                    "results": [
-                        dict(s, values=values[:, j].tolist(),
-                             absorbed=_absorbed(values[:, j]).astype(int).tolist())
-                        for j, s in enumerate(summaries)
-                    ],
-                }
-                json.dump(body, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return IO_ERROR
-    print(f"wrote {out}")
-    return OK
+    if cfg["format"] == "csv":
+        return _write({cfg["out"]: lambda fh: _write_simulate_csv(fh, pairs, times, values)})
+    return _write({cfg["out"]: lambda fh: _write_simulate_json(fh, pairs, times, summaries, values)})
 
 
 # --- verify ----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    defaults = _read_defaults(args.defaults)
-    params = _make_params(
-        _resolve(args, defaults, "gamma", float, fallback=1.0),
-        _resolve(args, defaults, "a", float, fallback=1.0),
-    )
-    times = _check_times(args.t or (_float_list(defaults["t"]) if "t" in defaults else [0.5, 1.0, 2.0]))
-    n_paths = int(_resolve(args, defaults, "paths", int, fallback=100_000))
-    dt = _check_positive("dt", _resolve(args, defaults, "dt", float, fallback=0.002))
-    seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = _resolve_workers(args, defaults)
-    out = _resolve(args, defaults, "out", str, fallback="verify_report")
-    bias = args.inject_weight_bias or 0.0
-
-    try:
-        config = SuiteConfig(
-            gamma=params.gamma, a=params.a, times=tuple(times), n_paths=n_paths,
-            dt=dt, seed=seed, workers=workers, weight_bias=bias,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    report = run_suite(config)
+    cfg = _resolve(args)
+    report = run_suite(SuiteConfig(
+        gamma=cfg["gamma"], a=cfg["a"], times=tuple(cfg["t"]), n_paths=cfg["paths"],
+        dt=cfg["dt"], seed=cfg["seed"], workers=cfg["workers"],
+        weight_bias=args.inject_weight_bias or 0.0,
+    ))
     for c in report.checks:
         tag = c.status.upper()
         if c.status == "skipped":
@@ -293,49 +358,21 @@ def cmd_verify(args) -> int:
                   f"gap={c.gap:.3g} (threshold {c.threshold:.3g})")
     print(f"summary: {report.n_pass} pass, {report.n_fail} fail, {report.n_skipped} skipped")
 
-    try:
-        _write_file(out + ".json", report.to_json())
-        _write_file(out + ".csv", report.to_csv())
-    except OSError as exc:
-        print(f"error: cannot write report {out}.json/.csv: {exc}", file=sys.stderr)
-        return IO_ERROR
-    print(f"wrote {out}.json and {out}.csv")
-    return OK if report.all_pass else VERIFY_FAILED
+    out = cfg["out"]
+    code = _write({f"{out}.json": lambda fh: fh.write(report.to_json()),
+                   f"{out}.csv": lambda fh: fh.write(report.to_csv())},
+                  name=f"report {out}.json/.csv")
+    return code or (OK if report.all_pass else VERIFY_FAILED)
 
 
 # --- density ---------------------------------------------------------------
 
 def cmd_density(args) -> int:
-    defaults = _read_defaults(args.defaults)
-    params = _make_params(
-        _resolve(args, defaults, "gamma", float, required=True),
-        _resolve(args, defaults, "a", float, required=True),
-    )
-    t_values = args.t or (_float_list(defaults["t"]) if "t" in defaults else None)
-    if not t_values:
-        raise ConfigError("missing required parameter: t")
-    if len(t_values) != 1:
-        raise ConfigError("t: density tabulation takes exactly one time")
-    t = _check_positive("t", t_values[0])
-    x_min = _resolve(args, defaults, "x-min", float, required=True)
-    x_max = _resolve(args, defaults, "x-max", float, required=True)
-    points = int(_resolve(args, defaults, "x-points", int, fallback=500))
-    spacing = _resolve(args, defaults, "x-scale", str, fallback="log")
-    if not (math.isfinite(x_min) and x_min > 0):
-        raise ConfigError(f"x-min: must be > 0, got {x_min}")
-    if not (math.isfinite(x_max) and x_max > x_min):
-        raise ConfigError(f"x-max: must be > x-min, got {x_max}")
-    if points < 2:
-        raise ConfigError(f"x-points: must be >= 2, got {points}")
-    if spacing not in ("linear", "log"):
-        raise ConfigError(f"x-scale: must be linear or log, got {spacing!r}")
-    fmt = _resolve(args, defaults, "format", str, fallback="csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {fmt!r}")
-    out = _resolve(args, defaults, "out", str, fallback=f"ouht_density.{fmt}")
-    _resolve_workers(args, defaults)  # tabulation runs in-process; still reject bad values
+    cfg = _resolve(args)
+    params = ProcessParams(gamma=cfg["gamma"], a=cfg["a"])
+    t, points, spacing = cfg["t"], cfg["x-points"], cfg["x-scale"]
 
-    xs = (np.geomspace if spacing == "log" else np.linspace)(x_min, x_max, points)
+    xs = (np.geomspace if spacing == "log" else np.linspace)(cfg["x-min"], cfg["x-max"], points)
     killed = killed_ou_density(params, t, xs)
     radial = radial_density(params, t, xs)
     residual = density_identity_residual(params, t, xs)
@@ -345,91 +382,58 @@ def cmd_density(args) -> int:
     surv = survival_probability(params, t)
 
     pairs = [("gamma", params.gamma), ("a", params.a), ("t", t),
-             ("x-min", x_min), ("x-max", x_max), ("x-points", points),
+             ("x-min", cfg["x-min"]), ("x-max", cfg["x-max"]), ("x-points", points),
              ("x-scale", spacing)]
     print(f"ouht density: gamma={params.gamma:g} a={params.a:g} t={t:g}")
     print(f"  killed mass = {mass_killed:.10g} (survival = {surv:.10g})")
     print(f"  radial mass = {mass_radial:.10g} (target 1)")
     print(f"  max relative identity residual = {residual_rel.max():.3g}")
 
-    try:
-        if fmt == "csv":
-            lines = _header("density", pairs)
-            lines.append("x,killed_ou_density,radial_density,identity_residual,identity_residual_rel")
-            for i in range(points):
-                lines.append(
-                    f"{_fmt(xs[i])},{_fmt(killed[i])},{_fmt(radial[i])},"
-                    f"{_fmt(residual[i])},{_fmt(residual_rel[i])}"
-                )
-            lines.append(f"# integral_killed={_fmt(mass_killed)} survival={_fmt(surv)}")
-            lines.append(f"# integral_radial={_fmt(mass_radial)} target=1")
-            _write_file(out, "\n".join(lines) + "\n")
-        else:
-            body = {
-                "version": __version__, "command": "density",
-                "config": dict(pairs),
-                "x": xs.tolist(),
-                "killed_ou_density": killed.tolist(),
-                "radial_density": radial.tolist(),
-                "identity_residual": residual.tolist(),
-                "identity_residual_rel": residual_rel.tolist(),
-                "integral_killed": mass_killed,
-                "survival": surv,
-                "integral_radial": mass_radial,
-            }
-            _write_file(out, json.dumps(body, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return IO_ERROR
-    print(f"wrote {out}")
-    return OK
+    if cfg["format"] == "csv":
+        lines = [*_header("density", pairs),
+                 "x,killed_ou_density,radial_density,identity_residual,identity_residual_rel",
+                 *(",".join(map(_fmt, row)) for row in zip(xs, killed, radial, residual, residual_rel)),
+                 f"# integral_killed={_fmt(mass_killed)} survival={_fmt(surv)}",
+                 f"# integral_radial={_fmt(mass_radial)} target=1"]
+        text = "\n".join(lines) + "\n"
+    else:
+        body = {"version": __version__, "command": "density", "config": dict(pairs),
+                "x": xs.tolist(), "killed_ou_density": killed.tolist(),
+                "radial_density": radial.tolist(), "identity_residual": residual.tolist(),
+                "identity_residual_rel": residual_rel.tolist(), "integral_killed": mass_killed,
+                "survival": surv, "integral_radial": mass_radial}
+        text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return _write({cfg["out"]: lambda fh: fh.write(text)})
 
 
 # --- local-martingale ------------------------------------------------------
 
 def cmd_local_martingale(args) -> int:
-    defaults = _read_defaults(args.defaults)
-    params = _make_params(
-        _resolve(args, defaults, "gamma", float, fallback=1.0),
-        _resolve(args, defaults, "a", float, fallback=1.0),
-    )
-    times = _check_times(args.t or (_float_list(defaults["t"]) if "t" in defaults else [0.25, 0.5, 1.0, 2.0, 4.0]))
-    n_paths = int(_resolve(args, defaults, "paths", int, fallback=100_000))
-    seed = int(_resolve(args, defaults, "seed", int, fallback=0))
-    workers = _resolve_workers(args, defaults)
-    out = _resolve(args, defaults, "out", str, fallback="ouht_local_martingale.csv")
+    cfg = _resolve(args)
+    params = ProcessParams(gamma=cfg["gamma"], a=cfg["a"])
+    times, n_paths, seed = cfg["t"], cfg["paths"], cfg["seed"]
 
-    curve = local_martingale_curve(params, times, n_paths, seed, workers)
+    curve = local_martingale_curve(params, times, n_paths, seed, cfg["workers"])
     pairs = [("gamma", params.gamma), ("a", params.a), ("t", times),
              ("paths", n_paths), ("seed", seed)]
     print(f"ouht local-martingale: gamma={params.gamma:g} a={params.a:g} (limit at 0+ is 1/a = {1/params.a:g})")
-    lines = _header("local-martingale", pairs)
-    lines.append("t,estimate,stderr,closed_form")
+    lines = [*_header("local-martingale", pairs), "t,estimate,stderr,closed_form"]
     for pt in curve:
         print(f"  t={pt.t:g}: mc={pt.estimate.mean:.6g} "
               f"(stderr {pt.estimate.stderr:.2g}) closed={pt.closed_form:.6g}")
-        lines.append(
-            f"{_fmt(pt.t)},{_fmt(pt.estimate.mean)},{_fmt(pt.estimate.stderr)},{_fmt(pt.closed_form)}"
-        )
-    try:
-        _write_file(out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return IO_ERROR
-    print(f"wrote {out}")
-    return OK
+        lines.append(",".join(map(_fmt, (pt.t, pt.estimate.mean, pt.estimate.stderr, pt.closed_form))))
+    text = "\n".join(lines) + "\n"
+    return _write({cfg["out"]: lambda fh: fh.write(text)})
 
 
 # --- parser ----------------------------------------------------------------
 
-def _add_common(sp, *, gamma_a=True):
-    sp.add_argument("--defaults", help="key=value file with fallback parameters")
-    if gamma_a:
-        sp.add_argument("--gamma", type=float, help="mean-reversion rate (any sign)")
-        sp.add_argument("--a", type=float, help="starting point (> 0)")
-    sp.add_argument("--seed", type=int, help="master seed (default 0)")
-    sp.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
-    sp.add_argument("--out", help="output path")
+def _flag(kind) -> dict:
+    if kind is list:
+        return {"type": float, "action": "append"}
+    if isinstance(kind, tuple):
+        return {"choices": kind}
+    return {"type": kind}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,47 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ouht {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="sample terminal values of a process")
-    _add_common(sp)
-    sp.add_argument("--process", choices=["ou-killed", "radial"],
-                    help="which law to sample")
-    sp.add_argument("--scheme", choices=["exact", "euler"],
-                    help="exact transition sampling or Euler-Maruyama (default exact)")
-    sp.add_argument("--t", type=float, action="append",
-                    help="observation time (repeatable, ascending)")
-    sp.add_argument("--paths", type=int, help="number of paths (default 100000)")
-    sp.add_argument("--dt", type=float, help="Euler step size (required for --scheme euler)")
-    sp.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("verify", help="run the full identity-verification suite")
-    _add_common(sp)
-    sp.add_argument("--t", type=float, action="append",
-                    help="check times (repeatable; default 0.5 1 2)")
-    sp.add_argument("--paths", type=int, help="paths per estimator (default 100000)")
-    sp.add_argument("--dt", type=float, help="Euler step for scheme checks (default 0.002)")
-    sp.add_argument("--inject-weight-bias", type=float, help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("density", help="tabulate closed-form densities on an x grid")
-    _add_common(sp)
-    sp.add_argument("--t", type=float, action="append", help="time of the marginal (one value)")
-    sp.add_argument("--x-min", type=float, help="grid lower end (> 0)")
-    sp.add_argument("--x-max", type=float, help="grid upper end")
-    sp.add_argument("--x-points", type=int, help="grid size (default 500)")
-    sp.add_argument("--x-scale", choices=["linear", "log"], help="grid spacing (default log)")
-    sp.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    sp.set_defaults(func=cmd_density)
-
-    sp = sub.add_parser("local-martingale",
-                        help="tabulate m(t) = E_Q[(1/X_t) e^{-gamma t}] with its closed form")
-    _add_common(sp)
-    sp.add_argument("--t", type=float, action="append",
-                    help="curve times (repeatable; default 0.25 0.5 1 2 4)")
-    sp.add_argument("--paths", type=int, help="paths per point (default 100000)")
-    sp.set_defaults(func=cmd_local_martingale)
-
+    for name, (help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--defaults", help="key=value file with fallback parameters")
+        for key in sorted(options, key=lambda k: _SHARED.index(k) if k in _SHARED else len(_SHARED)):
+            sp.add_argument(f"--{key}", help=options[key].help, **_flag(options[key].kind))
+        if name == "verify":  # a hidden negative control: flag only, never a defaults key
+            sp.add_argument("--inject-weight-bias", type=float, help=argparse.SUPPRESS)
+        # looked up when the parser is built, so a wrapper rebound over cmd_* is the one run
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -487,10 +459,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -125,33 +125,39 @@ def relative_identity_residual(params: ProcessParams, t: float, x):
     return float(rel) if rel.ndim == 0 else rel
 
 
-def _killed_support_cutoff(params: ProcessParams, t: float) -> float:
-    tau = time_change(params, t)
-    return (params.a + _TAIL_SIGMAS * math.sqrt(tau)) * math.exp(-params.gamma * t)
+def _killed_support(params: ProcessParams, t: float) -> tuple[float, float]:
+    """(lo, hi) with the killed density negligible outside: a -/+ 12 sqrt(tau)
+    on the Brownian clock, mapped back by e^{-gamma t}."""
+    spread = _TAIL_SIGMAS * math.sqrt(time_change(params, t))
+    scale = math.exp(-params.gamma * t)
+    return max(0.0, (params.a - spread) * scale), (params.a + spread) * scale
 
 
-def _radial_support_cutoff(params: ProcessParams, t: float) -> float:
+def _radial_support(params: ProcessParams, t: float) -> tuple[float, float]:
     law = radial_transition(params, t)
-    return law.center + _TAIL_SIGMAS * math.sqrt(law.sigma2)
+    spread = _TAIL_SIGMAS * math.sqrt(law.sigma2)
+    return max(0.0, law.center - spread), law.center + spread
 
 
-def _quad(fn, hi: float, points=None) -> float:
-    """Adaptive quadrature of fn over (0, hi).  scipy is imported here, on
-    the first call, so that commands which never integrate do not load it."""
+def _quad(fn, lo: float, hi: float, points=None) -> float:
+    """Adaptive quadrature of fn over (lo, hi).  The lower edge matters for a
+    narrow peak far from 0, which quad would otherwise never sample.  scipy is
+    imported here, on the first call, so that commands which never integrate
+    do not load it."""
     from scipy import integrate
 
-    val, _ = integrate.quad(fn, 0.0, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200)
+    val, _ = integrate.quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
 
 
 def killed_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the killed density over (0, inf); should equal S(t)."""
-    return _quad(lambda x: killed_ou_density(params, t, x), _killed_support_cutoff(params, t))
+    return _quad(lambda x: killed_ou_density(params, t, x), *_killed_support(params, t))
 
 
 def radial_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the radial density over (0, inf); should equal 1."""
-    return _quad(lambda x: radial_density(params, t, x), _radial_support_cutoff(params, t))
+    return _quad(lambda x: radial_density(params, t, x), *_radial_support(params, t))
 
 
 def killed_expectation_quadrature(
@@ -162,6 +168,6 @@ def killed_expectation_quadrature(
 ) -> float:
     """Quadrature of fn against the killed density: the analytic side of the
     killed-semigroup check.  Pass fn's discontinuity points as breakpoints."""
-    hi = _killed_support_cutoff(params, t)
-    pts = sorted(p for p in breakpoints if 0.0 < p < hi)
-    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), hi, pts or None)
+    lo, hi = _killed_support(params, t)
+    pts = sorted(p for p in breakpoints if lo < p < hi)
+    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), lo, hi, pts or None)

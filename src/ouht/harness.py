@@ -65,6 +65,13 @@ def aggregate(samples, seed: int | None = None) -> MCEstimate:
     return reduce_blocks([BlockStats.of(arr)], seed=seed)
 
 
+def sigma_gap(value: float, target: float, stderr: float) -> float:
+    """(value - target) in standard errors.  The stderr is floored at
+    1e-11 * max(1, |target|), so a degenerate (constant-sample) estimator is
+    compared at rounding precision instead of dividing by ~0."""
+    return (value - target) / max(stderr, 1e-11 * max(1.0, abs(target)))
+
+
 def ks_statistic(sample_a, sample_b) -> float:
     """sup_x |ECDF_a(x) - ECDF_b(x)| for two nonempty samples."""
     a = np.sort(np.asarray(sample_a, dtype=float))

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .density import survival_probability
-from .harness import BlockStats, MCEstimate, reduce_blocks
+from .harness import BlockStats, MCEstimate, reduce_blocks, sigma_gap
 from .process import (
     ProcessParams,
     radial_transition,
@@ -347,7 +347,7 @@ class ConditionalIdentityResult:
 
     @property
     def gap_sigma(self) -> float:
-        return (self.lhs.mean - self.rhs) / self.combined_stderr
+        return sigma_gap(self.lhs.mean, self.rhs, self.combined_stderr)
 
 
 def conditional_identity_detail(

@@ -34,6 +34,7 @@ from .harness import (
     aggregate,
     ks_statistic,
     ks_two_sample_critical,
+    sigma_gap,
 )
 from .measure import (
     TestFunctional,
@@ -113,10 +114,7 @@ class SuiteConfig:
 # --- the suite -------------------------------------------------------------
 
 def _sigma_gap(value, target, stderr):
-    # floor the stderr so degenerate (constant-sample) estimators are compared
-    # at rounding/quadrature precision instead of dividing by ~0
-    floor = 1e-11 * max(1.0, abs(target))
-    return abs(value - target) / max(stderr, floor)
+    return abs(sigma_gap(value, target, stderr))
 
 
 class _Collector:

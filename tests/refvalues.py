@@ -187,3 +187,63 @@ EULER_RADIAL_G05_A005 = {
     1: ("33c2eec6dafe9b5352b2cb8330762a4bafbf5a93e9871b3eb08aa0066bd215fa", 46, 0),
     0: ("04ad171c38a2458be249bb3bb0eda5d1a9b33d2fa597461804b6e65928c24ab6", 0, 44),
 }
+
+# -- single-fault `ouht` command lines, run in a fresh directory holding
+#    d.conf (when given), with the exit code and the exact stderr each gave
+#    at commit 7752d6f: name -> (argv, d.conf text or None, exit, stderr) ----
+_SIM = ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1",
+        "--paths", "10", "--workers", "1"]
+_DENSITY = ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1", "--x-max", "2",
+            "--x-points", "5"]
+_ENOENT = "[Errno 2] No such file or directory"
+CLI_SINGLE_FAULTS = {
+    "missing-process": (["simulate", "--gamma", "1", "--a", "1", "--t", "1"], None, 2,
+                        "error: missing required parameter: process\n"),
+    "missing-gamma": (["simulate", "--process", "radial", "--a", "1", "--t", "1"], None, 2,
+                      "error: missing required parameter: gamma\n"),
+    "missing-a": (["density", "--gamma", "1", "--t", "1", "--x-min", "0.1", "--x-max", "2"], None, 2,
+                  "error: missing required parameter: a\n"),
+    "missing-t": (["simulate", "--process", "radial", "--gamma", "1", "--a", "1"], None, 2,
+                  "error: missing required parameter: t\n"),
+    "missing-dt": (_SIM + ["--scheme", "euler"], None, 2,
+                   "error: missing required parameter: dt\n"),
+    "missing-x-min": (["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-max", "2"], None, 2,
+                      "error: missing required parameter: x-min\n"),
+    "missing-x-max": (["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1"], None, 2,
+                      "error: missing required parameter: x-max\n"),
+    "bad-gamma": (["local-martingale", "--gamma", "nan"], None, 2,
+                  "error: gamma: gamma must be finite, got nan\n"),
+    "bad-a": (_SIM + ["--a", "-1"], None, 2,
+              "error: a: a must be finite and > 0, got -1.0\n"),
+    "bad-t": (["verify", "--t", "2", "--t", "1"], None, 2,
+              "error: t: times must be positive, finite and strictly ascending\n"),
+    "bad-dt": (["verify", "--dt", "-0.5"], None, 2,
+               "error: dt: must be finite and > 0, got -0.5\n"),
+    "bad-x-min": (_DENSITY + ["--x-min", "0"], None, 2,
+                  "error: x-min: must be > 0, got 0.0\n"),
+    "bad-x-max": (_DENSITY + ["--x-max", "0.05"], None, 2,
+                  "error: x-max: must be > x-min, got 0.05\n"),
+    "bad-x-points": (_DENSITY + ["--x-points", "1"], None, 2,
+                     "error: x-points: must be >= 2, got 1\n"),
+    "bad-workers": (_SIM + ["--workers", "0"], None, 2,
+                    "error: workers: must be >= 1, got 0\n"),
+    "defaults-bad-value": (["verify", "--defaults", "d.conf"], "gamma = abc\n", 2,
+                           "error: gamma: bad value 'abc' in defaults file\n"),
+    "defaults-bad-line": (["local-martingale", "--defaults", "d.conf"], "# settings\npaths 100\n", 2,
+                          "error: defaults: line 2 is not key=value: 'paths 100'\n"),
+    "defaults-bad-choice": (["simulate", "--defaults", "d.conf", "--gamma", "1", "--a", "1", "--t", "1"],
+                            "process = bogus\n", 2,
+                            "error: process: must be ou-killed or radial, got 'bogus'\n"),
+    "defaults-bad-x-scale": (_DENSITY + ["--defaults", "d.conf"], "x-scale = cubic\n", 2,
+                             "error: x-scale: must be linear or log, got 'cubic'\n"),
+    "unwritable-simulate": (_SIM + ["--format", "json", "--out", "no/dir/s.json"], None, 1,
+                            f"error: cannot write no/dir/s.json: {_ENOENT}: 'no/dir/s.json'\n"),
+    "unwritable-verify": (["verify", "--paths", "50", "--workers", "1", "--out", "no/dir/rep"], None, 1,
+                          f"error: cannot write report no/dir/rep.json/.csv: {_ENOENT}: "
+                          "'no/dir/rep.json'\n"),
+    "unwritable-density": (_DENSITY + ["--out", "no/dir/d.csv"], None, 1,
+                           f"error: cannot write no/dir/d.csv: {_ENOENT}: 'no/dir/d.csv'\n"),
+    "unwritable-local-martingale": (["local-martingale", "--paths", "50", "--workers", "1",
+                                     "--out", "no/dir/l.csv"], None, 1,
+                                    f"error: cannot write no/dir/l.csv: {_ENOENT}: 'no/dir/l.csv'\n"),
+}

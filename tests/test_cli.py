@@ -296,21 +296,58 @@ def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     assert digest == ref.SIMULATE_SHA256_N65537_SEED12[process, scheme, fmt]
 
 
+SMALL_COMMANDS = [
+    ["verify", "--paths", "200"],
+    ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1",
+     "--paths", "10"],
+    ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1",
+     "--x-max", "2", "--x-points", "5"],
+    ["local-martingale", "--paths", "200"],
+]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_every_command_rejects_workers_below_one(tmp_path, workers):
-    commands = [
-        ["verify", "--paths", "200"],
-        ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1",
-         "--paths", "10"],
-        ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1",
-         "--x-max", "2", "--x-points", "5"],
-        ["local-martingale", "--paths", "200"],
-    ]
-    for argv in commands:
+    for argv in SMALL_COMMANDS:
         res = run_cli(argv + [f"--workers={workers}", "--out", "out"], tmp_path)
         assert res.returncode == 2, argv
         assert f"workers: must be >= 1, got {workers}" in res.stderr, argv
     assert not list(tmp_path.iterdir())  # rejected before any output is written
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--paths=0", "paths: must be >= 1, got 0"),
+    ("--seed=-1", "seed: must be >= 0, got -1"),
+])
+def test_every_command_names_a_bad_paths_or_seed(tmp_path, flag, message):
+    for argv in SMALL_COMMANDS:
+        if flag.startswith("--paths") and argv[0] == "density":
+            continue  # density draws nothing and has no --paths
+        res = run_cli(argv + [flag, "--out", "out"], tmp_path)
+        assert res.returncode == 2, argv
+        assert res.stderr == f"error: {message}\n", argv
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", list(ref.CLI_SINGLE_FAULTS))
+def test_single_fault_exit_code_and_message_are_pinned(tmp_path, monkeypatch, capsys, name):
+    argv, conf, code, stderr = ref.CLI_SINGLE_FAULTS[name]
+    monkeypatch.chdir(tmp_path)
+    if conf is not None:
+        (tmp_path / "d.conf").write_text(conf)
+    assert main(argv) == code
+    assert capsys.readouterr().err == stderr
+
+
+def test_verify_survives_a_functional_without_mass(tmp_path):
+    # no path from a = 30 comes near 0.5 by t = 1, so both sides of the
+    # 1(x<0.5) conditioning row are exactly 0, with stderr 0
+    res = run_cli(["verify", "--gamma", "1", "--a", "30", "--t", "1", "--paths", "2000",
+                   "--workers", "1", "--out", "deg"], tmp_path)
+    assert res.returncode in (0, 3), res.stdout + res.stderr
+    assert "Traceback" not in res.stderr
+    assert "[PASS] conditioning-gap[1(x<0.5)]: value=0 target=0 gap=0" in res.stdout
+    assert (tmp_path / "deg.json").exists() and (tmp_path / "deg.csv").exists()
 
 
 @pytest.mark.parametrize("process,scheme", list(ref.SIMULATE_N65537_SEED12))
@@ -393,3 +430,5 @@ def test_traced_verify_records_the_sampler_layers(tmp_path):
     assert total("process.sample_ou_exact", "draws") > 0
     assert total("simulate.simulate_killed_ou_exact", "path_steps") > 0
     assert total("simulate.euler_radial", "path_substeps") > 0
+    # the parser must pick the command up through the module global the tracer rebinds
+    assert [s["name"] for s in spans if s["parent"] is None] == ["cli.command"]

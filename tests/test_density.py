@@ -89,6 +89,14 @@ def test_density_masses_across_sweep():
                 assert abs(radial_density_mass(p, t) - 1.0) <= 1e-8
 
 
+def test_density_masses_of_a_narrow_peak_far_from_zero():
+    # at t = 1e-6 both densities are spikes of width ~1e-3 at x = 30; the
+    # quadrature window must start near the spike or it never samples it
+    p = ProcessParams(1.0, 30.0)
+    assert abs(killed_density_mass(p, 1e-6) - survival_probability(p, 1e-6)) <= 1e-8
+    assert abs(radial_density_mass(p, 1e-6) - 1.0) <= 1e-8
+
+
 def test_killed_density_reduces_to_reflected_brownian_at_gamma_zero():
     # naive two-Gaussian difference, written out independently
     a, t = 1.0, 1.0
