@@ -131,10 +131,11 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 #
 # A sampler is called as sampler(params, times, rng, n) with ascending times
 # and returns an (n, len(times)) array whose column j holds the values at
-# times[j].  Samplers are module-level functions, the Euler ones bound to
-# their SchemeConfig by functools.partial(..., scheme=...), so that tasks
-# pickle.  They look the process and simulate functions up in this module's
-# globals at call time, so a wrapper rebound there sees every call.
+# times[j], and nothing else.  Samplers are module-level functions, the
+# Euler ones bound to their SchemeConfig by functools.partial(..., scheme=...),
+# so that tasks pickle.  They look the process and simulate functions up in
+# this module's globals at call time, so a wrapper rebound there sees every
+# call.
 
 def killed_exact(params, times, rng, n):
     """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed."""
@@ -157,15 +158,10 @@ def radial_exact(params, times, rng, n):
     return np.column_stack(cols)
 
 
-def radial_euler_clamps(params, times, rng, n, *, scheme):
-    """radial_euler's values together with the block's positivity-clamp count."""
-    sample = euler_radial(params, TimeGrid.from_times(times), scheme, rng, n)
-    return sample.values[:, 1:], sample.clamp_count
-
-
 def radial_euler(params, times, rng, n, *, scheme):
-    """R_t by Euler-Maruyama with the retry-then-clamp positivity guard."""
-    return radial_euler_clamps(params, times, rng, n, scheme=scheme)[0]
+    """R_t along one path per row by the drift-implicit Euler step, which
+    stays positive without a guard."""
+    return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
 
 
 def ou_exact(params, times, rng, n):

@@ -7,8 +7,8 @@ Three schemes:
   given the grid marginals;
 * Euler-Maruyama killed OU: sign-check killing only, the naive baseline
   whose killing bias the exact scheme removes;
-* Euler-Maruyama radial OU: the singular 1/R drift with a retry-then-clamp
-  positivity guard.
+* drift-implicit Euler radial OU: the singular 1/R drift taken at the end
+  of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
 Path sets are stored as (n_paths, n_times) arrays; absorbed entries are 0.
 """
@@ -68,19 +68,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Euler step size, substep retry depth, and the positivity backstop."""
+    """The largest Euler substep."""
 
     dt: float
-    max_substep_depth: int = 4
-    positivity_floor: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.max_substep_depth < 0:
-            raise ValueError("max_substep_depth must be >= 0")
-        if not (math.isfinite(self.positivity_floor) and self.positivity_floor > 0):
-            raise ValueError("positivity_floor must be finite and > 0")
 
 
 @dataclass(eq=False)
@@ -118,12 +112,13 @@ class KilledPaths:
 
 @dataclass(eq=False)
 class PathSample:
-    """An unkilled path set plus positivity-guard telemetry."""
+    """An unkilled path set."""
 
     grid: TimeGrid
     values: np.ndarray
-    retry_count: int = 0
-    clamp_count: int = 0
+    # no step is retried or clamped; kept because benchmarks/traced.py reads them
+    retry_count = 0
+    clamp_count = 0
 
     @property
     def n_paths(self) -> int:
@@ -219,38 +214,6 @@ def euler_ou(
     return KilledPaths(grid, values, kill_idx)
 
 
-def _radial_step(r, out, noise, h, params, scheme, rng, depth, telemetry):
-    """One Euler step of dR = (1/R - gamma R) dt + dB for the paths in r,
-    written into out; noise is scratch of the same size, r is left as is.
-
-    Proposals at or below the positivity floor are redone as two half steps
-    (fresh noise), up to max_substep_depth, then clamped to the floor.
-    """
-    # r + (1/r - gamma r) h + sqrt(h) z, in that operation order
-    np.divide(1.0, r, out=out)
-    np.multiply(r, params.gamma, out=noise)
-    out -= noise
-    out *= h
-    out += r
-    rng.standard_normal(out=noise)
-    noise *= math.sqrt(h)
-    out += noise
-    bad = out <= scheme.positivity_floor
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad == 0:
-        return
-    if depth >= scheme.max_substep_depth:
-        telemetry[1] += n_bad
-        out[bad] = scheme.positivity_floor
-        return
-    telemetry[0] += n_bad
-    sub = r[bad]  # a copy: it takes the second half step's result
-    half, scratch = np.empty_like(sub), np.empty_like(sub)
-    _radial_step(sub, half, scratch, h / 2.0, params, scheme, rng, depth + 1, telemetry)
-    _radial_step(half, sub, scratch, h / 2.0, params, scheme, rng, depth + 1, telemetry)
-    out[bad] = sub
-
-
 def euler_radial(
     params: ProcessParams,
     grid: TimeGrid,
@@ -258,26 +221,41 @@ def euler_radial(
     rng: np.random.Generator,
     n_paths: int,
 ) -> PathSample:
-    """Euler-Maruyama for the radial process; output is strictly positive."""
+    """Drift-implicit Euler for dR = (1/R - gamma R) dt + dB on substeps of
+    size h <= dt: with y = R + sqrt(h) z and k = 1 + gamma h, the step solves
+    k R'^2 - y R' - h = 0 for its positive root
+
+        R' = (y + sqrt(y^2 + 4 k h)) / (2 k),
+
+    so every value is > 0 whenever k > 0, with no guard (Alfonsi 2005).
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if scheme.positivity_floor >= params.a:
-        raise ValueError(
-            f"positivity_floor must lie in (0, a); got {scheme.positivity_floor} with a = {params.a}"
-        )
     times = grid.times
     values = np.empty((n_paths, times.size))
     values[:, 0] = params.a
-    # each substep writes into nxt, which then swaps with r; float64 even for an int a
+    # float64 even for an int a; y is scratch for R + sqrt(h) z
     r = np.full(n_paths, params.a, dtype=float)
-    nxt, noise = np.empty_like(r), np.empty_like(r)
-    telemetry = [0, 0]  # [retries, clamps]
+    y = np.empty_like(r)
 
     for i, m in enumerate(_substep_counts(grid, scheme.dt)):
         h = (times[i + 1] - times[i]) / m
+        k = 1.0 + params.gamma * h
+        if k <= 0.0:
+            raise ValueError(
+                f"the drift-implicit radial step needs 1 + gamma*h > 0; got gamma = "
+                f"{params.gamma:g} with substep h = {h:g} (use a smaller dt)"
+            )
+        sq, c, inv_2k = math.sqrt(h), 4.0 * k * h, 0.5 / k
         for _ in range(m):
-            _radial_step(r, nxt, noise, h, params, scheme, rng, 0, telemetry)
-            r, nxt = nxt, r
+            rng.standard_normal(out=y)
+            y *= sq
+            y += r
+            np.multiply(y, y, out=r)
+            r += c
+            np.sqrt(r, out=r)
+            r += y
+            r *= inv_2k
         values[:, i + 1] = r
 
-    return PathSample(grid, values, retry_count=telemetry[0], clamp_count=telemetry[1])
+    return PathSample(grid, values)

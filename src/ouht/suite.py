@@ -38,7 +38,6 @@ from .harness import (
 )
 from .measure import (
     TestFunctional,
-    block_draws,
     conditional_identity_detail,
     default_functional_suite,
     estimate_killed_expectation_direct,
@@ -47,7 +46,7 @@ from .measure import (
     local_martingale_curve,
     mc_estimate,
     ou_exact,
-    radial_euler_clamps,
+    radial_euler,
     radial_exact,
     survival_flags,
     terminal_draws,
@@ -60,7 +59,8 @@ MIN_PATHS_FOR_MC = 100
 SIGMA_THRESHOLD = 4.0
 MASS_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-12
-CLAMP_FRACTION_LIMIT = 1e-3
+# chance that n exact radial draws break the euler-radial-tail bound
+TAIL_ALPHA = 1e-6
 # documented O(dt) weak-error allowance for the radial Euler second moment
 MSQ_BIAS_PER_DT = 5.0
 
@@ -292,10 +292,9 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         n_euler = min(config.n_paths, 50_000)
         seed_e = derive_seed(config.seed, "euler-radial")
         seed_x = derive_seed(config.seed, "euler-radial-reference")
-        euler = partial(radial_euler_clamps, scheme=SchemeConfig(dt=config.dt))
-        parts = block_draws(euler, p, (t_mid,), n_euler, seed_e, config.workers)
-        euler_terminal = np.concatenate([v for v, _ in parts])[:, 0]
-        clamps = sum(c for _, c in parts)
+        euler = partial(radial_euler, scheme=SchemeConfig(dt=config.dt))
+        euler_terminal = terminal_draws(euler, p, (t_mid,), n_euler, seed_e,
+                                        config.workers)[:, 0]
         exact_terminal = terminal_draws(radial_exact, p, (t_mid,), n_euler, seed_x,
                                         config.workers)[:, 0]
         ks = ks_statistic(euler_terminal, exact_terminal)
@@ -310,12 +309,15 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                 "moment closed form", est.mean, law.mean_square(),
                 abs(est.mean - law.mean_square()), allowance, seed_e)
 
-        steps = n_euler * math.ceil(t_mid / config.dt)
-        clamp_fraction = clamps / steps
-        col.add("euler-radial-positivity",
-                "positivity clamps are rare and outputs stay positive",
-                "scheme telemetry",
-                clamp_fraction, 0.0, clamp_fraction, CLAMP_FRACTION_LIMIT, seed_e)
+        # R = |(center,0,0) + sigma Z| is sigma-Lipschitz in Z, with mean at
+        # most sqrt(E R^2): by Gaussian concentration and a union bound, the
+        # largest of n_euler exact draws exceeds this with probability <= TAIL_ALPHA
+        bound = math.sqrt(law.mean_square()) + math.sqrt(
+            2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
+        top = float(euler_terminal.max())
+        col.add("euler-radial-tail",
+                "largest Euler radial draw stays inside the exact law's tail bound",
+                "Gaussian concentration bound", top, bound, top, bound, seed_e)
     else:
         col.skip("euler-radial-ks", idn_ks, "exact radial sampler", too_few)
 

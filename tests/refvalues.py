@@ -59,8 +59,10 @@ def killed_conditional_cdf(gamma: float, a: float, t: float, x: float) -> float:
 
 
 # -- run_suite(SuiteConfig(n_paths=20_000, seed=96)) as computed at commit 304c11e,
-#    when every estimator reduced its whole concatenated sample with math.fsum:
-#    (check, status, value, target, gap) ------------------------------------
+#    when every estimator reduced its whole concatenated sample with math.fsum;
+#    the three euler-radial rows were re-pinned after commit e6fc482, when the
+#    radial Euler step became drift-implicit: (check, status, value, target,
+#    gap) --------------------------------------------------------------------
 SUITE_N20000_SEED96 = (
     ("martingale-mean[t=0.5]", "pass", 0.9949440158465359, 1.0, 0.7608089725286236),
     ("martingale-mean[t=1]", "pass", 1.0049695955012623, 1.0, 0.39300859311983904),
@@ -94,15 +96,16 @@ SUITE_N20000_SEED96 = (
     ("local-martingale-mc[t=1]", "pass", 0.4231231994565437, 0.42417644177971575, 0.48786984798834054),
     ("local-martingale-mc[t=2]", "pass", 0.15357352676876018, 0.15317431284600858, 0.500987780518499),
     ("survival-exact-scheme", "pass", 0.42535, 0.42417644177971575, 0.3356864845242448),
-    ("euler-radial-ks", "pass", 0.008950000000000014, 0.0, 0.008950000000000014),
-    ("euler-radial-msq", "pass", 1.438323448338656, 1.4323323583816938, 0.005991089956962181),
-    ("euler-radial-positivity", "pass", 0.0, 0.0, 0.0),
+    ("euler-radial-ks", "pass", 0.008750000000000008, 0.0, 0.008750000000000008),
+    ("euler-radial-msq", "pass", 1.426819668062648, 1.4323323583816938, 0.005512690319045888),
+    ("euler-radial-tail", "pass", 3.242925772734524, 5.725485107077875, 3.242925772734524),
 )
 
 
 # -- run_suite(SuiteConfig(n_paths=BLOCK_SIZE + 4_464, seed=98)), i.e. 70,000
-#    paths in two blocks per estimator, as computed at commit 2fe095a:
-#    (check, status, value, target, gap) ------------------------------------
+#    paths in two blocks per estimator, as computed at commit 2fe095a, with
+#    the euler-radial rows re-pinned as above: (check, status, value, target,
+#    gap) --------------------------------------------------------------------
 SUITE_N70000_SEED98 = (
     ("martingale-mean[t=0.5]", "pass", 0.9997814991469799, 1.0, 0.06242006809559148),
     ("martingale-mean[t=1]", "pass", 0.9984532283753169, 1.0, 0.22870872633692244),
@@ -136,15 +139,16 @@ SUITE_N70000_SEED98 = (
     ("local-martingale-mc[t=1]", "pass", 0.42454113337795574, 0.42417644177971575, 0.3096714122061035),
     ("local-martingale-mc[t=2]", "pass", 0.1534280923383923, 0.15317431284600858, 0.5619918313416952),
     ("survival-exact-scheme", "pass", 0.4250857142857143, 0.42417644177971575, 0.4866314488907832),
-    ("euler-radial-ks", "pass", 0.008660000000000001, 0.0, 0.008660000000000001),
-    ("euler-radial-msq", "pass", 1.5074031155977783, 1.4323323583816938, 0.07507075721608447),
-    ("euler-radial-positivity", "pass", 0.0, 0.0, 0.0),
+    ("euler-radial-ks", "pass", 0.007079999999999975, 0.0, 0.007079999999999975),
+    ("euler-radial-msq", "pass", 1.435916494174149, 1.4323323583816938, 0.00358413579245509),
+    ("euler-radial-tail", "pass", 3.5549607916871295, 5.812130239385148, 3.5549607916871295),
 )
 
 # -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
 #    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
 #    as computed at commit 2fe095a; the radial-exact t=1 line was re-pinned
-#    when radial_exact began drawing t=1 from each path's t=0.5 value --------
+#    when radial_exact began drawing t=1 from each path's t=0.5 value, and
+#    the radial-euler lines after commit e6fc482, for the drift-implicit step -
 SIMULATE_N65537_SEED12 = {
     ("ou-killed", "exact"): (
         "  t=0.5: mean=0.607833 stderr=0.00205 survival=0.718571",
@@ -159,34 +163,31 @@ SIMULATE_N65537_SEED12 = {
         "  t=1: mean=1.10334 stderr=0.00182 survival=1",
     ),
     ("radial", "euler"): (
-        "  t=0.5: mean=1.07503 stderr=0.00746 survival=1",
-        "  t=1: mean=1.11772 stderr=0.00488 survival=1",
+        "  t=0.5: mean=1.0602 stderr=0.0017 survival=1",
+        "  t=1: mean=1.10011 stderr=0.00181 survival=1",
     ),
 }
 
 # -- SHA-256 of the files written by `ouht simulate --process P --scheme S
 #    --gamma 1 --a 1 --t 0.5 --t 1 --paths 65537 --seed 12 --format F`
 #    (plus --dt 0.01 for euler; radial exact with --t 0.5 only), as computed
-#    at commit cc2e725: (process, scheme, format) -> digest -----------------
+#    at commit cc2e725, the radial-euler ones after commit e6fc482 for the
+#    drift-implicit step: (process, scheme, format) -> digest ---------------
 SIMULATE_SHA256_N65537_SEED12 = {
     ("ou-killed", "exact", "csv"): "fde8c5dd7a246e2b60a26e23352a33bd12e8f26c70a5fb0a40af366854ff8d55",
     ("ou-killed", "exact", "json"): "8ab7e4be3183f73828925fdf169cdfee4268a8813458f19c942afe084e22e235",
     ("ou-killed", "euler", "csv"): "e6a92299f690934793de0f255bd533fd68ef7a0e8416236d6bd7949fa84a3a70",
     ("ou-killed", "euler", "json"): "c09175e0a90f65c55b3c80a4bdaa1f2628a7a5fea516b874370700525818adc4",
-    ("radial", "euler", "csv"): "98feca6a99b86ec2ba9ee6bbf3a19c7dfa28d34bfcd0eba6b6c8de8a7aded317",
-    ("radial", "euler", "json"): "d796f95c773da3f4c149cb634fbdec131a44d3c9ef82e2c06ef9adf2fe7290e6",
+    ("radial", "euler", "csv"): "b461d093c67363e1ddc69e8bbd914ec26177db24dff1ffb8df1773a23b30513e",
+    ("radial", "euler", "json"): "8b2e2bdc0018d547f845a8d5828fd0a41af36457900dd078452a77745e303422",
     ("radial", "exact", "csv"): "2c355f096f6c06087a5b29b990ff082c3af515595510838507a703596a316f70",
     ("radial", "exact", "json"): "e62d4b8248eac7f03f62ff3609ea93459aa61eff201e5e973ef45a4e89256592",
 }
 
 # -- euler_radial(ProcessParams(0.5, 0.05), TimeGrid.from_times((0.5, 1)),
-#    SchemeConfig(dt=0.05, max_substep_depth=D), stream(4, 0), 4096), as
-#    computed at commit cc2e725: D -> (SHA-256 of values.tobytes(), retries,
-#    clamps) ----------------------------------------------------------------
-EULER_RADIAL_G05_A005 = {
-    1: ("33c2eec6dafe9b5352b2cb8330762a4bafbf5a93e9871b3eb08aa0066bd215fa", 46, 0),
-    0: ("04ad171c38a2458be249bb3bb0eda5d1a9b33d2fa597461804b6e65928c24ab6", 0, 44),
-}
+#    SchemeConfig(dt=0.05), stream(4, 0), 4096) by the drift-implicit step,
+#    as computed after commit e6fc482: SHA-256 of values.tobytes() -----------
+EULER_RADIAL_G05_A005_DT005 = "4f1ac3a87b802d54d929ad31d6677af8be732c63aadf5aff6b880a2dfa1d3939"
 
 # -- single-fault `ouht` command lines, run in a fresh directory holding
 #    d.conf (when given), with the exit code and the exact stderr each gave
@@ -246,4 +247,11 @@ CLI_SINGLE_FAULTS = {
     "unwritable-local-martingale": (["local-martingale", "--paths", "50", "--workers", "1",
                                      "--out", "no/dir/l.csv"], None, 1,
                                     f"error: cannot write no/dir/l.csv: {_ENOENT}: 'no/dir/l.csv'\n"),
+    # recorded after commit e6fc482, where this command still exited 0 and
+    # printed mean=1.3e17 (the exact law's mean is about 1.1e26)
+    "euler-step-past-explosive-limit": (
+        ["simulate", "--process", "radial", "--scheme", "euler", "--gamma", "-600", "--a", "1",
+         "--t", "0.1", "--dt", "0.002", "--paths", "10", "--workers", "1"], None, 2,
+        "error: the drift-implicit radial step needs 1 + gamma*h > 0; got gamma = -600 "
+        "with substep h = 0.002 (use a smaller dt)\n"),
 }
