@@ -22,8 +22,11 @@ import numpy as np
 from .process import ProcessParams, radial_transition, time_change
 
 # Gaussian mass beyond 12 standard deviations is ~1e-33, far below the
-# 1e-8 tolerance the mass checks are held to.
+# 1e-8 tolerance the mass checks are held to; this sets the quadrature window.
 _TAIL_SIGMAS = 12.0
+# composite Gauss-Legendre rule: 20 nodes on each of 64 equal panels
+_PANELS = 64
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def gaussian_pdf(y, variance: float):
@@ -139,15 +142,15 @@ def _radial_support(params: ProcessParams, t: float) -> tuple[float, float]:
     return max(0.0, law.center - spread), law.center + spread
 
 
-def _quad(fn, lo: float, hi: float, points=None) -> float:
-    """Adaptive quadrature of fn over (lo, hi).  The lower edge matters for a
-    narrow peak far from 0, which quad would otherwise never sample.  scipy is
-    imported here, on the first call, so that commands which never integrate
-    do not load it."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+def _quad(fn, lo: float, hi: float, points=()) -> float:
+    """Composite Gauss-Legendre quadrature of the vectorised fn over [lo, hi],
+    with the panels also split at points so that fn is smooth on each.  The
+    lower edge matters for a narrow peak far from 0, which a rule on [0, hi]
+    would miss."""
+    edges = np.union1d(np.linspace(lo, hi, _PANELS + 1), points)
+    half = 0.5 * np.diff(edges)
+    x = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
+    return float(np.sum(half * (fn(x) @ _WEIGHTS)))
 
 
 def killed_density_mass(params: ProcessParams, t: float) -> float:
@@ -163,11 +166,13 @@ def radial_density_mass(params: ProcessParams, t: float) -> float:
 def killed_expectation_quadrature(
     params: ProcessParams,
     t: float,
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     breakpoints: Iterable[float] = (),
 ) -> float:
     """Quadrature of fn against the killed density: the analytic side of the
-    killed-semigroup check.  Pass fn's discontinuity points as breakpoints."""
+    killed-semigroup check.  fn is called once, on an array of nodes, and
+    must return an array of the same shape.  Pass fn's discontinuity points
+    as breakpoints."""
     lo, hi = _killed_support(params, t)
-    pts = sorted(p for p in breakpoints if lo < p < hi)
-    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), lo, hi, pts or None)
+    pts = [p for p in breakpoints if lo < p < hi]
+    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), lo, hi, pts)

@@ -211,16 +211,11 @@ def mc_estimate(sampler, params, t, n_paths, seed, workers=1, integrand=None) ->
     )
 
 
-def block_draws(sampler, params, times, n_paths, seed, workers=1) -> list:
-    """The sampler's result for each block, unchanged and in block order."""
-    tasks = _tasks(sampler, params, tuple(times), n_paths, seed)
-    return map_blocks(_raw_block, tasks, workers)
-
-
 def terminal_draws(sampler, params, times, n_paths, seed, workers=1) -> np.ndarray:
     """The (n_paths, len(times)) draws behind mc_estimate, concatenated in
     block order; for checks and outputs that need the whole sample."""
-    return np.concatenate(block_draws(sampler, params, times, n_paths, seed, workers))
+    tasks = _tasks(sampler, params, tuple(times), n_paths, seed)
+    return np.concatenate(map_blocks(_raw_block, tasks, workers))
 
 
 def _inverse_weighted(params, t, f, weight_scale, r):

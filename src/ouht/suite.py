@@ -241,11 +241,11 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         target = survival_probability(p, t)
         col.add(f"killed-density-mass[t={t:g}]",
                 "killed density integrates to the survival probability",
-                "adaptive quadrature", mass, target, abs(mass - target), MASS_TOLERANCE)
+                "Gauss-Legendre quadrature", mass, target, abs(mass - target), MASS_TOLERANCE)
         qmass = radial_density_mass(p, t)
         col.add(f"radial-density-mass[t={t:g}]",
                 "radial density integrates to 1",
-                "adaptive quadrature", qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE)
+                "Gauss-Legendre quadrature", qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE)
         law = radial_transition(p, t)
         hi = law.center + 10.0 * math.sqrt(law.sigma2)
         grid = np.geomspace(hi * 1e-4, hi, 500)

@@ -266,13 +266,18 @@ def test_simulate_unwritable_output_exits_1(tmp_path, fmt):
     assert "cannot write" in res.stderr
 
 
-def test_simulate_does_not_load_scipy(tmp_path):
-    # only quadrature needs scipy; it costs every command that loads it
-    # about half a second of start-up
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "ou-killed", "--gamma", "1", "--a", "1", "--t", "1",
+     "--paths", "100", "--workers", "1", "--out", "x.csv"],
+    ["verify", "--paths", "200", "--workers", "1"],
+    ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01", "--x-max", "3"],
+], ids=["simulate", "verify", "density"])
+def test_commands_do_not_load_scipy(tmp_path, argv):
+    # scipy is a test-only oracle; loading it costs a command about half a
+    # second of start-up and 40 MB
     code = (
         "import sys, ouht.cli\n"
-        "code = ouht.cli.main(['simulate', '--process', 'ou-killed', '--gamma', '1',"
-        " '--a', '1', '--t', '1', '--paths', '100', '--workers', '1', '--out', 'x.csv'])\n"
+        f"code = ouht.cli.main({argv!r})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.exit(code)\n"
     )

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 from ouht.density import (
+    _killed_support,
+    _radial_support,
     density_identity_residual,
     gaussian_pdf,
     killed_density_mass,
@@ -15,6 +17,7 @@ from ouht.density import (
     relative_identity_residual,
     survival_probability,
 )
+from ouht.measure import default_functional_suite
 from ouht.process import ProcessParams, radial_transition
 
 import refvalues as ref
@@ -95,6 +98,39 @@ def test_density_masses_of_a_narrow_peak_far_from_zero():
     p = ProcessParams(1.0, 30.0)
     assert abs(killed_density_mass(p, 1e-6) - survival_probability(p, 1e-6)) <= 1e-8
     assert abs(radial_density_mass(p, 1e-6) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma,t", [(50.0, 6.9), (300.0, 1.1)])
+def test_killed_mass_is_relatively_accurate_at_tiny_survival(gamma, t):
+    # S(t) is about 1e-149 and 1e-142 here, so an absolute bound says nothing
+    p = ProcessParams(gamma, 1.0)
+    s = survival_probability(p, t)
+    assert abs(killed_density_mass(p, t) - s) <= 1e-12 * s
+
+
+def _adaptive_quad(fn, lo, hi, points=None):
+    """scipy's adaptive quadrature with the settings the runtime once used:
+    the reference for the Gauss-Legendre rule."""
+    val, _ = integrate.quad(fn, lo, hi, points=points, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_gauss_legendre_rule_matches_adaptive_quadrature(t):
+    p = ProcessParams(1.0, 1.0)
+    lo, hi = _killed_support(p, t)
+    pairs = [
+        (killed_density_mass(p, t),
+         _adaptive_quad(lambda x: killed_ou_density(p, t, x), lo, hi)),
+        (radial_density_mass(p, t),
+         _adaptive_quad(lambda x: radial_density(p, t, x), *_radial_support(p, t))),
+    ]
+    for f in default_functional_suite():
+        pts = sorted(b for b in f.breakpoints() if lo < b < hi) or None
+        pairs.append((killed_expectation_quadrature(p, t, f, f.breakpoints()),
+                      _adaptive_quad(lambda x: f(x) * killed_ou_density(p, t, x), lo, hi, pts)))
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_killed_density_reduces_to_reflected_brownian_at_gamma_zero():
@@ -195,7 +231,7 @@ def test_densities_nonnegative_on_their_domain():
 
 def test_killed_expectation_quadrature_against_cdf_formula():
     p = ProcessParams(1.0, 1.0)
-    got = killed_expectation_quadrature(p, 1.0, lambda x: float(x > 1.0), breakpoints=(1.0,))
+    got = killed_expectation_quadrature(p, 1.0, lambda x: (x > 1.0) * 1.0, breakpoints=(1.0,))
     assert got == pytest.approx(ref.killed_tail_probability(1.0, 1.0, 1.0, 1.0), abs=1e-10)
     # plain quadrature of the identity functional: E[X_t on survival] = a e^{-gamma t}
     got_mean = killed_expectation_quadrature(p, 1.0, lambda x: x)
