@@ -21,7 +21,6 @@ from .measure import (
     estimate_killed_expectation_direct,
     estimate_killed_expectation_via_Q,
     estimate_Q_expectation_via_P,
-    forward_weight,
     inverse_weight,
     local_martingale_curve,
 )
@@ -37,8 +36,7 @@ from .process import (
     time_change,
 )
 from .simulate import (
-    KilledPaths,
-    PathSample,
+    Paths,
     SchemeConfig,
     TimeGrid,
     euler_ou,

@@ -140,7 +140,7 @@ _COMMANDS = {
                        "exact transition sampling or Euler-Maruyama (default exact)"),
         "gamma": _GAMMA, "a": _A,
         "t": _Opt(list, _REQUIRED, "observation time (repeatable, ascending)", _times),
-        "paths": _Opt(int, 100_000, "number of paths (default 100000)", _at_least(1)),
+        "paths": _Opt(int, 100_000, "number of paths (default 100000)", _at_least(2)),
         "seed": _SEED, "workers": _WORKERS,
         "dt": _Opt(float, None, "Euler step size (required for --scheme euler)", _euler_dt),
         "format": _FORMAT,
@@ -170,7 +170,7 @@ _COMMANDS = {
         "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
         "t": _Opt(list, [0.25, 0.5, 1.0, 2.0, 4.0],
                   "curve times (repeatable; default 0.25 0.5 1 2 4)", _times),
-        "paths": _Opt(int, 100_000, "paths per point (default 100000)", _at_least(1)),
+        "paths": _Opt(int, 100_000, "paths per point (default 100000)", _at_least(2)),
         "seed": _SEED, "workers": _WORKERS,
         "out": _Opt(str, "ouht_local_martingale.csv", "output path"),
     }),

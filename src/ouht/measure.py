@@ -30,7 +30,7 @@ from .process import (
     sample_radial_step,
 )
 from .rng import block_sizes, derive_seed, map_blocks, stream
-from .simulate import KilledPaths, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
+from .simulate import TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
 
@@ -112,12 +112,6 @@ def default_functional_suite() -> tuple[TestFunctional, ...]:
     )
 
 
-def forward_weight(params: ProcessParams, paths: KilledPaths, t: float) -> np.ndarray:
-    """(X_{t and T0} / a) e^{gamma t} per path; 0 for paths absorbed by t."""
-    x = paths.values_at(t)  # already 0 after absorption
-    return x * (math.exp(params.gamma * t) / params.a)
-
-
 def inverse_weight(params: ProcessParams, r_value, t: float):
     """(a / r) e^{-gamma t} for r > 0."""
     r = np.asarray(r_value, dtype=float)
@@ -173,8 +167,8 @@ def survival_flags(params, times, rng, n):
     """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
     a single time only."""
     (t,) = times
-    paths = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n)
-    return (~paths.killing_flag).astype(float)[:, None]
+    values = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n).values
+    return (values[:, -1:] > 0.0).astype(float)
 
 
 # --- block-wise estimation -------------------------------------------------

@@ -160,9 +160,7 @@ def sample_radial_exact(
     law = radial_transition(params, t)
     sd = math.sqrt(law.sigma2)
     if size is None:
-        vec = sd * rng.standard_normal(3)
-        vec[0] += law.center
-        return float(np.sqrt(vec @ vec))
+        return float(_gaussian_norm(law.center, sd, rng, 1)[0])
     return _gaussian_norm(law.center, sd, rng, size)
 
 

@@ -10,7 +10,9 @@ Three schemes:
 * drift-implicit Euler radial OU: the singular 1/R drift taken at the end
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
-Path sets are stored as (n_paths, n_times) arrays; absorbed entries are 0.
+Every scheme returns one Paths record, an (n_paths, n_times) array on its
+grid.  Absorption is stored in the values alone: a killed path reads 0 from
+the grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
 
 from __future__ import annotations
@@ -78,41 +80,12 @@ class SchemeConfig:
 
 
 @dataclass(eq=False)
-class KilledPaths:
-    """A set of killed paths on a common grid.
+class Paths:
+    """A set of paths on a common grid: values[i, j] is path i at times[j].
 
-    values[i, j] is path i at times[j], or 0 once absorbed.  killing_index[i]
-    is the last grid index at which path i is alive (absorption happened in
-    the following interval); -1 means never absorbed on the grid.
+    A killed path reads 0 from its absorption on, so a value is > 0 exactly
+    while its path is alive; radial paths are > 0 throughout.
     """
-
-    grid: TimeGrid
-    values: np.ndarray
-    killing_index: np.ndarray
-
-    @property
-    def killing_flag(self) -> np.ndarray:
-        """True for each path absorbed somewhere on the grid."""
-        return self.killing_index >= 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
-
-    def alive_at(self, t: float) -> np.ndarray:
-        j = self.grid.index_of(t)
-        return ~self.killing_flag | (self.killing_index >= j)
-
-    def survival_fraction(self, t: float) -> float:
-        return float(self.alive_at(t).mean())
-
-
-@dataclass(eq=False)
-class PathSample:
-    """An unkilled path set."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -127,13 +100,16 @@ class PathSample:
     def values_at(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t)]
 
+    def survival_fraction(self, t: float) -> float:
+        return float(np.mean(self.values_at(t) > 0.0))
+
 
 def simulate_killed_ou_exact(
     params: ProcessParams,
     grid: TimeGrid,
     rng: np.random.Generator,
     n_paths: int,
-) -> KilledPaths:
+) -> Paths:
     """Exact killed-OU paths at the grid times.
 
     The driving Brownian motion is sampled exactly at tau(t_i) and mapped
@@ -151,25 +127,19 @@ def simulate_killed_ou_exact(
     values = np.empty((n_paths, n_times))
     values[:, 0] = params.a
     y = np.full(n_paths, params.a)
-    alive = np.ones(n_paths, dtype=bool)
-    kill_idx = np.full(n_paths, -1, dtype=np.int64)
 
     for i in range(n_times - 1):
         dtau = taus[i + 1] - taus[i]
         z = rng.standard_normal(n_paths)
         u = rng.random(n_paths)
         y_next = y + math.sqrt(dtau) * z
-        # exponent is <= 0 wherever it matters (both endpoints > 0); the
-        # clip only silences dead-path garbage
+        # the clipped exponent is 0, so crossing is certain, when y_next <= 0
+        # and when y = 0: an absorbed path is held at 0
         log_p_cross = np.minimum(-2.0 * y * y_next / dtau, 0.0)
-        crossed = (y_next <= 0.0) | (u < np.exp(log_p_cross))
-        newly_dead = alive & crossed
-        kill_idx[newly_dead] = i
-        alive &= ~crossed
-        y = y_next
-        values[:, i + 1] = np.where(alive, math.exp(-params.gamma * times[i + 1]) * y, 0.0)
+        y = np.where(u < np.exp(log_p_cross), 0.0, y_next)
+        values[:, i + 1] = math.exp(-params.gamma * times[i + 1]) * y
 
-    return KilledPaths(grid, values, kill_idx)
+    return Paths(grid, values)
 
 
 def _substep_counts(grid: TimeGrid, dt: float) -> list[int]:
@@ -182,7 +152,7 @@ def euler_ou(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
-) -> KilledPaths:
+) -> Paths:
     """Euler-Maruyama killed OU: x += -gamma x h + sqrt(h) z on substeps of
     size <= dt, absorbed at the first substep value <= 0.
 
@@ -197,21 +167,17 @@ def euler_ou(
     values = np.empty((n_paths, n_times))
     values[:, 0] = params.a
     x = np.full(n_paths, params.a)
-    alive = np.ones(n_paths, dtype=bool)
-    kill_idx = np.full(n_paths, -1, dtype=np.int64)
 
     for i, m in enumerate(_substep_counts(grid, scheme.dt)):
         h = (times[i + 1] - times[i]) / m
         sq = math.sqrt(h)
         for _ in range(m):
             z = rng.standard_normal(n_paths)
-            x = np.where(alive, x - params.gamma * x * h + sq * z, 0.0)
-            newly_dead = alive & (x <= 0.0)
-            kill_idx[newly_dead] = i
-            alive &= x > 0.0
-        values[:, i + 1] = np.where(alive, x, 0.0)
+            # a step to <= 0 absorbs the path at 0, where it stays
+            x = np.where(x > 0.0, np.maximum(x - params.gamma * x * h + sq * z, 0.0), 0.0)
+        values[:, i + 1] = x
 
-    return KilledPaths(grid, values, kill_idx)
+    return Paths(grid, values)
 
 
 def euler_radial(
@@ -220,7 +186,7 @@ def euler_radial(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
-) -> PathSample:
+) -> Paths:
     """Drift-implicit Euler for dR = (1/R - gamma R) dt + dB on substeps of
     size h <= dt: with y = R + sqrt(h) z and k = 1 + gamma h, the step solves
     k R'^2 - y R' - h = 0 for its positive root
@@ -258,4 +224,4 @@ def euler_radial(
             r *= inv_2k
         values[:, i + 1] = r
 
-    return PathSample(grid, values)
+    return Paths(grid, values)

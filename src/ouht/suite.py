@@ -263,17 +263,17 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     col.add("local-martingale-monotone",
             "m(t) = S(t)/a decreases strictly and stays below 1/a",
             "closed-form survival", max(m_closed), 1.0 / p.a, worst_rise, 0.0)
+    idn = "radial mean of e^{-gamma t}/X equals S(t)/a"
     if enough:
         seed = derive_seed(config.seed, "local-martingale")
         for point in local_martingale_curve(p, config.times, config.n_paths, seed, config.workers):
-            col.add(f"local-martingale-mc[t={point.t:g}]",
-                    "radial mean of e^{-gamma t}/X equals S(t)/a",
+            col.add(f"local-martingale-mc[t={point.t:g}]", idn,
                     "closed-form survival", point.estimate.mean, point.closed_form,
                     _sigma_gap(point.estimate.mean, point.closed_form, point.estimate.stderr),
                     SIGMA_THRESHOLD, point.estimate.seed)
     else:
-        col.skip("local-martingale-mc", "radial mean of e^{-gamma t}/X equals S(t)/a",
-                 "closed-form survival", too_few)
+        for t in config.times:
+            col.skip(f"local-martingale-mc[t={t:g}]", idn, "closed-form survival", too_few)
 
     # killing machinery: bridge-corrected survival against the closed form
     check, idn = "survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1"
@@ -287,7 +287,14 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         col.skip(check, idn, "closed-form survival", too_few)
 
     # Euler radial vs exact radial at the same horizon
-    idn_ks = "Euler radial terminal law equals the exact radial law"
+    ks_row = ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
+              "exact radial sampler")
+    msq_row = ("euler-radial-msq",
+               "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
+               "moment closed form")
+    tail_row = ("euler-radial-tail",
+                "largest Euler radial draw stays inside the exact law's tail bound",
+                "Gaussian concentration bound")
     if enough:
         n_euler = min(config.n_paths, 50_000)
         seed_e = derive_seed(config.seed, "euler-radial")
@@ -299,14 +306,12 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                                         config.workers)[:, 0]
         ks = ks_statistic(euler_terminal, exact_terminal)
         crit = ks_two_sample_critical(n_euler, n_euler, alpha=0.01)
-        col.add("euler-radial-ks", idn_ks, "exact radial sampler", ks, 0.0, ks, crit, seed_e)
+        col.add(*ks_row, ks, 0.0, ks, crit, seed_e)
 
         law = radial_transition(p, t_mid)
         est = aggregate(euler_terminal**2, seed=seed_e)
         allowance = SIGMA_THRESHOLD * est.stderr + MSQ_BIAS_PER_DT * config.dt
-        col.add("euler-radial-msq",
-                "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
-                "moment closed form", est.mean, law.mean_square(),
+        col.add(*msq_row, est.mean, law.mean_square(),
                 abs(est.mean - law.mean_square()), allowance, seed_e)
 
         # R = |(center,0,0) + sigma Z| is sigma-Lipschitz in Z, with mean at
@@ -315,11 +320,10 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         bound = math.sqrt(law.mean_square()) + math.sqrt(
             2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
         top = float(euler_terminal.max())
-        col.add("euler-radial-tail",
-                "largest Euler radial draw stays inside the exact law's tail bound",
-                "Gaussian concentration bound", top, bound, top, bound, seed_e)
+        col.add(*tail_row, top, bound, top, bound, seed_e)
     else:
-        col.skip("euler-radial-ks", idn_ks, "exact radial sampler", too_few)
+        for row in (ks_row, msq_row, tail_row):
+            col.skip(*row, too_few)
 
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),

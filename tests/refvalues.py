@@ -189,6 +189,15 @@ SIMULATE_SHA256_N65537_SEED12 = {
 #    as computed after commit e6fc482: SHA-256 of values.tobytes() -----------
 EULER_RADIAL_G05_A005_DT005 = "4f1ac3a87b802d54d929ad31d6677af8be732c63aadf5aff6b880a2dfa1d3939"
 
+# -- SHA-256 of values.tobytes() for simulate_killed_ou_exact(P, TimeGrid.uniform(2.0,
+#    16), stream(220, 0), 4096) and euler_ou(P, TimeGrid.uniform(2.0, 16),
+#    SchemeConfig(dt=0.01), stream(221, 0), 4096), P = ProcessParams(1, 1), as
+#    computed at commit 63be3de: scheme -> digest --------------------------
+KILLED_SHA256_G1_A1_T2_N16 = {
+    "exact": "f9798942df34e74bbfc250dfd9cb5996eb11d41c0fcd78852dec40a562311630",
+    "euler": "5c0209f9b0c8d156ae63946adeac4360dddd917bf204650f549db0cd52008c1a",
+}
+
 # -- single-fault `ouht` command lines, run in a fresh directory holding
 #    d.conf (when given), with the exit code and the exact stderr each gave
 #    at commit 7752d6f: name -> (argv, d.conf text or None, exit, stderr) ----
@@ -247,6 +256,12 @@ CLI_SINGLE_FAULTS = {
     "unwritable-local-martingale": (["local-martingale", "--paths", "50", "--workers", "1",
                                      "--out", "no/dir/l.csv"], None, 1,
                                     f"error: cannot write no/dir/l.csv: {_ENOENT}: 'no/dir/l.csv'\n"),
+    # recorded after commit 63be3de, where both commands exited 2 with
+    # "error: need at least 2 samples, got 1", naming no field
+    "bad-paths-simulate": (_SIM + ["--paths", "1"], None, 2,
+                           "error: paths: must be >= 2, got 1\n"),
+    "bad-paths-local-martingale": (["local-martingale", "--paths", "1", "--workers", "1"], None, 2,
+                                   "error: paths: must be >= 2, got 1\n"),
     # recorded after commit e6fc482, where this command still exited 0 and
     # printed mean=1.3e17 (the exact law's mean is about 1.1e26)
     "euler-step-past-explosive-limit": (

@@ -329,8 +329,11 @@ def test_every_command_names_a_bad_paths_or_seed(tmp_path, flag, message):
         if flag.startswith("--paths") and argv[0] == "density":
             continue  # density draws nothing and has no --paths
         res = run_cli(argv + [flag, "--out", "out"], tmp_path)
+        expected = message
+        if flag.startswith("--paths") and argv[0] in ("simulate", "local-martingale"):
+            expected = "paths: must be >= 2, got 0"  # their stderr needs two samples
         assert res.returncode == 2, argv
-        assert res.stderr == f"error: {message}\n", argv
+        assert res.stderr == f"error: {expected}\n", argv
     assert not list(tmp_path.iterdir())
 
 

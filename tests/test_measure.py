@@ -7,6 +7,7 @@ from scipy import integrate
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     TestFunctional,
+    _forward_weighted,
     conditional_identity_detail,
     conditional_identity_gap,
     default_functional_suite,
@@ -14,8 +15,8 @@ from ouht.measure import (
     estimate_killed_expectation_via_Q,
     estimate_Q_expectation_via_P,
     estimate_radial_expectation_direct,
-    forward_weight,
     inverse_weight,
+    killed_exact,
     local_martingale_curve,
     radial_exact,
 )
@@ -88,25 +89,24 @@ def test_inverse_weight_mean_recovers_survival():
 
 
 def test_forward_weight_on_paths():
-    grid = TimeGrid.uniform(1.0, 4)
-    paths = simulate_killed_ou_exact(P11, grid, stream(304, 0), 20_000)
-    w0 = forward_weight(P11, paths, 0.0)
-    assert np.all(w0 == 1.0)
-    w1 = forward_weight(P11, paths, 1.0)
-    absorbed = ~paths.alive_at(1.0)
+    # (X_{t and T0} / a) e^{gamma t} with f = 1: 1 at t = 0, and 0 exactly on
+    # the paths absorbed by t, read from their 0 value
+    one = TestFunctional.constant_one()
+    paths = simulate_killed_ou_exact(P11, TimeGrid.uniform(1.0, 4), stream(304, 0), 20_000)
+    assert np.all(_forward_weighted(P11, 0.0, one, paths.values_at(0.0)) == 1.0)
+    x = paths.values_at(1.0)
+    w1 = _forward_weighted(P11, 1.0, one, x)
+    absorbed = x == 0.0
     assert absorbed.any()
     assert np.all(w1[absorbed] == 0.0)
     assert np.all(w1[~absorbed] > 0.0)
-    with pytest.raises(ValueError):
-        forward_weight(P11, paths, 0.33)
 
 
 def test_forward_weight_gamma_zero_is_plain_ratio():
     p = ProcessParams(0.0, 2.0)
-    grid = TimeGrid(np.array([0.0, 1.0]))
-    paths = simulate_killed_ou_exact(p, grid, stream(305, 0), 5_000)
-    w = forward_weight(p, paths, 1.0)
-    assert np.allclose(w, paths.values_at(1.0) / p.a)
+    x = killed_exact(p, (1.0,), stream(305, 0), 5_000)[:, 0]
+    w = _forward_weighted(p, 1.0, TestFunctional.constant_one(), x)
+    assert np.allclose(w, x / p.a)
 
 
 def test_forward_weight_has_unit_mean():

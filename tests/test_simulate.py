@@ -7,14 +7,7 @@ import pytest
 from ouht.density import survival_probability
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import stream
-from ouht.simulate import (
-    KilledPaths,
-    SchemeConfig,
-    TimeGrid,
-    euler_ou,
-    euler_radial,
-    simulate_killed_ou_exact,
-)
+from ouht.simulate import SchemeConfig, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 from ouht.harness import ks_statistic, ks_two_sample_critical
 
 import refvalues as ref
@@ -64,27 +57,40 @@ def test_exact_killed_unreachable_boundary():
     paths = simulate_killed_ou_exact(
         ProcessParams(1.0, 50.0), TimeGrid(np.array([0.0, 1.0])), stream(204, 0), 50_000
     )
-    assert paths.killing_flag.sum() == 0
+    assert np.all(paths.values > 0.0)
     assert paths.survival_fraction(1.0) == 1.0
 
 
-def test_exact_killed_path_storage_conventions():
-    grid = TimeGrid.uniform(2.0, 8)
-    paths = simulate_killed_ou_exact(P11, grid, stream(205, 0), 5_000)
-    assert np.all(paths.values[:, 0] == P11.a)
-    killed = paths.killing_flag
+KILLED_SCHEMES = {
+    "exact": lambda grid, rng, n: simulate_killed_ou_exact(P11, grid, rng, n),
+    "euler": lambda grid, rng, n: euler_ou(P11, grid, SchemeConfig(dt=0.01), rng, n),
+}
+
+
+@pytest.mark.parametrize("scheme", list(KILLED_SCHEMES))
+def test_killed_paths_are_positive_until_absorbed_then_zero(scheme):
+    # absorption is stored in the values alone: each row is > 0 up to its
+    # absorption column and exactly 0 from there on
+    paths = KILLED_SCHEMES[scheme](TimeGrid.uniform(2.0, 8), stream(205, 0), 5_000)
+    values = paths.values
+    assert np.all(values[:, 0] == P11.a)
+    alive = values > 0.0
+    assert np.all(alive | (values == 0.0))
+    assert np.all(alive[:, 1:] <= alive[:, :-1])  # no path comes back
+    killed = ~alive[:, -1]
     assert 0 < killed.sum() < killed.size
-    for i in np.nonzero(killed)[0][:50]:
-        k = paths.killing_index[i]
-        assert 0 <= k < grid.n_intervals
-        assert np.all(paths.values[i, k + 1 :] == 0.0)
-        assert np.all(paths.values[i, : k + 1] > 0.0)
-    alive = ~killed
-    assert np.all(paths.values[alive] > 0.0)
-    assert np.all(paths.killing_index[alive] == -1)
-    # alive_at agrees with the zero convention
+    absorbed_at = np.argmin(alive[killed], axis=1)
+    assert np.all((absorbed_at >= 1) & (absorbed_at <= 8))
     for t in (0.25, 1.0, 2.0):
-        assert np.array_equal(paths.alive_at(t), paths.values_at(t) > 0.0)
+        assert paths.survival_fraction(t) == np.mean(paths.values_at(t) > 0.0)
+
+
+@pytest.mark.parametrize("scheme", list(KILLED_SCHEMES))
+def test_killed_paths_on_sixteen_intervals_are_pinned(scheme):
+    seed = {"exact": 220, "euler": 221}[scheme]
+    paths = KILLED_SCHEMES[scheme](TimeGrid.uniform(2.0, 16), stream(seed, 0), 4096)
+    digest = hashlib.sha256(paths.values.tobytes()).hexdigest()
+    assert digest == ref.KILLED_SHA256_G1_A1_T2_N16[scheme]
 
 
 def test_exact_killed_conditional_law_matches_density():
@@ -137,7 +143,7 @@ def test_euler_ou_drift_error_is_first_order_without_killing():
     errors = []
     for k, dt in enumerate((0.04, 0.02, 0.01)):
         paths = euler_ou(p, grid, SchemeConfig(dt=dt), stream(209, k), n)
-        assert paths.killing_flag.sum() == 0
+        assert np.all(paths.values > 0.0)
         errors.append(abs(paths.values_at(1.0).mean() - p.a * math.exp(-p.gamma)))
     assert errors[0] < 0.01 * p.a  # relative weak error below 1% at dt = 0.04
     for coarse, fine in zip(errors, errors[1:]):
@@ -235,7 +241,6 @@ def test_simulations_are_seed_deterministic():
     a = simulate_killed_ou_exact(P11, grid, stream(216, 0), 2_000)
     b = simulate_killed_ou_exact(P11, grid, stream(216, 0), 2_000)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.killing_index, b.killing_index)
 
     ea = euler_radial(P11, grid, SchemeConfig(dt=0.01), stream(217, 0), 2_000)
     eb = euler_radial(P11, grid, SchemeConfig(dt=0.01), stream(217, 0), 2_000)

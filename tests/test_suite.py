@@ -76,6 +76,12 @@ def test_tiny_sample_counts_are_skipped_not_failed():
     assert "killed-density-mass" in ran and "htransform-residual" in ran
 
 
+def test_check_names_do_not_depend_on_the_path_count(seed96_report):
+    # below MIN_PATHS_FOR_MC each sampled row is skipped under its own name
+    tiny = run_suite(SuiteConfig(n_paths=10, seed=94))
+    assert [c.check for c in tiny.checks] == [c.check for c in seed96_report.checks]
+
+
 def test_weight_bias_injection_breaks_transport():
     rep = run_suite(SuiteConfig(n_paths=20_000, seed=95, weight_bias=0.05))
     assert not rep.all_pass
