@@ -32,13 +32,21 @@ class BlockStats(NamedTuple):
 
     @classmethod
     def of(cls, samples) -> "BlockStats":
-        x = np.asarray(samples, dtype=float)
+        x = np.asarray(samples, dtype=float).ravel()
         n = x.size
         if n == 0:
             return cls(0, 0.0, 0.0)
         total = float(x.sum())
         dev = x - total / n
         return cls(n, total, float((dev * dev).sum()))
+
+
+class TooFewSamples(ValueError):
+    """A reduction was given fewer than 2 samples; n says how many."""
+
+    def __init__(self, n: int):
+        super().__init__(f"need at least 2 samples, got {n}")
+        self.n = n
 
 
 def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
@@ -51,7 +59,7 @@ def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
     blocks = list(blocks)
     n = sum(b.n for b in blocks)
     if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+        raise TooFewSamples(n)
     mean = math.fsum(b.total for b in blocks) / n
     m2 = math.fsum(b.m2 + b.n * (b.total / b.n - mean) ** 2 for b in blocks if b.n)
     var = m2 / (n - 1)

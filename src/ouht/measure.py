@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .density import survival_probability
-from .harness import BlockStats, MCEstimate, reduce_blocks, sigma_gap
+from .harness import BlockStats, MCEstimate, TooFewSamples, reduce_blocks, sigma_gap
 from .process import (
     ProcessParams,
     radial_transition,
@@ -173,8 +173,9 @@ def survival_flags(params, times, rng, n):
 
 # --- block-wise estimation -------------------------------------------------
 #
-# Block j of n_paths draws from stream(seed, j).  An integrand maps one
-# column of draws to the samples being averaged.
+# Block j of n_paths draws from stream(seed, j).  An integrand maps the whole
+# (n, len(times)) block of draws to the samples being averaged (None averages
+# the draws themselves); every integrand of one call reads the same draws.
 
 def _raw_block(task):
     sampler, params, times, seed, block, n = task
@@ -182,46 +183,59 @@ def _raw_block(task):
 
 
 def _stats_block(task):
-    x, integrand = _raw_block(task[:-1])[:, 0], task[-1]
-    return BlockStats.of(x if integrand is None else integrand(x))
+    draws, integrands = _raw_block(task[:-1]), task[-1]
+    return tuple(BlockStats.of(draws if g is None else g(draws)) for g in integrands)
 
 
 def _tasks(sampler, params, times, n_paths, seed, *extra):
-    return [(sampler, params, times, seed, i, n, *extra)
+    return [(sampler, params, tuple(times), seed, i, n, *extra)
             for i, n in enumerate(block_sizes(n_paths))]
 
 
-def _block_stats(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> list[BlockStats]:
-    """Per-block statistics of integrand(sampler draws at t), in block order."""
-    tasks = _tasks(sampler, params, (t,), n_paths, seed, integrand)
-    return map_blocks(_stats_block, tasks, workers)
-
-
-def mc_estimate(sampler, params, t, n_paths, seed, workers=1, integrand=None) -> MCEstimate:
-    """Mean of integrand(sampler draws at t) over n_paths draws, reduced
-    block by block so that no worker returns more than a few numbers."""
-    return reduce_blocks(
-        _block_stats(sampler, params, t, n_paths, seed, workers, integrand), seed=seed
-    )
+def mc_estimate(sampler, params, times, n_paths, seed, integrands,
+                workers=1) -> tuple[MCEstimate, ...]:
+    """One estimate per integrand, all from the same n_paths draws at times,
+    reduced block by block so that no worker returns more than a few numbers
+    per integrand.  No integrands, no draw."""
+    integrands = tuple(integrands)
+    if not integrands:
+        return ()
+    tasks = _tasks(sampler, params, times, n_paths, seed, integrands)
+    blocks = map_blocks(_stats_block, tasks, workers)
+    return tuple(reduce_blocks(stats, seed=seed) for stats in zip(*blocks))
 
 
 def terminal_draws(sampler, params, times, n_paths, seed, workers=1) -> np.ndarray:
     """The (n_paths, len(times)) draws behind mc_estimate, concatenated in
     block order; for checks and outputs that need the whole sample."""
-    tasks = _tasks(sampler, params, tuple(times), n_paths, seed)
+    tasks = _tasks(sampler, params, times, n_paths, seed)
     return np.concatenate(map_blocks(_raw_block, tasks, workers))
 
 
-def _inverse_weighted(params, t, f, weight_scale, r):
+# --- integrands ------------------------------------------------------------
+#
+# Module-level, so that partial(integrand, ...) pickles.  Each is elementwise
+# on a one-time block; at_column hands one column of a multi-time block on.
+
+def at_column(j, integrand, block):
+    return integrand(block[:, j])
+
+
+def inverse_weighted(params, t, f, weight_scale, r):
+    """f(R_t) (a/R_t) e^{-gamma t} times weight_scale on radial draws at t;
+    at weight_scale 1 its mean is E[f(X_t) 1_{t<T0}]."""
     vals = f(r) * inverse_weight(params, r, t)
     return vals * weight_scale if weight_scale != 1.0 else vals
 
 
-def _forward_weighted(params, t, f, x):
+def forward_weighted(params, t, f, x):
+    """f(X_t) (X_{t and T0}/a) e^{gamma t} on killed draws at t, whose mean
+    is E_Q[f(R_t)]; absorbed paths contribute 0."""
     return f(x) * (x * (math.exp(params.gamma * t) / params.a))
 
 
-def _alive(f, x):
+def alive(f, x):
+    """f(X_t) 1_{t<T0} on killed draws at t."""
     return f(x) * (x > 0.0)
 
 
@@ -261,8 +275,8 @@ def estimate_killed_expectation_via_Q(
     hook; leave it at 1.0 for estimation.
     """
     _check_functional(f)
-    integrand = partial(_inverse_weighted, params, t, f, weight_scale)
-    return mc_estimate(radial_exact, params, t, n_paths, seed, workers, integrand)
+    integrand = partial(inverse_weighted, params, t, f, weight_scale)
+    return mc_estimate(radial_exact, params, (t,), n_paths, seed, (integrand,), workers)[0]
 
 
 def estimate_killed_expectation_direct(
@@ -276,7 +290,7 @@ def estimate_killed_expectation_direct(
     """E[f(X_t) 1_{t<T0}] by plain killed-OU simulation (the unweighted side
     of the transport identity)."""
     _check_functional(f)
-    return mc_estimate(killed_exact, params, t, n_paths, seed, workers, partial(_alive, f))
+    return mc_estimate(killed_exact, params, (t,), n_paths, seed, (partial(alive, f),), workers)[0]
 
 
 def estimate_Q_expectation_via_P(
@@ -290,8 +304,8 @@ def estimate_Q_expectation_via_P(
     """E_Q[f(R_t)] estimated from killed-OU paths: average of
     f(X_t) (X_{t and T0}/a) e^{gamma t}; absorbed paths contribute 0."""
     _check_functional(f)
-    integrand = partial(_forward_weighted, params, t, f)
-    return mc_estimate(killed_exact, params, t, n_paths, seed, workers, integrand)
+    integrand = partial(forward_weighted, params, t, f)
+    return mc_estimate(killed_exact, params, (t,), n_paths, seed, (integrand,), workers)[0]
 
 
 def estimate_radial_expectation_direct(
@@ -305,7 +319,7 @@ def estimate_radial_expectation_direct(
     """E_Q[f(R_t)] by exact radial sampling (comparator for the weighted
     killed-OU estimator)."""
     _check_functional(f)
-    return mc_estimate(radial_exact, params, t, n_paths, seed, workers, f)
+    return mc_estimate(radial_exact, params, (t,), n_paths, seed, (f,), workers)[0]
 
 
 @dataclass(frozen=True)
@@ -335,6 +349,46 @@ class ConditionalIdentityResult:
         return sigma_gap(self.lhs.mean, self.rhs, self.combined_stderr)
 
 
+def conditional_identities(
+    params: ProcessParams,
+    fs: tuple[TestFunctional, ...],
+    t: float,
+    n_paths: int,
+    seed: int,
+    workers: int = 1,
+) -> tuple[ConditionalIdentityResult, ...]:
+    """Both sides of the conditioning identity for every f in fs, from one
+    draw per side: the left-hand side, E_Q[1/X_t] and the survivors each on
+    their own stream derived from seed, shared by all f.  A ValueError names
+    the survivor count when fewer than 2 paths survive to t."""
+    for f in fs:
+        _check_functional(f)
+    if not fs:
+        return ()
+    seed_lhs = derive_seed(seed, "conditional-lhs")
+    seed_inv = derive_seed(seed, "conditional-qinv")
+    seed_cond = derive_seed(seed, "conditional-killed")
+
+    # the survivor side averages over survivors only; a block may have none
+    try:
+        conds = mc_estimate(killed_exact, params, (t,), n_paths, seed_cond,
+                            [partial(_survivors, f) for f in fs], workers)
+    except TooFewSamples as exc:
+        raise ValueError(
+            f"only {exc.n} surviving paths out of {n_paths}: "
+            "n_paths too small for a conditional estimate"
+        ) from None
+    lhs = mc_estimate(radial_exact, params, (t,), n_paths, seed_lhs,
+                      [partial(_over, f) for f in fs], workers)
+    (q_inv,) = mc_estimate(radial_exact, params, (t,), n_paths, seed_inv,
+                           (partial(_scaled_reciprocal, 1.0),), workers)
+    return tuple(
+        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv, conditional_mean=c,
+                                  n_survivors=c.n)
+        for l, c in zip(lhs, conds)
+    )
+
+
 def conditional_identity_detail(
     params: ProcessParams,
     f: TestFunctional,
@@ -343,30 +397,7 @@ def conditional_identity_detail(
     seed: int,
     workers: int = 1,
 ) -> ConditionalIdentityResult:
-    _check_functional(f)
-    seed_lhs = derive_seed(seed, "conditional-lhs")
-    seed_inv = derive_seed(seed, "conditional-qinv")
-    seed_cond = derive_seed(seed, "conditional-killed")
-
-    lhs = mc_estimate(radial_exact, params, t, n_paths, seed_lhs, workers,
-                      partial(_over, f))
-    q_inv = mc_estimate(radial_exact, params, t, n_paths, seed_inv, workers,
-                        partial(_scaled_reciprocal, 1.0))
-
-    # the survivor side averages over survivors only; a block may have none
-    blocks = _block_stats(killed_exact, params, t, n_paths, seed_cond, workers,
-                         partial(_survivors, f))
-    n_survivors = sum(b.n for b in blocks)
-    if n_survivors < 2:
-        raise ValueError(
-            f"only {n_survivors} surviving paths out of {n_paths}: "
-            "n_paths too small for a conditional estimate"
-        )
-    cond = reduce_blocks(blocks, seed=seed_cond)
-
-    return ConditionalIdentityResult(
-        lhs=lhs, q_inverse_mean=q_inv, conditional_mean=cond, n_survivors=n_survivors
-    )
+    return conditional_identities(params, (f,), t, n_paths, seed, workers)[0]
 
 
 def conditional_identity_gap(
@@ -412,6 +443,6 @@ def local_martingale_curve(
     for i, t in enumerate(times):
         seed_t = derive_seed(seed, "local-martingale", i)
         integrand = partial(_scaled_reciprocal, math.exp(-params.gamma * t))
-        est = mc_estimate(radial_exact, params, t, n_paths, seed_t, workers, integrand)
+        (est,) = mc_estimate(radial_exact, params, (t,), n_paths, seed_t, (integrand,), workers)
         out.append(CurvePoint(t=t, estimate=est, closed_form=survival_probability(params, t) / params.a))
     return out

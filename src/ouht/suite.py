@@ -3,8 +3,11 @@
 Every check compares a Monte Carlo estimate against an independent oracle
 (closed form, quadrature, or a disjoint-stream estimator) and reports its
 gap either in combined standard errors (threshold 4) or as an absolute
-error (fixed tolerance).  Seeds are derived per check from the master seed,
-so the report is reproducible bit-for-bit regardless of the worker count.
+error (fixed tolerance).  Seeds are derived per check family from the master
+seed, so the report is reproducible bit-for-bit regardless of the worker
+count.  The rows of one family read one shared draw of one law, so their
+gaps are correlated; the two sides of every comparison stay on disjoint
+streams.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from .harness import (
 )
 from .measure import (
     TestFunctional,
-    conditional_identity_detail,
+    alive,
+    at_column,
+    conditional_identities,
     default_functional_suite,
-    estimate_killed_expectation_direct,
-    estimate_killed_expectation_via_Q,
-    estimate_Q_expectation_via_P,
+    forward_weighted,
+    inverse_weighted,
+    killed_exact,
     local_martingale_curve,
     mc_estimate,
     ou_exact,
@@ -113,10 +118,6 @@ class SuiteConfig:
 
 # --- the suite -------------------------------------------------------------
 
-def _sigma_gap(value, target, stderr):
-    return abs(sigma_gap(value, target, stderr))
-
-
 class _Collector:
     def __init__(self, config: SuiteConfig):
         self.config = config
@@ -154,86 +155,81 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     col = _Collector(config)
     enough = config.n_paths >= MIN_PATHS_FOR_MC
     too_few = f"insufficient samples: n_paths={config.n_paths} < {MIN_PATHS_FOR_MC}"
-    weight_scale = 1.0 + config.weight_bias
+    t_mid, fs = config.t_mid, config.functionals
+
+    def draw(tag, sampler, times, integrands):
+        # one draw of one law serves a whole family of rows, on the family's
+        # own stream; a None per row when n_paths is too small
+        if not enough:
+            return [None] * len(integrands)
+        seed = derive_seed(config.seed, *tag)
+        return mc_estimate(sampler, p, times, config.n_paths, seed, integrands, config.workers)
+
+    def sigma_row(check, idn, oracle, est, target, stderr=None, seed=None):
+        if est is None:
+            col.skip(check, idn, oracle, too_few)
+            return
+        gap = abs(sigma_gap(est.mean, target, est.stderr if stderr is None else stderr))
+        col.add(check, idn, oracle, est.mean, target, gap, SIGMA_THRESHOLD,
+                est.seed if seed is None else seed)
 
     # martingale of the unkilled process
     for t in config.times:
-        check, idn = f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a"
-        if not enough:
-            col.skip(check, idn, "starting point a", too_few)
-            continue
-        seed = derive_seed(config.seed, "martingale", f"{t:g}")
-        est = mc_estimate(ou_exact, p, t, config.n_paths, seed, config.workers,
-                          partial(martingale_value, p, t=t))
-        col.add(check, idn, "starting point a", est.mean, p.a,
-                _sigma_gap(est.mean, p.a, est.stderr), SIGMA_THRESHOLD, seed)
+        (est,) = draw(("martingale", f"{t:g}"), ou_exact, (t,), [partial(martingale_value, p, t=t)])
+        sigma_row(f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a",
+                  "starting point a", est, p.a)
 
-    # total mass of the forward weight
-    for t in config.times:
-        check, idn = f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1"
-        if not enough:
-            col.skip(check, idn, "unit mass", too_few)
-            continue
-        seed = derive_seed(config.seed, "unit-mass", f"{t:g}")
-        est = estimate_Q_expectation_via_P(
-            p, TestFunctional.constant_one(), t, config.n_paths, seed, config.workers
-        )
-        col.add(check, idn, "unit mass", est.mean, 1.0,
-                _sigma_gap(est.mean, 1.0, est.stderr), SIGMA_THRESHOLD, seed)
+    # total mass of the forward weight, every time read off one killed path
+    one = TestFunctional.constant_one()
+    masses = draw(("unit-mass",), killed_exact, config.times,
+                  [partial(at_column, j, partial(forward_weighted, p, t, one))
+                   for j, t in enumerate(config.times)])
+    for t, est in zip(config.times, masses):
+        sigma_row(f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
+                  est, 1.0)
 
-    # transport: killed-OU MC vs weighted radial MC
-    t_mid = config.t_mid
-    for f in config.functionals:
-        check = f"transport-agreement[{f.label()}]"
-        idn = "killed-OU mean of f equals weighted radial mean of f"
-        if not enough:
-            col.skip(check, idn, "two-sided MC", too_few)
-            continue
-        seed_d = derive_seed(config.seed, "transport-direct", f.label())
-        seed_q = derive_seed(config.seed, "transport-weighted", f.label())
-        direct = estimate_killed_expectation_direct(
-            p, f, t_mid, config.n_paths, seed_d, config.workers
-        )
-        weighted = estimate_killed_expectation_via_Q(
-            p, f, t_mid, config.n_paths, seed_q, config.workers, weight_scale=weight_scale
-        )
-        gap = _sigma_gap(weighted.mean, direct.mean,
-                         math.hypot(direct.stderr, weighted.stderr))
-        col.add(check, idn, "two-sided MC", weighted.mean, direct.mean, gap,
-                SIGMA_THRESHOLD, seed_q)
+    # transport: killed-OU MC vs weighted radial MC.  The weighted radial draw
+    # serves the killed-semigroup rows too; weight_bias scales only the
+    # transport integrands
+    direct = draw(("transport-direct",), killed_exact, (t_mid,), [partial(alive, f) for f in fs])
+    weighted = draw(("weighted-radial",), radial_exact, (t_mid,),
+                    [partial(inverse_weighted, p, t_mid, f, scale)
+                     for scale in (1.0 + config.weight_bias, 1.0) for f in fs])
+    transported, semigroup = weighted[:len(fs)], weighted[len(fs):]
+    for f, d, w in zip(fs, direct, transported):
+        row = (f"transport-agreement[{f.label()}]",
+               "killed-OU mean of f equals weighted radial mean of f", "two-sided MC")
+        if w is None:
+            col.skip(*row, too_few)
+        else:
+            sigma_row(*row, w, d.mean, math.hypot(d.stderr, w.stderr))
 
-    # conditioning identity
-    for f in config.functionals:
-        check = f"conditioning-gap[{f.label()}]"
-        idn = "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]"
-        if not enough:
-            col.skip(check, idn, "disjoint-stream MC", too_few)
-            continue
-        seed = derive_seed(config.seed, "conditioning", f.label())
+    # conditioning identity: its lhs, q_inv and survivor sides are one draw
+    # each, on three streams derived from the family seed
+    seed = derive_seed(config.seed, "conditioning")
+    details, reason = [None] * len(fs), too_few
+    if enough:
         try:
-            detail = conditional_identity_detail(
-                p, f, t_mid, config.n_paths, seed, config.workers
-            )
+            details = conditional_identities(p, fs, t_mid, config.n_paths, seed, config.workers)
         except ValueError as exc:
-            col.skip(check, idn, "disjoint-stream MC", str(exc))
-            continue
-        col.add(check, idn, "disjoint-stream MC", detail.lhs.mean, detail.rhs,
-                abs(detail.gap_sigma), SIGMA_THRESHOLD, seed)
+            reason = str(exc)
+    for f, d in zip(fs, details):
+        row = (f"conditioning-gap[{f.label()}]",
+               "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC")
+        if d is None:
+            col.skip(*row, reason)
+        else:
+            sigma_row(*row, d.lhs, d.rhs, d.combined_stderr, seed)
 
     # killed semigroup: weighted radial MC vs quadrature of the closed form
-    for f in config.functionals:
-        check = f"killed-semigroup[{f.label()}]"
-        idn = "weighted radial mean of f equals integral of f against the killed density"
-        if not enough:
-            col.skip(check, idn, "quadrature", too_few)
-            continue
-        seed = derive_seed(config.seed, "semigroup", f.label())
-        est = estimate_killed_expectation_via_Q(
-            p, f, t_mid, config.n_paths, seed, config.workers
-        )
-        target = killed_expectation_quadrature(p, t_mid, f, f.breakpoints())
-        col.add(check, idn, "quadrature", est.mean, target,
-                _sigma_gap(est.mean, target, est.stderr), SIGMA_THRESHOLD, seed)
+    for f, est in zip(fs, semigroup):
+        row = (f"killed-semigroup[{f.label()}]",
+               "weighted radial mean of f equals integral of f against the killed density",
+               "quadrature")
+        if est is None:
+            col.skip(*row, too_few)
+        else:
+            sigma_row(*row, est, killed_expectation_quadrature(p, t_mid, f, f.breakpoints()))
 
     # density normalizations and the pointwise identity
     for t in config.times:
@@ -267,24 +263,16 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     if enough:
         seed = derive_seed(config.seed, "local-martingale")
         for point in local_martingale_curve(p, config.times, config.n_paths, seed, config.workers):
-            col.add(f"local-martingale-mc[t={point.t:g}]", idn,
-                    "closed-form survival", point.estimate.mean, point.closed_form,
-                    _sigma_gap(point.estimate.mean, point.closed_form, point.estimate.stderr),
-                    SIGMA_THRESHOLD, point.estimate.seed)
+            sigma_row(f"local-martingale-mc[t={point.t:g}]", idn, "closed-form survival",
+                      point.estimate, point.closed_form)
     else:
         for t in config.times:
             col.skip(f"local-martingale-mc[t={t:g}]", idn, "closed-form survival", too_few)
 
     # killing machinery: bridge-corrected survival against the closed form
-    check, idn = "survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1"
-    if enough:
-        seed = derive_seed(config.seed, "survival-exact")
-        est = mc_estimate(survival_flags, p, t_mid, config.n_paths, seed, config.workers)
-        target = survival_probability(p, t_mid)
-        col.add(check, idn, "closed-form survival", est.mean, target,
-                _sigma_gap(est.mean, target, est.stderr), SIGMA_THRESHOLD, seed)
-    else:
-        col.skip(check, idn, "closed-form survival", too_few)
+    (est,) = draw(("survival-exact",), survival_flags, (t_mid,), [None])
+    sigma_row("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
+              "closed-form survival", est, survival_probability(p, t_mid))
 
     # Euler radial vs exact radial at the same horizon
     ks_row = ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",

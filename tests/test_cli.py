@@ -9,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ouht.measure
 from ouht.cli import main
 from ouht.harness import ExperimentReport
+from ouht.measure import TestFunctional, conditional_identities, default_functional_suite
+from ouht.process import ProcessParams
+from ouht.rng import BLOCK_SIZE
 from ouht.simulate import euler_radial
 
 import refvalues as ref
@@ -418,6 +422,28 @@ def test_benchmark_tracer_layers_resolve():
     assert callable(ExperimentReport.to_json) and callable(ExperimentReport.to_csv)
     # its euler_radial counter reads the scheme as the third positional argument
     assert list(inspect.signature(euler_radial).parameters)[:3] == ["params", "grid", "scheme"]
+
+
+def test_tracer_wraps_the_single_functional_estimators(monkeypatch):
+    # traced.py times the measure layer through these names, called as
+    # (params, f, t, n_paths, seed) or (params, times, n_paths, seed), and
+    # counts the tasks of each map_blocks call from its result
+    traced = _load_traced()
+    layers = {span: (module, names, count) for span, module, names, count in traced.LAYERS}
+    module, names, _ = layers["measure"]
+    p, f = ProcessParams(1.0, 1.0), TestFunctional.indicator_above(1.0)
+    tracer = traced.Tracer()
+    for name in names:
+        args = (p, (0.5, 1.0), 500, 3) if name == "local_martingale_curve" else (p, f, 1.0, 500, 3)
+        fn = getattr(module, name)
+        assert tracer.wrap("measure", fn)(*args) == fn(*args), name
+    assert [s["name"] for s in tracer.spans] == ["measure"] * len(names)
+
+    rng_module, (map_name,), count = layers["rng.map_blocks"]
+    monkeypatch.setattr(ouht.measure, map_name,
+                        tracer.wrap("rng.map_blocks", getattr(rng_module, map_name), count))
+    conditional_identities(p, default_functional_suite(), 1.0, BLOCK_SIZE + 1, 3)
+    assert [s["counts"]["tasks"] for s in tracer.spans[len(names):]] == [2, 2, 2]
 
 
 def test_traced_verify_records_the_sampler_layers(tmp_path):

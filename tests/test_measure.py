@@ -7,7 +7,7 @@ from scipy import integrate
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     TestFunctional,
-    _forward_weighted,
+    forward_weighted,
     conditional_identity_detail,
     conditional_identity_gap,
     default_functional_suite,
@@ -93,9 +93,9 @@ def test_forward_weight_on_paths():
     # the paths absorbed by t, read from their 0 value
     one = TestFunctional.constant_one()
     paths = simulate_killed_ou_exact(P11, TimeGrid.uniform(1.0, 4), stream(304, 0), 20_000)
-    assert np.all(_forward_weighted(P11, 0.0, one, paths.values_at(0.0)) == 1.0)
+    assert np.all(forward_weighted(P11, 0.0, one, paths.values_at(0.0)) == 1.0)
     x = paths.values_at(1.0)
-    w1 = _forward_weighted(P11, 1.0, one, x)
+    w1 = forward_weighted(P11, 1.0, one, x)
     absorbed = x == 0.0
     assert absorbed.any()
     assert np.all(w1[absorbed] == 0.0)
@@ -105,7 +105,7 @@ def test_forward_weight_on_paths():
 def test_forward_weight_gamma_zero_is_plain_ratio():
     p = ProcessParams(0.0, 2.0)
     x = killed_exact(p, (1.0,), stream(305, 0), 5_000)[:, 0]
-    w = _forward_weighted(p, 1.0, TestFunctional.constant_one(), x)
+    w = forward_weighted(p, 1.0, TestFunctional.constant_one(), x)
     assert np.allclose(w, x / p.a)
 
 

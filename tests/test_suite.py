@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ouht.measure
 import ouht.suite
 from ouht.harness import FAIL, PASS, SKIPPED
-from ouht.rng import BLOCK_SIZE
+from ouht.measure import killed_exact, radial_exact
+from ouht.rng import BLOCK_SIZE, derive_seed
 from ouht.suite import SuiteConfig, run_suite
 
 import refvalues as ref
@@ -96,14 +99,6 @@ def seed96_report():
     return run_suite(SuiteConfig(n_paths=20_000, seed=96))
 
 
-def test_reports_identical_across_worker_counts(seed96_report):
-    rep1 = seed96_report
-    rep4 = run_suite(SuiteConfig(n_paths=20_000, seed=96, workers=4))
-    assert _strip_meta(rep1.to_json()) == _strip_meta(rep4.to_json())
-    assert rep1.to_csv() == rep4.to_csv()
-    assert rep1.meta["workers"] == 1 and rep4.meta["workers"] == 4
-
-
 def test_report_seeds_recorded():
     rep = run_suite(SuiteConfig(n_paths=500, seed=97))
     seeded = [c for c in rep.checks if c.seed is not None]
@@ -152,10 +147,64 @@ def test_multi_block_report_matches_pinned_values(multi_block_report):
             assert c.gap == pytest.approx(gap, rel=1e-9, abs=0.0), name
 
 
-def test_multi_block_report_identical_on_the_pool(multi_block_report):
-    rep2 = run_suite(SuiteConfig(n_paths=MULTI_BLOCK.n_paths, seed=MULTI_BLOCK.seed, workers=2))
-    assert _strip_meta(multi_block_report.to_json()) == _strip_meta(rep2.to_json())
-    assert multi_block_report.to_csv() == rep2.to_csv()
+@pytest.fixture(scope="module")
+def multi_block_pool_report():
+    # two blocks per draw, so workers=2 sends every family's tuple of
+    # per-integrand BlockStats back through the pool
+    return run_suite(dataclasses.replace(MULTI_BLOCK, workers=2))
+
+
+def test_multi_block_report_identical_on_the_pool(multi_block_report, multi_block_pool_report):
+    assert _strip_meta(multi_block_report.to_json()) == _strip_meta(multi_block_pool_report.to_json())
+    assert multi_block_report.to_csv() == multi_block_pool_report.to_csv()
+
+
+def test_reports_identical_across_worker_counts(multi_block_report, multi_block_pool_report):
+    rep1, rep2 = multi_block_report, multi_block_pool_report
+    assert _strip_meta(rep1.to_json()) == _strip_meta(rep2.to_json())
+    assert rep1.to_csv() == rep2.to_csv()
+    assert rep1.meta["workers"] == 1 and rep2.meta["workers"] == 2
+
+
+def test_run_suite_draws_each_law_once_per_family(monkeypatch):
+    # one map_blocks call is one draw of one law; its tasks carry the sampler
+    # and the stream seed
+    calls = []
+    real = ouht.measure.map_blocks
+
+    def counting(worker, tasks, workers=1):
+        calls.append((tasks[0][0], tasks[0][3]))
+        return real(worker, tasks, workers)
+
+    monkeypatch.setattr(ouht.measure, "map_blocks", counting)
+    rep = run_suite(SuiteConfig(n_paths=500, seed=99))
+    assert rep.all_pass and len(rep.checks) == 35
+    assert len(calls) == 15
+    drawn = dict((seed, sampler) for sampler, seed in calls)
+    assert len(drawn) == 15  # every draw on its own stream
+    rows = [c for c in rep.checks if c.check.startswith("conditioning-gap[")]
+    assert len(rows) == 4
+    for c in rows:
+        sides = [derive_seed(c.seed, tag)
+                 for tag in ("conditional-lhs", "conditional-qinv", "conditional-killed")]
+        assert len(set(sides)) == 3
+        assert [drawn.get(seed) for seed in sides] == [radial_exact, radial_exact, killed_exact]
+
+
+@pytest.mark.parametrize("times", [(6.9,), (0.5, 6.9, 6.95)])
+def test_too_few_survivors_skip_the_conditioning_family(times):
+    # at gamma = 50 survival to t_mid = 6.9 is about 1e-149, so none of 300
+    # paths survives; the four rows share that one survivor draw
+    rep = run_suite(SuiteConfig(gamma=50.0, a=1.0, times=times, n_paths=300, seed=100))
+    rows = [c for c in rep.checks if c.check.startswith("conditioning-gap[")]
+    assert len(rows) == 4
+    for c in rows:
+        assert c.status == SKIPPED
+        assert c.reason.startswith("only 0 surviving paths out of 300"), c.reason
+    # no row goes missing: 35 of them at three times
+    assert [c.check for c in rep.checks] == [
+        c.check for c in run_suite(SuiteConfig(times=times, n_paths=10)).checks
+    ]
 
 
 def _explicit_radial(params, times, rng, n, *, scheme):
