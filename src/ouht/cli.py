@@ -29,8 +29,8 @@ from .density import (density_identity_residual, killed_density_mass, killed_ou_
                       radial_density, radial_density_mass, relative_identity_residual,
                       survival_probability)
 from .harness import aggregate
-from .measure import (killed_euler, killed_exact, local_martingale_curve, radial_euler,
-                      radial_exact, terminal_draws)
+from .measure import (Draw, killed_euler, killed_exact, local_martingale_curve, radial_euler,
+                      radial_exact, run_draws)
 from .process import ProcessParams
 from .rng import BLOCK_SIZE
 from .simulate import SchemeConfig
@@ -319,7 +319,7 @@ def cmd_simulate(args) -> int:
     sampler = _SIM_SAMPLERS[process, scheme]
     if dt is not None:
         sampler = partial(sampler, scheme=SchemeConfig(dt=dt))
-    values = terminal_draws(sampler, params, times, n_paths, seed, cfg["workers"])
+    values = run_draws(params, {0: Draw(sampler, tuple(times), n_paths, seed)}, cfg["workers"])[0]
 
     pairs = [("process", process), ("scheme", scheme), ("gamma", params.gamma), ("a", params.a),
              ("t", times), ("paths", n_paths), ("dt", "none" if dt is None else dt), ("seed", seed)]

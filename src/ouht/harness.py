@@ -41,14 +41,6 @@ class BlockStats(NamedTuple):
         return cls(n, total, float((dev * dev).sum()))
 
 
-class TooFewSamples(ValueError):
-    """A reduction was given fewer than 2 samples; n says how many."""
-
-    def __init__(self, n: int):
-        super().__init__(f"need at least 2 samples, got {n}")
-        self.n = n
-
-
 def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
     """Mean and standard error of the union of blocks, merged in block order.
 
@@ -59,7 +51,7 @@ def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
     blocks = list(blocks)
     n = sum(b.n for b in blocks)
     if n < 2:
-        raise TooFewSamples(n)
+        raise ValueError(f"need at least 2 samples, got {n}")
     mean = math.fsum(b.total for b in blocks) / n
     m2 = math.fsum(b.m2 + b.n * (b.total / b.n - mean) ** 2 for b in blocks if b.n)
     var = m2 / (n - 1)

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .density import survival_probability
-from .harness import BlockStats, MCEstimate, TooFewSamples, reduce_blocks, sigma_gap
+from .harness import BlockStats, MCEstimate, reduce_blocks, sigma_gap
 from .process import (
     ProcessParams,
     radial_transition,
@@ -173,43 +174,61 @@ def survival_flags(params, times, rng, n):
 
 # --- block-wise estimation -------------------------------------------------
 #
-# Block j of n_paths draws from stream(seed, j).  An integrand maps the whole
-# (n, len(times)) block of draws to the samples being averaged (None averages
-# the draws themselves); every integrand of one call reads the same draws.
+# A run is a table of Draws whose blocks all go to map_blocks in one call, in
+# table order.  Block j of a draw comes from stream(seed, j) and each draw is
+# reduced in its own block order, so neither the worker count nor the table
+# order changes a result.  An integrand maps the whole (n, len(times)) block to
+# the samples being averaged (None averages the draws themselves).
 
-def _raw_block(task):
-    sampler, params, times, seed, block, n = task
-    return sampler(params, times, stream(seed, block), n)
+@dataclass(frozen=True)
+class Draw:
+    """n_paths paths of sampler at times, block j on stream(seed, j).  With
+    integrands=None the run returns the (n_paths, len(times)) sample in block
+    order; with a tuple, one estimate per integrand, and () draws nothing."""
+
+    sampler: Callable
+    times: tuple[float, ...]
+    n_paths: int
+    seed: int
+    integrands: tuple | None = None
 
 
-def _stats_block(task):
-    draws, integrands = _raw_block(task[:-1]), task[-1]
+def _block(task):
+    sampler, params, times, seed, block, n, integrands, _ = task
+    draws = sampler(params, times, stream(seed, block), n)
+    if integrands is None:
+        return draws
     return tuple(BlockStats.of(draws if g is None else g(draws)) for g in integrands)
 
 
-def _tasks(sampler, params, times, n_paths, seed, *extra):
-    return [(sampler, params, tuple(times), seed, i, n, *extra)
-            for i, n in enumerate(block_sizes(n_paths))]
+def _reduce(stats, seed):
+    n = sum(b.n for b in stats)
+    return reduce_blocks(stats, seed=seed) if n >= 2 else MCEstimate(math.nan, math.nan, n, seed)
 
 
-def mc_estimate(sampler, params, times, n_paths, seed, integrands,
-                workers=1) -> tuple[MCEstimate, ...]:
-    """One estimate per integrand, all from the same n_paths draws at times,
-    reduced block by block so that no worker returns more than a few numbers
-    per integrand.  No integrands, no draw."""
-    integrands = tuple(integrands)
-    if not integrands:
-        return ()
-    tasks = _tasks(sampler, params, times, n_paths, seed, integrands)
-    blocks = map_blocks(_stats_block, tasks, workers)
-    return tuple(reduce_blocks(stats, seed=seed) for stats in zip(*blocks))
+def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
+    """Every Draw in table (key -> Draw) from one map_blocks call: key -> its
+    sample, or its tuple of MCEstimates, reduced block by block so that no
+    worker returns more than a few numbers per integrand.  An estimate needs
+    n_paths >= 2; an integrand that keeps fewer than 2 of them (an average
+    over survivors that no path reaches) gets a NaN estimate with its count."""
+    for d in table.values():
+        if d.integrands is not None and d.n_paths < 2:
+            raise ValueError(f"need at least 2 samples, got {d.n_paths}")
+    tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands, key)
+             for key, d in table.items() if d.integrands != ()
+             for j, n in enumerate(block_sizes(d.n_paths))]
+    blocks = {key: [] for key in table}
+    for task, result in zip(tasks, map_blocks(_block, tasks, workers)):
+        blocks[task[-1]].append(result)
+    return {key: np.concatenate(blocks[key]) if d.integrands is None
+            else tuple(_reduce(stats, d.seed) for stats in zip(*blocks[key]))
+            for key, d in table.items()}
 
 
-def terminal_draws(sampler, params, times, n_paths, seed, workers=1) -> np.ndarray:
-    """The (n_paths, len(times)) draws behind mc_estimate, concatenated in
-    block order; for checks and outputs that need the whole sample."""
-    tasks = _tasks(sampler, params, times, n_paths, seed)
-    return np.concatenate(map_blocks(_raw_block, tasks, workers))
+def _estimate(params, f, sampler, integrand, t, n_paths, seed, workers):
+    _check_functional(f)
+    return run_draws(params, {0: Draw(sampler, (t,), n_paths, seed, (integrand,))}, workers)[0][0]
 
 
 # --- integrands ------------------------------------------------------------
@@ -274,9 +293,8 @@ def estimate_killed_expectation_via_Q(
     weight_scale multiplies every weight and exists as a negative-control
     hook; leave it at 1.0 for estimation.
     """
-    _check_functional(f)
     integrand = partial(inverse_weighted, params, t, f, weight_scale)
-    return mc_estimate(radial_exact, params, (t,), n_paths, seed, (integrand,), workers)[0]
+    return _estimate(params, f, radial_exact, integrand, t, n_paths, seed, workers)
 
 
 def estimate_killed_expectation_direct(
@@ -289,8 +307,7 @@ def estimate_killed_expectation_direct(
 ) -> MCEstimate:
     """E[f(X_t) 1_{t<T0}] by plain killed-OU simulation (the unweighted side
     of the transport identity)."""
-    _check_functional(f)
-    return mc_estimate(killed_exact, params, (t,), n_paths, seed, (partial(alive, f),), workers)[0]
+    return _estimate(params, f, killed_exact, partial(alive, f), t, n_paths, seed, workers)
 
 
 def estimate_Q_expectation_via_P(
@@ -303,9 +320,8 @@ def estimate_Q_expectation_via_P(
 ) -> MCEstimate:
     """E_Q[f(R_t)] estimated from killed-OU paths: average of
     f(X_t) (X_{t and T0}/a) e^{gamma t}; absorbed paths contribute 0."""
-    _check_functional(f)
     integrand = partial(forward_weighted, params, t, f)
-    return mc_estimate(killed_exact, params, (t,), n_paths, seed, (integrand,), workers)[0]
+    return _estimate(params, f, killed_exact, integrand, t, n_paths, seed, workers)
 
 
 def estimate_radial_expectation_direct(
@@ -318,8 +334,7 @@ def estimate_radial_expectation_direct(
 ) -> MCEstimate:
     """E_Q[f(R_t)] by exact radial sampling (comparator for the weighted
     killed-OU estimator)."""
-    _check_functional(f)
-    return mc_estimate(radial_exact, params, (t,), n_paths, seed, (f,), workers)[0]
+    return _estimate(params, f, radial_exact, f, t, n_paths, seed, workers)
 
 
 @dataclass(frozen=True)
@@ -349,6 +364,36 @@ class ConditionalIdentityResult:
         return sigma_gap(self.lhs.mean, self.rhs, self.combined_stderr)
 
 
+def conditional_draws(fs: tuple[TestFunctional, ...], t: float, n_paths: int,
+                      seed: int) -> dict:
+    """The draws behind conditional_identities, keyed by the tag that derives
+    each stream from seed: the left-hand side, E_Q[1/X_t] and the survivors,
+    each drawn once and shared by every f in fs."""
+    for f in fs:
+        _check_functional(f)
+    sides = {"conditional-lhs": (radial_exact, [partial(_over, f) for f in fs]),
+             "conditional-qinv": (radial_exact, [partial(_scaled_reciprocal, 1.0)] if fs else []),
+             "conditional-killed": (killed_exact, [partial(_survivors, f) for f in fs])}
+    return {tag: Draw(sampler, (t,), n_paths, derive_seed(seed, tag), tuple(integrands))
+            for tag, (sampler, integrands) in sides.items()}
+
+
+def conditional_results(draws: dict, results: dict) -> tuple[ConditionalIdentityResult, ...]:
+    """Both sides of the conditioning identity for every f, read off the
+    run_draws results of conditional_draws.  A ValueError names the survivor
+    count when fewer than 2 paths survive to t."""
+    lhs, q_inv, conds = (results[tag] for tag in draws)
+    if conds and conds[0].n < 2:
+        raise ValueError(f"only {conds[0].n} surviving paths out of "
+                         f"{draws['conditional-killed'].n_paths}: "
+                         "n_paths too small for a conditional estimate")
+    return tuple(
+        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv[0], conditional_mean=c,
+                                  n_survivors=c.n)
+        for l, c in zip(lhs, conds)
+    )
+
+
 def conditional_identities(
     params: ProcessParams,
     fs: tuple[TestFunctional, ...],
@@ -357,36 +402,10 @@ def conditional_identities(
     seed: int,
     workers: int = 1,
 ) -> tuple[ConditionalIdentityResult, ...]:
-    """Both sides of the conditioning identity for every f in fs, from one
-    draw per side: the left-hand side, E_Q[1/X_t] and the survivors each on
-    their own stream derived from seed, shared by all f.  A ValueError names
-    the survivor count when fewer than 2 paths survive to t."""
-    for f in fs:
-        _check_functional(f)
-    if not fs:
-        return ()
-    seed_lhs = derive_seed(seed, "conditional-lhs")
-    seed_inv = derive_seed(seed, "conditional-qinv")
-    seed_cond = derive_seed(seed, "conditional-killed")
-
-    # the survivor side averages over survivors only; a block may have none
-    try:
-        conds = mc_estimate(killed_exact, params, (t,), n_paths, seed_cond,
-                            [partial(_survivors, f) for f in fs], workers)
-    except TooFewSamples as exc:
-        raise ValueError(
-            f"only {exc.n} surviving paths out of {n_paths}: "
-            "n_paths too small for a conditional estimate"
-        ) from None
-    lhs = mc_estimate(radial_exact, params, (t,), n_paths, seed_lhs,
-                      [partial(_over, f) for f in fs], workers)
-    (q_inv,) = mc_estimate(radial_exact, params, (t,), n_paths, seed_inv,
-                           (partial(_scaled_reciprocal, 1.0),), workers)
-    return tuple(
-        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv, conditional_mean=c,
-                                  n_survivors=c.n)
-        for l, c in zip(lhs, conds)
-    )
+    """Both sides of the conditioning identity for every f in fs, from the
+    three draws of conditional_draws in one run."""
+    draws = conditional_draws(fs, t, n_paths, seed)
+    return conditional_results(draws, run_draws(params, draws, workers))
 
 
 def conditional_identity_detail(
@@ -420,6 +439,20 @@ class CurvePoint:
     closed_form: float
 
 
+def curve_draws(params: ProcessParams, times, n_paths: int, seed: int) -> dict:
+    """The draws behind local_martingale_curve, one per time, keyed by the
+    tags ("local-martingale", i) that derive their streams from seed."""
+    times = [float(t) for t in times]
+    if not times or any(t <= 0 for t in times) or any(
+        t2 <= t1 for t1, t2 in zip(times, times[1:])
+    ):
+        raise ValueError("times must be positive and strictly ascending")
+    return {("local-martingale", i):
+            Draw(radial_exact, (t,), n_paths, derive_seed(seed, "local-martingale", i),
+                 (partial(_scaled_reciprocal, math.exp(-params.gamma * t)),))
+            for i, t in enumerate(times)}
+
+
 def local_martingale_curve(
     params: ProcessParams,
     times,
@@ -434,15 +467,8 @@ def local_martingale_curve(
     this local martingale is not constant, which is exactly what makes it
     strict.
     """
-    times = [float(t) for t in times]
-    if not times or any(t <= 0 for t in times) or any(
-        t2 <= t1 for t1, t2 in zip(times, times[1:])
-    ):
-        raise ValueError("times must be positive and strictly ascending")
-    out = []
-    for i, t in enumerate(times):
-        seed_t = derive_seed(seed, "local-martingale", i)
-        integrand = partial(_scaled_reciprocal, math.exp(-params.gamma * t))
-        (est,) = mc_estimate(radial_exact, params, (t,), n_paths, seed_t, (integrand,), workers)
-        out.append(CurvePoint(t=t, estimate=est, closed_form=survival_probability(params, t) / params.a))
-    return out
+    draws = curve_draws(params, times, n_paths, seed)
+    results = run_draws(params, draws, workers)
+    return [CurvePoint(t=d.times[0], estimate=results[key][0],
+                       closed_form=survival_probability(params, d.times[0]) / params.a)
+            for key, d in draws.items()]

@@ -40,27 +40,30 @@ from .harness import (
     sigma_gap,
 )
 from .measure import (
+    Draw,
     TestFunctional,
     alive,
     at_column,
-    conditional_identities,
+    conditional_draws,
+    conditional_results,
+    curve_draws,
     default_functional_suite,
     forward_weighted,
     inverse_weighted,
     killed_exact,
-    local_martingale_curve,
-    mc_estimate,
     ou_exact,
     radial_euler,
     radial_exact,
+    run_draws,
     survival_flags,
-    terminal_draws,
 )
 from .process import ProcessParams, martingale_value, radial_transition
 from .rng import derive_seed
 from .simulate import SchemeConfig
 
 MIN_PATHS_FOR_MC = 100
+# a weight-unit-mass row needs this many survivors expected from S(t)
+MIN_EXPECTED_SURVIVORS = 10
 SIGMA_THRESHOLD = 4.0
 MASS_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-12
@@ -118,200 +121,178 @@ class SuiteConfig:
 
 # --- the suite -------------------------------------------------------------
 
-class _Collector:
-    def __init__(self, config: SuiteConfig):
-        self.config = config
-        self.checks: list[CheckResult] = []
-
-    def add(self, check, identity, oracle, value, target, gap, threshold, seed=None):
-        status = PASS if gap <= threshold else FAIL
-        self.checks.append(
-            CheckResult(
-                check=check, identity=identity, oracle=oracle,
-                value=None if value is None else float(value),
-                target=None if target is None else float(target),
-                gap=float(gap), threshold=float(threshold), status=status, seed=seed,
-            )
-        )
-
-    def skip(self, check, identity, oracle, reason):
-        self.checks.append(
-            CheckResult(
-                check=check, identity=identity, oracle=oracle,
-                value=None, target=None, gap=None, threshold=math.nan,
-                status=SKIPPED, reason=reason,
-            )
-        )
+def _sigma(est, target, stderr=None, seed=None):
+    """A check in standard errors: (value, target, gap, threshold, seed)."""
+    gap = abs(sigma_gap(est.mean, target, est.stderr if stderr is None else stderr))
+    return est.mean, target, gap, SIGMA_THRESHOLD, est.seed if seed is None else seed
 
 
 def run_suite(config: SuiteConfig) -> ExperimentReport:
     """Run every registered check and assemble the report.
 
-    Sample-based checks are marked skipped (not failed) when n_paths is too
-    small for their statistics to mean anything.
+    Every draw of the report is declared in one table and submitted to the
+    pool at once.  Sample-based checks are marked skipped (not failed) when
+    n_paths is too small for their statistics to mean anything.
     """
     t_start = time.perf_counter()
-    p = config.params
-    col = _Collector(config)
-    enough = config.n_paths >= MIN_PATHS_FOR_MC
-    too_few = f"insufficient samples: n_paths={config.n_paths} < {MIN_PATHS_FOR_MC}"
-    t_mid, fs = config.t_mid, config.functionals
+    p, n, seed = config.params, config.n_paths, config.seed
+    times, t_mid, fs = config.times, config.t_mid, config.functionals
+    one = TestFunctional.constant_one()
+    n_euler = min(n, 50_000)
+    seed_e, seed_c = derive_seed(seed, "euler-radial"), derive_seed(seed, "conditioning")
+    conditioning = conditional_draws(fs, t_mid, n, seed_c)
+    table = {
+        # the two single-block Euler-row draws go first, so that neither
+        # finishes last and alone on the pool
+        "euler-radial": Draw(partial(radial_euler, scheme=SchemeConfig(dt=config.dt)),
+                             (t_mid,), n_euler, seed_e),
+        "euler-radial-reference": Draw(radial_exact, (t_mid,), n_euler,
+                                       derive_seed(seed, "euler-radial-reference")),
+        **{("martingale", t): Draw(ou_exact, (t,), n, derive_seed(seed, "martingale", f"{t:g}"),
+                                   (partial(martingale_value, p, t=t),)) for t in times},
+        # every time read off one killed path
+        "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"),
+                          tuple(partial(at_column, j, partial(forward_weighted, p, t, one))
+                                for j, t in enumerate(times))),
+        "transport-direct": Draw(killed_exact, (t_mid,), n, derive_seed(seed, "transport-direct"),
+                                 tuple(partial(alive, f) for f in fs)),
+        # weight_bias scales the transport integrands only; the unscaled ones
+        # serve the killed-semigroup rows
+        "weighted-radial": Draw(radial_exact, (t_mid,), n, derive_seed(seed, "weighted-radial"),
+                                tuple(partial(inverse_weighted, p, t_mid, f, scale)
+                                      for scale in (1.0 + config.weight_bias, 1.0) for f in fs)),
+        **conditioning,
+        **curve_draws(p, times, n, derive_seed(seed, "local-martingale")),
+        "survival-exact": Draw(survival_flags, (t_mid,), n, derive_seed(seed, "survival-exact"),
+                               (None,)),
+    }
+    got = run_draws(p, table, config.workers) if n >= MIN_PATHS_FOR_MC else None
+    checks = []
 
-    def draw(tag, sampler, times, integrands):
-        # one draw of one law serves a whole family of rows, on the family's
-        # own stream; a None per row when n_paths is too small
-        if not enough:
-            return [None] * len(integrands)
-        seed = derive_seed(config.seed, *tag)
-        return mc_estimate(sampler, p, times, config.n_paths, seed, integrands, config.workers)
-
-    def sigma_row(check, idn, oracle, est, target, stderr=None, seed=None):
-        if est is None:
-            col.skip(check, idn, oracle, too_few)
+    def add(check, idn, oracle, out):
+        # out is (value, target, gap, threshold, seed), or the reason to skip
+        if isinstance(out, str):
+            checks.append(CheckResult(check, idn, oracle, None, None, None, math.nan, SKIPPED,
+                                      reason=out))
             return
-        gap = abs(sigma_gap(est.mean, target, est.stderr if stderr is None else stderr))
-        col.add(check, idn, oracle, est.mean, target, gap, SIGMA_THRESHOLD,
-                est.seed if seed is None else seed)
+        value, target, gap, threshold, row_seed = out
+        checks.append(CheckResult(check, idn, oracle, float(value), float(target), float(gap),
+                                  float(threshold), PASS if gap <= threshold else FAIL,
+                                  seed=row_seed))
+
+    def row(check, idn, oracle, compute):
+        # compute() reads out off the draws; with nothing drawn it is not called
+        add(check, idn, oracle, compute() if got is not None
+            else f"insufficient samples: n_paths={n} < {MIN_PATHS_FOR_MC}")
 
     # martingale of the unkilled process
-    for t in config.times:
-        (est,) = draw(("martingale", f"{t:g}"), ou_exact, (t,), [partial(martingale_value, p, t=t)])
-        sigma_row(f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a",
-                  "starting point a", est, p.a)
+    for t in times:
+        row(f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
+            lambda: _sigma(got["martingale", t][0], p.a))
 
-    # total mass of the forward weight, every time read off one killed path
-    one = TestFunctional.constant_one()
-    masses = draw(("unit-mass",), killed_exact, config.times,
-                  [partial(at_column, j, partial(forward_weighted, p, t, one))
-                   for j, t in enumerate(config.times)])
-    for t, est in zip(config.times, masses):
-        sigma_row(f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
-                  est, 1.0)
+    # total mass of the forward weight.  Its mean of 1 rests on surviving
+    # paths, so with too few of them expected the row means nothing
+    for j, t in enumerate(times):
+        survivors = n * survival_probability(p, t)
+        row(f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
+            lambda: _sigma(got["unit-mass"][j], 1.0) if survivors >= MIN_EXPECTED_SURVIVORS
+            else f"expected survivors n_paths*S(t) = {survivors:.3g} < {MIN_EXPECTED_SURVIVORS}")
 
-    # transport: killed-OU MC vs weighted radial MC.  The weighted radial draw
-    # serves the killed-semigroup rows too; weight_bias scales only the
-    # transport integrands
-    direct = draw(("transport-direct",), killed_exact, (t_mid,), [partial(alive, f) for f in fs])
-    weighted = draw(("weighted-radial",), radial_exact, (t_mid,),
-                    [partial(inverse_weighted, p, t_mid, f, scale)
-                     for scale in (1.0 + config.weight_bias, 1.0) for f in fs])
-    transported, semigroup = weighted[:len(fs)], weighted[len(fs):]
-    for f, d, w in zip(fs, direct, transported):
-        row = (f"transport-agreement[{f.label()}]",
-               "killed-OU mean of f equals weighted radial mean of f", "two-sided MC")
-        if w is None:
-            col.skip(*row, too_few)
-        else:
-            sigma_row(*row, w, d.mean, math.hypot(d.stderr, w.stderr))
+    # transport: killed-OU MC vs weighted radial MC
+    def transport(i):
+        direct, weighted = got["transport-direct"][i], got["weighted-radial"][i]
+        return _sigma(weighted, direct.mean, math.hypot(direct.stderr, weighted.stderr))
+
+    for i, f in enumerate(fs):
+        row(f"transport-agreement[{f.label()}]",
+            "killed-OU mean of f equals weighted radial mean of f", "two-sided MC",
+            lambda: transport(i))
 
     # conditioning identity: its lhs, q_inv and survivor sides are one draw
     # each, on three streams derived from the family seed
-    seed = derive_seed(config.seed, "conditioning")
-    details, reason = [None] * len(fs), too_few
-    if enough:
+    def conditioned(i):
         try:
-            details = conditional_identities(p, fs, t_mid, config.n_paths, seed, config.workers)
+            d = conditional_results(conditioning, got)[i]
         except ValueError as exc:
-            reason = str(exc)
-    for f, d in zip(fs, details):
-        row = (f"conditioning-gap[{f.label()}]",
-               "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC")
-        if d is None:
-            col.skip(*row, reason)
-        else:
-            sigma_row(*row, d.lhs, d.rhs, d.combined_stderr, seed)
+            return str(exc)
+        return _sigma(d.lhs, d.rhs, d.combined_stderr, seed_c)
+
+    for i, f in enumerate(fs):
+        row(f"conditioning-gap[{f.label()}]",
+            "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC",
+            lambda: conditioned(i))
 
     # killed semigroup: weighted radial MC vs quadrature of the closed form
-    for f, est in zip(fs, semigroup):
-        row = (f"killed-semigroup[{f.label()}]",
-               "weighted radial mean of f equals integral of f against the killed density",
-               "quadrature")
-        if est is None:
-            col.skip(*row, too_few)
-        else:
-            sigma_row(*row, est, killed_expectation_quadrature(p, t_mid, f, f.breakpoints()))
+    for i, f in enumerate(fs):
+        row(f"killed-semigroup[{f.label()}]",
+            "weighted radial mean of f equals integral of f against the killed density",
+            "quadrature", lambda: _sigma(
+                got["weighted-radial"][len(fs) + i],
+                killed_expectation_quadrature(p, t_mid, f, f.breakpoints())))
 
     # density normalizations and the pointwise identity
-    for t in config.times:
+    for t in times:
         mass = killed_density_mass(p, t)
         target = survival_probability(p, t)
-        col.add(f"killed-density-mass[t={t:g}]",
-                "killed density integrates to the survival probability",
-                "Gauss-Legendre quadrature", mass, target, abs(mass - target), MASS_TOLERANCE)
+        add(f"killed-density-mass[t={t:g}]",
+            "killed density integrates to the survival probability",
+            "Gauss-Legendre quadrature", (mass, target, abs(mass - target), MASS_TOLERANCE, None))
         qmass = radial_density_mass(p, t)
-        col.add(f"radial-density-mass[t={t:g}]",
-                "radial density integrates to 1",
-                "Gauss-Legendre quadrature", qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE)
+        add(f"radial-density-mass[t={t:g}]", "radial density integrates to 1",
+            "Gauss-Legendre quadrature", (qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE, None))
         law = radial_transition(p, t)
         hi = law.center + 10.0 * math.sqrt(law.sigma2)
         grid = np.geomspace(hi * 1e-4, hi, 500)
         worst = float(np.max(relative_identity_residual(p, t, grid)))
-        col.add(f"htransform-residual[t={t:g}]",
-                "killed density equals (a/x) e^{-gamma t} times radial density",
-                "two independent derivations", worst, 0.0, worst, RESIDUAL_TOLERANCE)
+        add(f"htransform-residual[t={t:g}]",
+            "killed density equals (a/x) e^{-gamma t} times radial density",
+            "two independent derivations", (worst, 0.0, worst, RESIDUAL_TOLERANCE, None))
 
     # strict local martingale: closed form monotone and below 1/a, MC overlay
-    m_closed = [survival_probability(p, t) / p.a for t in config.times]
+    m_closed = [survival_probability(p, t) / p.a for t in times]
     worst_rise = max(
         [b - a for a, b in zip(m_closed, m_closed[1:])]
         + [max(m_closed) - 1.0 / p.a]
     )
-    col.add("local-martingale-monotone",
-            "m(t) = S(t)/a decreases strictly and stays below 1/a",
-            "closed-form survival", max(m_closed), 1.0 / p.a, worst_rise, 0.0)
-    idn = "radial mean of e^{-gamma t}/X equals S(t)/a"
-    if enough:
-        seed = derive_seed(config.seed, "local-martingale")
-        for point in local_martingale_curve(p, config.times, config.n_paths, seed, config.workers):
-            sigma_row(f"local-martingale-mc[t={point.t:g}]", idn, "closed-form survival",
-                      point.estimate, point.closed_form)
-    else:
-        for t in config.times:
-            col.skip(f"local-martingale-mc[t={t:g}]", idn, "closed-form survival", too_few)
+    add("local-martingale-monotone", "m(t) = S(t)/a decreases strictly and stays below 1/a",
+        "closed-form survival", (max(m_closed), 1.0 / p.a, worst_rise, 0.0, None))
+    for i, t in enumerate(times):
+        row(f"local-martingale-mc[t={t:g}]", "radial mean of e^{-gamma t}/X equals S(t)/a",
+            "closed-form survival",
+            lambda: _sigma(got["local-martingale", i][0], m_closed[i]))
 
     # killing machinery: bridge-corrected survival against the closed form
-    (est,) = draw(("survival-exact",), survival_flags, (t_mid,), [None])
-    sigma_row("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
-              "closed-form survival", est, survival_probability(p, t_mid))
+    row("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
+        "closed-form survival",
+        lambda: _sigma(got["survival-exact"][0], survival_probability(p, t_mid)))
 
     # Euler radial vs exact radial at the same horizon
-    ks_row = ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
-              "exact radial sampler")
-    msq_row = ("euler-radial-msq",
-               "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
-               "moment closed form")
-    tail_row = ("euler-radial-tail",
-                "largest Euler radial draw stays inside the exact law's tail bound",
-                "Gaussian concentration bound")
-    if enough:
-        n_euler = min(config.n_paths, 50_000)
-        seed_e = derive_seed(config.seed, "euler-radial")
-        seed_x = derive_seed(config.seed, "euler-radial-reference")
-        euler = partial(radial_euler, scheme=SchemeConfig(dt=config.dt))
-        euler_terminal = terminal_draws(euler, p, (t_mid,), n_euler, seed_e,
-                                        config.workers)[:, 0]
-        exact_terminal = terminal_draws(radial_exact, p, (t_mid,), n_euler, seed_x,
-                                        config.workers)[:, 0]
-        ks = ks_statistic(euler_terminal, exact_terminal)
-        crit = ks_two_sample_critical(n_euler, n_euler, alpha=0.01)
-        col.add(*ks_row, ks, 0.0, ks, crit, seed_e)
+    law = radial_transition(p, t_mid)
 
-        law = radial_transition(p, t_mid)
-        est = aggregate(euler_terminal**2, seed=seed_e)
+    def euler_ks():
+        ks = ks_statistic(got["euler-radial"][:, 0], got["euler-radial-reference"][:, 0])
+        return ks, 0.0, ks, ks_two_sample_critical(n_euler, n_euler, alpha=0.01), seed_e
+
+    def euler_msq():
+        est = aggregate(got["euler-radial"][:, 0] ** 2, seed=seed_e)
         allowance = SIGMA_THRESHOLD * est.stderr + MSQ_BIAS_PER_DT * config.dt
-        col.add(*msq_row, est.mean, law.mean_square(),
-                abs(est.mean - law.mean_square()), allowance, seed_e)
+        return est.mean, law.mean_square(), abs(est.mean - law.mean_square()), allowance, seed_e
 
+    def euler_tail():
         # R = |(center,0,0) + sigma Z| is sigma-Lipschitz in Z, with mean at
         # most sqrt(E R^2): by Gaussian concentration and a union bound, the
         # largest of n_euler exact draws exceeds this with probability <= TAIL_ALPHA
         bound = math.sqrt(law.mean_square()) + math.sqrt(
             2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
-        top = float(euler_terminal.max())
-        col.add(*tail_row, top, bound, top, bound, seed_e)
-    else:
-        for row in (ks_row, msq_row, tail_row):
-            col.skip(*row, too_few)
+        top = float(got["euler-radial"][:, 0].max())
+        return top, bound, top, bound, seed_e
+
+    row("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
+        "exact radial sampler", euler_ks)
+    row("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
+        "moment closed form", euler_msq)
+    row("euler-radial-tail", "largest Euler radial draw stays inside the exact law's tail bound",
+        "Gaussian concentration bound", euler_tail)
 
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -322,6 +303,6 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         name="ouht-verification",
         version=__version__,
         config=config.to_dict(),
-        checks=col.checks,
+        checks=checks,
         meta=meta,
     )

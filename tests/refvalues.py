@@ -146,6 +146,15 @@ SUITE_N70000_SEED98 = (
     ("euler-radial-tail", "pass", 3.5549607916871295, 5.812130239385148, 3.5549607916871295),
 )
 
+# -- SHA-256 of the same report, as computed at commit 8e187fe: its to_csv()
+#    and its to_json() with "meta" dropped, re-dumped with sort_keys=True and
+#    no indent.  Unlike the rows above, these cover every byte, the seed,
+#    reason and threshold fields included ------------------------------------
+SUITE_N70000_SEED98_SHA256 = {
+    "csv": "dfb1bc55bc37f7d770a57504b928f1abe057c5a8b00db7e06a11dad22d2e4997",
+    "json": "5d07aa66923e5faaf954183c934176ebe7e7c861d44e19cf520899c3eae57d0e",
+}
+
 # -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
 #    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
 #    as computed at commit 2fe095a; the radial-exact t=1 line was re-pinned

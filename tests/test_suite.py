@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -10,8 +11,10 @@ import pytest
 
 import ouht.measure
 import ouht.suite
+from ouht.density import survival_probability
 from ouht.harness import FAIL, PASS, SKIPPED
 from ouht.measure import killed_exact, radial_exact
+from ouht.process import ProcessParams
 from ouht.rng import BLOCK_SIZE, derive_seed
 from ouht.suite import SuiteConfig, run_suite
 
@@ -166,22 +169,37 @@ def test_reports_identical_across_worker_counts(multi_block_report, multi_block_
     assert rep1.meta["workers"] == 1 and rep2.meta["workers"] == 2
 
 
+def test_multi_block_report_bytes_are_pinned(multi_block_report, multi_block_pool_report):
+    # the refactor gate: every byte of the report outside meta, at either
+    # worker count, as the commit before the draw table wrote it
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    for rep in (multi_block_report, multi_block_pool_report):
+        assert digest(rep.to_csv()) == ref.SUITE_N70000_SEED98_SHA256["csv"]
+        assert digest(_strip_meta(rep.to_json())) == ref.SUITE_N70000_SEED98_SHA256["json"]
+
+
 def test_run_suite_draws_each_law_once_per_family(monkeypatch):
-    # one map_blocks call is one draw of one law; its tasks carry the sampler
-    # and the stream seed
+    # one map_blocks call carries every block of every draw; a task names its
+    # sampler and stream seed, so each (sampler, seed) pair is one draw of one law
     calls = []
     real = ouht.measure.map_blocks
 
     def counting(worker, tasks, workers=1):
-        calls.append((tasks[0][0], tasks[0][3]))
+        calls.append([(task[0], task[3]) for task in tasks])
         return real(worker, tasks, workers)
 
     monkeypatch.setattr(ouht.measure, "map_blocks", counting)
     rep = run_suite(SuiteConfig(n_paths=500, seed=99))
     assert rep.all_pass and len(rep.checks) == 35
-    assert len(calls) == 15
-    drawn = dict((seed, sampler) for sampler, seed in calls)
-    assert len(drawn) == 15  # every draw on its own stream
+    assert len(calls) == 1
+    (tasks,) = calls
+    drawn = dict((seed, sampler) for sampler, seed in tasks)
+    assert len(set(tasks)) == len(drawn) == 15  # every draw on its own stream
+    # the single-block Euler-row draws lead the task list
+    assert [seed for _, seed in tasks[:2]] == [derive_seed(99, "euler-radial"),
+                                               derive_seed(99, "euler-radial-reference")]
     rows = [c for c in rep.checks if c.check.startswith("conditioning-gap[")]
     assert len(rows) == 4
     for c in rows:
@@ -205,6 +223,32 @@ def test_too_few_survivors_skip_the_conditioning_family(times):
     assert [c.check for c in rep.checks] == [
         c.check for c in run_suite(SuiteConfig(times=times, n_paths=10)).checks
     ]
+
+
+def test_unit_mass_rows_skip_when_survival_is_tiny():
+    # at gamma = 50, 300 paths expect about 3e-8 survivors at t = 0.5 and
+    # none at all later, so the mean of 1 rests on paths never drawn
+    rep = run_suite(SuiteConfig(gamma=50.0, a=1.0, times=(0.5, 6.9, 6.95), n_paths=300))
+    rows = [c for c in rep.checks if c.check.startswith("weight-unit-mass[")]
+    assert [c.check for c in rows] == [f"weight-unit-mass[t={t}]" for t in ("0.5", "6.9", "6.95")]
+    for c, t in zip(rows, (0.5, 6.9, 6.95)):
+        expected = 300 * survival_probability(ProcessParams(50.0, 1.0), t)
+        assert c.status == SKIPPED, c
+        assert c.reason == f"expected survivors n_paths*S(t) = {expected:.3g} < 10"
+
+
+def _absorb_every_path(params, times, rng, n):
+    return np.zeros((n, len(times)))
+
+
+def test_unit_mass_rows_fail_a_sampler_that_absorbs_every_path(monkeypatch):
+    # the skip reads the closed-form S(t), never the sample: a killed sampler
+    # with no survivors at gamma = 1 must still fail the rows
+    monkeypatch.setattr(ouht.suite, "killed_exact", _absorb_every_path)
+    rep = run_suite(SuiteConfig(n_paths=500, seed=101))
+    rows = [c for c in rep.checks if c.check.startswith("weight-unit-mass[")]
+    assert len(rows) == 3
+    assert all(c.status == FAIL and c.value == 0.0 for c in rows)
 
 
 def _explicit_radial(params, times, rng, n, *, scheme):
