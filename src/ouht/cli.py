@@ -33,7 +33,7 @@ from .measure import (Draw, killed_euler, killed_exact, local_martingale_curve, 
                       radial_exact, run_draws)
 from .process import ProcessParams
 from .rng import BLOCK_SIZE
-from .simulate import SchemeConfig
+from .simulate import SchemeConfig, check_times
 from .suite import SuiteConfig, run_suite
 
 OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
@@ -79,10 +79,10 @@ def _params(key, a, resolved):
 def _times(key, times, resolved):
     if not times:
         raise ConfigError("missing required parameter: t")
-    if any(not math.isfinite(t) or t <= 0 for t in times) or any(
-        b <= a for a, b in zip(times, times[1:])
-    ):
-        raise ConfigError("t: times must be positive, finite and strictly ascending")
+    try:
+        check_times(times)
+    except ValueError as exc:
+        raise ConfigError(f"t: {exc}") from exc
     return times
 
 

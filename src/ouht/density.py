@@ -38,14 +38,6 @@ def gaussian_pdf(y, variance: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _gaussian_diff(u, shift: float, variance: float):
-    """phi_v(u - shift) - phi_v(u + shift) for u, shift >= 0, evaluated as
-    phi_v(u - shift) * (1 - exp(-2 u shift / v)): exact algebra, no
-    cancellation near u = 0 and no overflow in the tails."""
-    u = np.asarray(u, dtype=float)
-    return gaussian_pdf(u - shift, variance) * (-np.expm1(-2.0 * u * shift / variance))
-
-
 def _require_positive_time(t: float) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0):
@@ -73,12 +65,23 @@ def killed_ou_density(params: ProcessParams, t: float, x):
 
     p0(x) = e^{gamma t} [phi_tau(x e^{gamma t} - a) - phi_tau(x e^{gamma t} + a)].
     x = 0 is allowed and returns the limit 0.
+
+    With y = x e^{gamma t} the bracket is evaluated as
+    phi_tau(y - a) (1 - e^{-2 y a / tau}): exact algebra, no cancellation
+    near y = 0 and no overflow in the tails.  The factor
+    e^{gamma t} / sqrt(2 pi tau), which is 1/sqrt(2 pi v) for the OU variance
+    v = tau e^{-2 gamma t}, is applied as one number: formed apart, the
+    bracket can be subnormal (about 1e-319 at gamma t = 345) before
+    e^{gamma t} scales it back up, and lose most of its digits.
     """
     t = _require_positive_time(t)
     x = _check_x(x)
     tau = time_change(params, t)
     growth = math.exp(params.gamma * t)
-    out = growth * _gaussian_diff(x * growth, params.a, tau)
+    y = x * growth
+    scale = growth / math.sqrt(2.0 * math.pi * tau)
+    a = params.a
+    out = scale * np.exp(-((y - a) ** 2) / (2.0 * tau)) * -np.expm1(-2.0 * y * a / tau)
     return float(out) if out.ndim == 0 else out
 
 

@@ -31,7 +31,7 @@ from .process import (
     sample_radial_step,
 )
 from .rng import block_sizes, derive_seed, map_blocks, stream
-from .simulate import TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
+from .simulate import TimeGrid, check_times, euler_ou, euler_radial, simulate_killed_ou_exact
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
 
@@ -442,15 +442,10 @@ class CurvePoint:
 def curve_draws(params: ProcessParams, times, n_paths: int, seed: int) -> dict:
     """The draws behind local_martingale_curve, one per time, keyed by the
     tags ("local-martingale", i) that derive their streams from seed."""
-    times = [float(t) for t in times]
-    if not times or any(t <= 0 for t in times) or any(
-        t2 <= t1 for t1, t2 in zip(times, times[1:])
-    ):
-        raise ValueError("times must be positive and strictly ascending")
     return {("local-martingale", i):
             Draw(radial_exact, (t,), n_paths, derive_seed(seed, "local-martingale", i),
                  (partial(_scaled_reciprocal, math.exp(-params.gamma * t)),))
-            for i, t in enumerate(times)}
+            for i, t in enumerate(check_times(times))}
 
 
 def local_martingale_curve(

@@ -144,10 +144,20 @@ def sample_ou_exact(
 
 def _gaussian_norm(center, sd: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """|(center, 0, 0) + sd Z| for size independent 3-d standard normals Z;
-    center may be a scalar or one value per draw."""
-    vec = sd * rng.standard_normal((int(size), 3))
-    vec[:, 0] += center
-    return np.sqrt(np.einsum("ij,ij->i", vec, vec))
+    center may be a scalar or one value per draw.
+
+    Two variates per draw, not three: Z_2^2 + Z_3^2 is chi^2_2 = 2 Exp(1), so
+    the norm is sqrt((center + sd Z_1)^2 + 2 sd^2 E), drawn as size normals
+    Z_1 and then size standard exponentials E.
+    """
+    r = rng.standard_normal(int(size))
+    r *= sd
+    r += center
+    r *= r
+    e = rng.standard_exponential(r.size)
+    e *= 2.0 * sd * sd
+    r += e
+    return np.sqrt(r, out=r)
 
 
 def sample_radial_exact(

@@ -25,6 +25,17 @@ import numpy as np
 from .process import ProcessParams, time_change
 
 
+def check_times(times) -> tuple[float, ...]:
+    """Observation times as a tuple of floats; a ValueError unless there is
+    at least one and they are positive, finite and strictly ascending."""
+    times = tuple(float(t) for t in times)
+    if not times or not all(math.isfinite(t) and t > 0 for t in times) or any(
+        b <= a for a, b in zip(times, times[1:])
+    ):
+        raise ValueError("times must be positive, finite and strictly ascending")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Observation times 0 = t_0 < t_1 < ... < t_n."""
@@ -117,29 +128,40 @@ def simulate_killed_ou_exact(
     decided by the Brownian-bridge zero-crossing probability
     exp(-2 y_i y_{i+1} / (tau_{i+1} - tau_i)); if y_{i+1} <= 0 it is certain.
     The joint law of (grid values, killing) is exact for any grid.
+
+    The values are filled one time per contiguous row of an (n_times,
+    n_paths) buffer and returned as its transpose; the interval's normals,
+    uniforms, proposal and crossing probability live in reused buffers.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
-    n_times = times.size
 
-    values = np.empty((n_paths, n_times))
-    values[:, 0] = params.a
-    y = np.full(n_paths, params.a)
+    out = np.empty((times.size, n_paths))
+    out[0] = params.a
+    # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
+    y = np.full(n_paths, params.a, dtype=float)
+    z, u, y_next, p_cross = (np.empty_like(y) for _ in range(4))
 
-    for i in range(n_times - 1):
+    for i in range(times.size - 1):
         dtau = taus[i + 1] - taus[i]
-        z = rng.standard_normal(n_paths)
-        u = rng.random(n_paths)
-        y_next = y + math.sqrt(dtau) * z
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+        np.multiply(z, math.sqrt(dtau), out=y_next)
+        y_next += y
         # the clipped exponent is 0, so crossing is certain, when y_next <= 0
         # and when y = 0: an absorbed path is held at 0
-        log_p_cross = np.minimum(-2.0 * y * y_next / dtau, 0.0)
-        y = np.where(u < np.exp(log_p_cross), 0.0, y_next)
-        values[:, i + 1] = math.exp(-params.gamma * times[i + 1]) * y
+        np.multiply(y, -2.0, out=p_cross)
+        p_cross *= y_next
+        p_cross /= dtau
+        np.minimum(p_cross, 0.0, out=p_cross)
+        np.exp(p_cross, out=p_cross)
+        np.copyto(y_next, 0.0, where=u < p_cross)
+        y, y_next = y_next, y
+        np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[i + 1])
 
-    return Paths(grid, values)
+    return Paths(grid, out.T)
 
 
 def _substep_counts(grid: TimeGrid, dt: float) -> list[int]:

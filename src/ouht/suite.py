@@ -59,7 +59,7 @@ from .measure import (
 )
 from .process import ProcessParams, martingale_value, radial_transition
 from .rng import derive_seed
-from .simulate import SchemeConfig
+from .simulate import SchemeConfig, check_times
 
 MIN_PATHS_FOR_MC = 100
 # a weight-unit-mass row needs this many survivors expected from S(t)
@@ -89,12 +89,7 @@ class SuiteConfig:
         ProcessParams(gamma=self.gamma, a=self.a)  # validate eagerly
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        times = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", times)
-        if not times or any(t <= 0 for t in times) or any(
-            b <= a for a, b in zip(times, times[1:])
-        ):
-            raise ValueError("times must be positive strictly ascending")
+        object.__setattr__(self, "times", check_times(self.times))
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
 

@@ -64,7 +64,13 @@ def killed_conditional_cdf(gamma: float, a: float, t: float, x: float) -> float:
 #    radial Euler step became drift-implicit, and the weight-unit-mass,
 #    transport-agreement, conditioning-gap and killed-semigroup rows after
 #    commit 5e5d2fb, when each of those families began to share one draw per
-#    law on its own stream: (check, status, value, target, gap) -------------
+#    law on its own stream; the rows that read the exact radial stream
+#    (transport-agreement, conditioning-gap, killed-semigroup,
+#    local-martingale-mc, euler-radial-ks) after commit 1b3f768, when that
+#    draw became one normal and one exponential per value, and with them the
+#    rounding-level htransform-residual[t=0.5], when the killed density began
+#    to apply e^{gamma t} / sqrt(2 pi tau) as one factor:
+#    (check, status, value, target, gap) ------------------------------------
 SUITE_N20000_SEED96 = (
     ("martingale-mean[t=0.5]", "pass", 0.9949440158465359, 1.0, 0.7608089725286236),
     ("martingale-mean[t=1]", "pass", 1.0049695955012623, 1.0, 0.39300859311983904),
@@ -72,21 +78,21 @@ SUITE_N20000_SEED96 = (
     ("weight-unit-mass[t=0.5]", "pass", 0.9996429593306523, 1.0, 0.05870163183772127),
     ("weight-unit-mass[t=1]", "pass", 0.9834561753920094, 1.0, 1.6792407967739238),
     ("weight-unit-mass[t=2]", "pass", 1.008143912122082, 1.0, 0.4225059527356025),
-    ("transport-agreement[one]", "pass", 0.4247091792457873, 0.4179, 1.6593558258428638),
-    ("transport-agreement[1(x>1)]", "pass", 0.1492129325307759, 0.1434, 2.1769617891051687),
-    ("transport-agreement[1(x<0.5)]", "pass", 0.09728648465407255, 0.09705, 0.07149308490039312),
+    ("transport-agreement[one]", "pass", 0.42557605261034914, 0.4179, 1.856346357369576),
+    ("transport-agreement[1(x>1)]", "pass", 0.14886356677933962, 0.1434, 2.046169463209553),
+    ("transport-agreement[1(x<0.5)]", "pass", 0.09847969223700882, 0.09705, 0.4266791061935074),
     ("transport-agreement[min(x^1,10)]", "pass", 0.36787944117144233, 0.36167044737571424, 1.697053186022983),
-    ("conditioning-gap[one]", "pass", 1.1490809761340512, 1.1413437037665302, 0.952092228825159),
-    ("conditioning-gap[1(x>1)]", "pass", 0.40767558131104725, 0.4061264452123651, 0.22712110336957148),
-    ("conditioning-gap[1(x<0.5)]", "pass", 0.25716907682185924, 0.2516497307771793, 0.6291477293636601),
-    ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 0.9913314861251681, 1.1804380745620549),
-    ("killed-semigroup[one]", "pass", 0.4247091792457873, 0.4241764417797157, 0.24638470777229635),
-    ("killed-semigroup[1(x>1)]", "pass", 0.1492129325307759, 0.1494366526861181, 0.22509046711802802),
-    ("killed-semigroup[1(x<0.5)]", "pass", 0.09728648465407255, 0.09723219929053561, 0.021195292103903328),
+    ("conditioning-gap[one]", "pass", 1.1521303016770421, 1.1534737279557685, 0.15906958361935433),
+    ("conditioning-gap[1(x>1)]", "pass", 0.4061984187758599, 0.41044269419858903, 0.6115191231072791),
+    ("conditioning-gap[1(x<0.5)]", "pass", 0.25902695564816625, 0.2543242251573287, 0.5378851233107086),
+    ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 1.0018672036890963, 0.24172589007003514),
+    ("killed-semigroup[one]", "pass", 0.42557605261034914, 0.4241764417797157, 0.6300395752450456),
+    ("killed-semigroup[1(x>1)]", "pass", 0.14886356677933962, 0.1494366526861181, 0.576690239551024),
+    ("killed-semigroup[1(x<0.5)]", "pass", 0.09847969223700882, 0.09723219929053561, 0.4767922984824066),
     ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714422, 1.1102230246251565e-05),
     ("killed-density-mass[t=0.5]", "pass", 0.7193528563918147, 0.7193528563918145, 2.220446049250313e-16),
     ("radial-density-mass[t=0.5]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=0.5]", "pass", 1.4054899920985245e-14, 0.0, 1.4054899920985245e-14),
+    ("htransform-residual[t=0.5]", "pass", 1.3869967027288071e-14, 0.0, 1.3869967027288071e-14),
     ("killed-density-mass[t=1]", "pass", 0.4241764417797156, 0.42417644177971575, 1.6653345369377348e-16),
     ("radial-density-mass[t=1]", "pass", 1.0, 1.0, 0.0),
     ("htransform-residual[t=1]", "pass", 2.1401504431214863e-14, 0.0, 2.1401504431214863e-14),
@@ -94,11 +100,11 @@ SUITE_N20000_SEED96 = (
     ("radial-density-mass[t=2]", "pass", 1.0, 1.0, 0.0),
     ("htransform-residual[t=2]", "pass", 1.4193645148510794e-14, 0.0, 1.4193645148510794e-14),
     ("local-martingale-monotone", "pass", 0.7193528563918145, 1.0, -0.2710021289337072),
-    ("local-martingale-mc[t=0.5]", "pass", 0.7207562883407647, 0.7193528563918145, 0.3710748368940056),
-    ("local-martingale-mc[t=1]", "pass", 0.4231231994565437, 0.42417644177971575, 0.48786984798834054),
-    ("local-martingale-mc[t=2]", "pass", 0.15357352676876018, 0.15317431284600858, 0.500987780518499),
+    ("local-martingale-mc[t=0.5]", "pass", 0.7202136430303719, 0.7193528563918145, 0.22326407207567314),
+    ("local-martingale-mc[t=1]", "pass", 0.42391466516640647, 0.42417644177971575, 0.12006679999225292),
+    ("local-martingale-mc[t=2]", "pass", 0.1526109677550829, 0.15317431284600858, 0.7514619539049416),
     ("survival-exact-scheme", "pass", 0.42535, 0.42417644177971575, 0.3356864845242448),
-    ("euler-radial-ks", "pass", 0.008750000000000008, 0.0, 0.008750000000000008),
+    ("euler-radial-ks", "pass", 0.008050000000000002, 0.0, 0.008050000000000002),
     ("euler-radial-msq", "pass", 1.426819668062648, 1.4323323583816938, 0.005512690319045888),
     ("euler-radial-tail", "pass", 3.242925772734524, 5.725485107077875, 3.242925772734524),
 )
@@ -115,21 +121,21 @@ SUITE_N70000_SEED98 = (
     ("weight-unit-mass[t=0.5]", "pass", 0.9960172660151105, 1.0, 1.220687209820892),
     ("weight-unit-mass[t=1]", "pass", 0.9922746267674216, 1.0, 1.4496478150998342),
     ("weight-unit-mass[t=2]", "pass", 0.992101109553289, 1.0, 0.7754914341913647),
-    ("transport-agreement[one]", "pass", 0.42455730380032003, 0.4224142857142857, 0.9313930661699306),
-    ("transport-agreement[1(x>1)]", "pass", 0.15023949093344824, 0.1475857142857143, 1.8403621010853772),
-    ("transport-agreement[1(x<0.5)]", "pass", 0.09776328357232336, 0.09844285714285714, 0.35716115409518473),
+    ("transport-agreement[one]", "pass", 0.42202364616322324, 0.4224142857142857, 0.17744201871496443),
+    ("transport-agreement[1(x>1)]", "pass", 0.1505325633060191, 0.1475857142857143, 2.044054940282301),
+    ("transport-agreement[1(x<0.5)]", "pass", 0.09591131263303783, 0.09844285714285714, 1.4255733533659518),
     ("transport-agreement[min(x^1,10)]", "pass", 0.36787944117144233, 0.3640270729649371, 1.9692705387399478),
-    ("conditioning-gap[one]", "pass", 1.1509879294546699, 1.1482191217336575, 0.585072368749491),
-    ("conditioning-gap[1(x>1)]", "pass", 0.4079907752098757, 0.40500961012933434, 0.8113115406354736),
-    ("conditioning-gap[1(x<0.5)]", "pass", 0.2618155005169318, 0.2603716345989044, 0.2910132618736759),
-    ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 0.9948343854743672, 1.2704366241168967),
-    ("killed-semigroup[one]", "pass", 0.42455730380032003, 0.4241764417797157, 0.2832070483081658),
-    ("killed-semigroup[1(x>1)]", "pass", 0.15023949093344824, 0.1494366526861181, 1.511574841843384),
-    ("killed-semigroup[1(x<0.5)]", "pass", 0.09776328357232336, 0.09723219929053561, 0.3462645724517834),
+    ("conditioning-gap[one]", "pass", 1.1525406905310127, 1.1527848553867892, 0.05282035292665143),
+    ("conditioning-gap[1(x>1)]", "pass", 0.4045288688665413, 0.4066200745187597, 0.5638678024552357),
+    ("conditioning-gap[1(x<0.5)]", "pass", 0.2623531042914878, 0.2614069661936389, 0.20039615205973746),
+    ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 0.9987902060551941, 0.287669459420654),
+    ("killed-semigroup[one]", "pass", 0.42202364616322324, 0.4241764417797157, 1.8452332251151706),
+    ("killed-semigroup[1(x>1)]", "pass", 0.1505325633060191, 0.1494366526861181, 2.066729407150507),
+    ("killed-semigroup[1(x<0.5)]", "pass", 0.09591131263303783, 0.09723219929053561, 0.9619260399233955),
     ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714422, 1.1102230246251565e-05),
     ("killed-density-mass[t=0.5]", "pass", 0.7193528563918147, 0.7193528563918145, 2.220446049250313e-16),
     ("radial-density-mass[t=0.5]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=0.5]", "pass", 1.4054899920985245e-14, 0.0, 1.4054899920985245e-14),
+    ("htransform-residual[t=0.5]", "pass", 1.3869967027288071e-14, 0.0, 1.3869967027288071e-14),
     ("killed-density-mass[t=1]", "pass", 0.4241764417797156, 0.42417644177971575, 1.6653345369377348e-16),
     ("radial-density-mass[t=1]", "pass", 1.0, 1.0, 0.0),
     ("htransform-residual[t=1]", "pass", 2.1401504431214863e-14, 0.0, 2.1401504431214863e-14),
@@ -137,29 +143,31 @@ SUITE_N70000_SEED98 = (
     ("radial-density-mass[t=2]", "pass", 1.0, 1.0, 0.0),
     ("htransform-residual[t=2]", "pass", 1.4193645148510794e-14, 0.0, 1.4193645148510794e-14),
     ("local-martingale-monotone", "pass", 0.7193528563918145, 1.0, -0.2710021289337072),
-    ("local-martingale-mc[t=0.5]", "pass", 0.7189820231367008, 0.7193528563918145, 0.1876682245924121),
-    ("local-martingale-mc[t=1]", "pass", 0.42454113337795574, 0.42417644177971575, 0.3096714122061035),
-    ("local-martingale-mc[t=2]", "pass", 0.1534280923383923, 0.15317431284600858, 0.5619918313416952),
+    ("local-martingale-mc[t=0.5]", "pass", 0.7212327144681127, 0.7193528563918145, 0.9469323033986318),
+    ("local-martingale-mc[t=1]", "pass", 0.4238931209105533, 0.42417644177971575, 0.2430005815004008),
+    ("local-martingale-mc[t=2]", "pass", 0.15346747452022844, 0.15317431284600858, 0.6611380356061722),
     ("survival-exact-scheme", "pass", 0.4250857142857143, 0.42417644177971575, 0.4866314488907832),
-    ("euler-radial-ks", "pass", 0.007079999999999975, 0.0, 0.007079999999999975),
+    ("euler-radial-ks", "pass", 0.004500000000000004, 0.0, 0.004500000000000004),
     ("euler-radial-msq", "pass", 1.435916494174149, 1.4323323583816938, 0.00358413579245509),
     ("euler-radial-tail", "pass", 3.5549607916871295, 5.812130239385148, 3.5549607916871295),
 )
 
-# -- SHA-256 of the same report, as computed at commit 8e187fe: its to_csv()
-#    and its to_json() with "meta" dropped, re-dumped with sort_keys=True and
-#    no indent.  Unlike the rows above, these cover every byte, the seed,
-#    reason and threshold fields included ------------------------------------
+# -- SHA-256 of the same report, as computed at commit 8e187fe and re-pinned
+#    after commit 1b3f768 for the 2-variate radial draw and the one-factor
+#    killed density: its to_csv() and its to_json() with "meta" dropped,
+#    re-dumped with sort_keys=True and no indent.  Unlike the rows above,
+#    these cover every byte, the seed, reason and threshold fields included -
 SUITE_N70000_SEED98_SHA256 = {
-    "csv": "dfb1bc55bc37f7d770a57504b928f1abe057c5a8b00db7e06a11dad22d2e4997",
-    "json": "5d07aa66923e5faaf954183c934176ebe7e7c861d44e19cf520899c3eae57d0e",
+    "csv": "f460a8359db9063ca995b3fc5cecfd4f719f7a74ca403b01b6cceb77ec8314bd",
+    "json": "30c1ba47bdd054d877d37414f1b9c3e6b8ac3fc151e08e1c7397b37b569b3f56",
 }
 
 # -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
 #    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
 #    as computed at commit 2fe095a; the radial-exact t=1 line was re-pinned
-#    when radial_exact began drawing t=1 from each path's t=0.5 value, and
-#    the radial-euler lines after commit e6fc482, for the drift-implicit step -
+#    when radial_exact began drawing t=1 from each path's t=0.5 value, the
+#    radial-euler lines after commit e6fc482, for the drift-implicit step, and
+#    the radial-exact lines after commit 1b3f768, for the 2-variate draw -----
 SIMULATE_N65537_SEED12 = {
     ("ou-killed", "exact"): (
         "  t=0.5: mean=0.607833 stderr=0.00205 survival=0.718571",
@@ -170,8 +178,8 @@ SIMULATE_N65537_SEED12 = {
         "  t=1: mean=0.385884 stderr=0.00204 survival=0.461754",
     ),
     ("radial", "exact"): (
-        "  t=0.5: mean=1.06303 stderr=0.00169 survival=1",
-        "  t=1: mean=1.10334 stderr=0.00182 survival=1",
+        "  t=0.5: mean=1.06317 stderr=0.0017 survival=1",
+        "  t=1: mean=1.10408 stderr=0.00181 survival=1",
     ),
     ("radial", "euler"): (
         "  t=0.5: mean=1.0602 stderr=0.0017 survival=1",
@@ -183,7 +191,8 @@ SIMULATE_N65537_SEED12 = {
 #    --gamma 1 --a 1 --t 0.5 --t 1 --paths 65537 --seed 12 --format F`
 #    (plus --dt 0.01 for euler; radial exact with --t 0.5 only), as computed
 #    at commit cc2e725, the radial-euler ones after commit e6fc482 for the
-#    drift-implicit step: (process, scheme, format) -> digest ---------------
+#    drift-implicit step, the radial-exact ones after commit 1b3f768 for the
+#    2-variate draw: (process, scheme, format) -> digest --------------------
 SIMULATE_SHA256_N65537_SEED12 = {
     ("ou-killed", "exact", "csv"): "fde8c5dd7a246e2b60a26e23352a33bd12e8f26c70a5fb0a40af366854ff8d55",
     ("ou-killed", "exact", "json"): "8ab7e4be3183f73828925fdf169cdfee4268a8813458f19c942afe084e22e235",
@@ -191,8 +200,8 @@ SIMULATE_SHA256_N65537_SEED12 = {
     ("ou-killed", "euler", "json"): "c09175e0a90f65c55b3c80a4bdaa1f2628a7a5fea516b874370700525818adc4",
     ("radial", "euler", "csv"): "b461d093c67363e1ddc69e8bbd914ec26177db24dff1ffb8df1773a23b30513e",
     ("radial", "euler", "json"): "8b2e2bdc0018d547f845a8d5828fd0a41af36457900dd078452a77745e303422",
-    ("radial", "exact", "csv"): "2c355f096f6c06087a5b29b990ff082c3af515595510838507a703596a316f70",
-    ("radial", "exact", "json"): "e62d4b8248eac7f03f62ff3609ea93459aa61eff201e5e973ef45a4e89256592",
+    ("radial", "exact", "csv"): "102a86c062d3ac9ec0fd5a95946699cfcf54c728e3923b9b4d9b73370e7eed18",
+    ("radial", "exact", "json"): "251e4b017516fc7e2a0b3e4db0cd0a74e1107551207020d00d50c44003b735b4",
 }
 
 # -- euler_radial(ProcessParams(0.5, 0.05), TimeGrid.from_times((0.5, 1)),

@@ -221,6 +221,17 @@ def test_identity_residual_sweep_on_log_grids():
                 assert relative_identity_residual(p, t, xs).max() <= 1e-12
 
 
+def test_identity_residual_at_tiny_survival_on_the_suite_grid():
+    # S(6.9) is about 1e-149 at gamma 50: at the grid top the killed density's
+    # bracket alone is about 1e-319, a subnormal, unless e^{gamma t} is folded
+    # into its normalising constant first (the residual was 7.1e-6)
+    p, t = ProcessParams(50.0, 1.0), 6.9
+    law = radial_transition(p, t)
+    hi = law.center + 10.0 * math.sqrt(law.sigma2)
+    xs = np.geomspace(hi * 1e-4, hi, 500)  # the htransform-residual row's grid
+    assert relative_identity_residual(p, t, xs).max() < 1e-12
+
+
 def test_densities_nonnegative_on_their_domain():
     for gamma in SWEEP_GAMMAS:
         p = ProcessParams(gamma, 1.0)

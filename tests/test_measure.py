@@ -10,6 +10,7 @@ from ouht.measure import (
     forward_weighted,
     conditional_identity_detail,
     conditional_identity_gap,
+    curve_draws,
     default_functional_suite,
     estimate_killed_expectation_direct,
     estimate_killed_expectation_via_Q,
@@ -201,6 +202,14 @@ def test_local_martingale_curve_near_zero_limit():
         local_martingale_curve(P11, (1.0, 0.5), 1000, 1)
     with pytest.raises(ValueError):
         local_martingale_curve(P11, (-1.0, 0.5), 1000, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_curve_draws_reject_non_finite_times(bad):
+    with pytest.raises(ValueError, match="^times must be positive, finite and strictly ascending$"):
+        curve_draws(P11, [bad], 1000, 1)
+    with pytest.raises(ValueError, match="^times must be positive, finite and strictly ascending$"):
+        curve_draws(P11, [0.5, bad], 1000, 1)
 
 
 def test_estimators_are_deterministic_and_worker_invariant():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ouht.harness import ks_statistic, ks_two_sample_critical
 from ouht.process import (
     GaussianLaw,
+    _gaussian_norm,
     ProcessParams,
     martingale_value,
     ou_transition,
@@ -17,6 +19,7 @@ from ouht.process import (
 from ouht.rng import stream
 
 import refvalues as ref
+from reference_samplers import gaussian_norm_3d
 
 GAMMAS = (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -198,6 +201,30 @@ def test_sample_radial_exact_follows_closed_form_cdf():
     cdf = stats.ncx2.cdf(r * r / law.sigma2, 3, law.center**2 / law.sigma2)
     ecdf = np.arange(1, n + 1) / n
     assert np.max(np.abs(ecdf - cdf)) <= 1.628 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("center", ["scalar", "per-draw"])
+def test_two_variate_radial_draw_matches_the_three_normal_norm(center):
+    # the same law read off the stream differently: a large-n two-sample KS
+    # against the norm of three normals, at one center (the exact marginal)
+    # and at one center per draw (the exact step), the same for both sides
+    n, sd = 400_000, 0.8
+    c = 1.3 if center == "scalar" else 2.0 * np.abs(stream(107, 2).standard_normal(n))
+    r = _gaussian_norm(c, sd, stream(107, 0), n)
+    other = gaussian_norm_3d(c, sd, stream(107, 1), n)
+    assert ks_statistic(r, other) <= ks_two_sample_critical(n, n, alpha=0.001)
+
+
+def test_exact_radial_draw_reads_one_normal_then_one_exponential_per_value():
+    # the stream layout behind every pinned radial-exact value: n normals,
+    # then n standard exponentials, and nothing else
+    n = 1_000
+    rng = stream(108, 0)
+    sample_radial_exact(ProcessParams(1.0, 1.0), 1.0, rng, size=n)
+    expected = stream(108, 0)
+    expected.standard_normal(n)
+    expected.standard_exponential(n)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_overflow_raises_instead_of_returning_inf():

@@ -6,11 +6,12 @@ import pytest
 
 from ouht.density import survival_probability
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
-from ouht.rng import stream
+from ouht.rng import BLOCK_SIZE, stream
 from ouht.simulate import SchemeConfig, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 from ouht.harness import ks_statistic, ks_two_sample_critical
 
 import refvalues as ref
+from reference_samplers import killed_ou_bridge
 
 P11 = ProcessParams(1.0, 1.0)
 
@@ -91,6 +92,21 @@ def test_killed_paths_on_sixteen_intervals_are_pinned(scheme):
     paths = KILLED_SCHEMES[scheme](TimeGrid.uniform(2.0, 16), stream(seed, 0), 4096)
     digest = hashlib.sha256(paths.values.tobytes()).hexdigest()
     assert digest == ref.KILLED_SHA256_G1_A1_T2_N16[scheme]
+
+
+@pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
+@pytest.mark.parametrize("grid", [TimeGrid.uniform(2.0, 16), TimeGrid.from_times((0.3, 1.1, 2.0)),
+                                  TimeGrid.from_times((2.0,))], ids=["16", "3", "1"])
+def test_exact_killed_kernel_matches_the_allocating_reference(gamma, grid):
+    # the in-place, time-major kernel draws the same variates in the same
+    # order and applies the same operations, so its bytes are the reference's;
+    # two ragged blocks' worth of paths, with absorbed ones among them
+    params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
+    kernel = simulate_killed_ou_exact(params, grid, stream(230, 0), n)
+    reference = killed_ou_bridge(params, grid, stream(230, 0), n)
+    assert kernel.values.shape == reference.values.shape == (n, grid.times.size)
+    assert kernel.values.tobytes() == reference.values.tobytes()
+    assert 0 < np.count_nonzero(kernel.values[:, -1] == 0.0) < n
 
 
 def test_exact_killed_conditional_law_matches_density():

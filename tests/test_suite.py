@@ -44,6 +44,15 @@ def test_config_validation():
         SuiteConfig(a=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_config_rejects_non_finite_times(bad):
+    # the one observation-times check, with the message the CLI prints after "t: "
+    with pytest.raises(ValueError, match="^times must be positive, finite and strictly ascending$"):
+        SuiteConfig(times=(0.5, bad))
+    with pytest.raises(ValueError, match="^times must be positive, finite and strictly ascending$"):
+        SuiteConfig(times=(bad,))
+
+
 def test_default_suite_passes_everything():
     rep = run_suite(SuiteConfig(n_paths=20_000, seed=91))
     assert rep.n_fail == 0
