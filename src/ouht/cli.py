@@ -32,11 +32,15 @@ from .harness import aggregate
 from .measure import (Draw, killed_euler, killed_exact, local_martingale_curve, radial_euler,
                       radial_exact, run_draws)
 from .process import ProcessParams
-from .rng import BLOCK_SIZE
 from .simulate import SchemeConfig, check_times
 from .suite import SuiteConfig, run_suite
 
 OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
+
+# simulate formats its output this many CSV rows (or JSON array items) per
+# write, so the text in memory is a few hundred kB.  Unrelated to BLOCK_SIZE,
+# which fixes the random streams: any value gives the same bytes.
+WRITE_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -276,13 +280,13 @@ def _absorbed(values):
 
 
 def _write_simulate_csv(fh, pairs, times, values) -> None:
-    """One t,path,value,absorbed row per path and time, BLOCK_SIZE rows per write."""
+    """One t,path,value,absorbed row per path and time, WRITE_CHUNK rows per write."""
     fh.write("\n".join(_header("simulate", pairs)) + "\nt,path,value,absorbed\n")
     n_paths = values.shape[0]
     for j, t in enumerate(times):
         row = _fmt(t) + ",%d,%.17g,%d\n"
-        for start in range(0, n_paths, BLOCK_SIZE):
-            chunk = values[start:start + BLOCK_SIZE, j]
+        for start in range(0, n_paths, WRITE_CHUNK):
+            chunk = values[start:start + WRITE_CHUNK, j]
             fh.write("".join(
                 row % r for r in zip(range(start, start + chunk.size), chunk.tolist(),
                                      _absorbed(chunk).tolist())
@@ -291,7 +295,7 @@ def _write_simulate_csv(fh, pairs, times, values) -> None:
 
 def _write_simulate_json(fh, pairs, times, summaries, values) -> None:
     """The layout of json.dump(sort_keys=True, indent=2), with each values and
-    absorbed array written BLOCK_SIZE items at a time."""
+    absorbed array written WRITE_CHUNK items at a time."""
     slot = "\0"  # stands in for each array; sorted keys put absorbed before values
     body = {"version": __version__, "command": "simulate", "config": dict(pairs, t=times),
             "results": [dict(s, absorbed=slot, values=slot) for s in summaries]}
@@ -301,8 +305,8 @@ def _write_simulate_json(fh, pairs, times, summaries, values) -> None:
     for k, piece in enumerate(pieces[1:]):
         column = values[:, k // 2]
         fh.write("[\n" + 8 * " ")
-        for start in range(0, column.size, BLOCK_SIZE):
-            chunk = column[start:start + BLOCK_SIZE]
+        for start in range(0, column.size, WRITE_CHUNK):
+            chunk = column[start:start + WRITE_CHUNK]
             if k % 2 == 0:
                 chunk = _absorbed(chunk).astype(np.int8)
             fh.write((sep if start else "") + json.dumps(chunk.tolist())[1:-1].replace(", ", sep))

@@ -80,8 +80,10 @@ def ks_statistic(sample_a, sample_b) -> float:
         raise ValueError("both samples must be nonempty")
     joint = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, joint, side="right") / a.size
-    cdf_b = np.searchsorted(b, joint, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+    # joint is read for the last time here, then holds cdf_b and the gap
+    gap = np.divide(np.searchsorted(b, joint, side="right"), b.size, out=joint)
+    np.subtract(cdf_a, gap, out=gap)
+    return float(np.abs(gap, out=gap).max())
 
 
 def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:

@@ -31,7 +31,8 @@ from .process import (
     sample_radial_step,
 )
 from .rng import block_sizes, derive_seed, map_blocks, stream
-from .simulate import TimeGrid, check_times, euler_ou, euler_radial, simulate_killed_ou_exact
+from .simulate import (TimeGrid, _killed_bridge, check_times, euler_ou, euler_radial,
+                       simulate_killed_ou_exact)
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
 
@@ -166,10 +167,11 @@ def ou_exact(params, times, rng, n):
 
 def survival_flags(params, times, rng, n):
     """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
-    a single time only."""
+    a single time only.  Only the last of the 17 grid rows is kept."""
     (t,) = times
-    values = simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n).values
-    return (values[:, -1:] > 0.0).astype(float)
+    flags = _killed_bridge(params, TimeGrid.uniform(t, 16), (16,), rng, n)
+    np.greater(flags, 0.0, out=flags)
+    return flags.T
 
 
 # --- block-wise estimation -------------------------------------------------

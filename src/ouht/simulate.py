@@ -128,18 +128,30 @@ def simulate_killed_ou_exact(
     decided by the Brownian-bridge zero-crossing probability
     exp(-2 y_i y_{i+1} / (tau_{i+1} - tau_i)); if y_{i+1} <= 0 it is certain.
     The joint law of (grid values, killing) is exact for any grid.
+    """
+    return Paths(grid, _killed_bridge(params, grid, range(grid.times.size), rng, n_paths).T)
 
-    The values are filled one time per contiguous row of an (n_times,
-    n_paths) buffer and returned as its transpose; the interval's normals,
-    uniforms, proposal and crossing probability live in reused buffers.
+
+def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.Generator,
+                  n_paths: int) -> np.ndarray:
+    """The bridge-killed values of simulate_killed_ou_exact at the grid
+    indices rows (ascending), as a (len(rows), n_paths) array: row k holds
+    every path at times[rows[k]].
+
+    Every interval of the grid is stepped, with the same variates whichever
+    rows are kept, so a kept row's bytes do not depend on the others.  The
+    interval's normals, uniforms, proposal and crossing probability live in
+    reused buffers.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
+    slot = {i: k for k, i in enumerate(rows)}
 
-    out = np.empty((times.size, n_paths))
-    out[0] = params.a
+    out = np.empty((len(slot), n_paths))
+    if 0 in slot:
+        out[slot[0]] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
     y = np.full(n_paths, params.a, dtype=float)
     z, u, y_next, p_cross = (np.empty_like(y) for _ in range(4))
@@ -159,9 +171,10 @@ def simulate_killed_ou_exact(
         np.exp(p_cross, out=p_cross)
         np.copyto(y_next, 0.0, where=u < p_cross)
         y, y_next = y_next, y
-        np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[i + 1])
+        if i + 1 in slot:
+            np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[slot[i + 1]])
 
-    return Paths(grid, out.T)
+    return out
 
 
 def _substep_counts(grid: TimeGrid, dt: float) -> list[int]:

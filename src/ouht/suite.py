@@ -90,8 +90,7 @@ class SuiteConfig:
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         object.__setattr__(self, "times", check_times(self.times))
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        SchemeConfig(dt=self.dt)  # dt is checked as the Euler rows will check it
 
     @property
     def params(self) -> ProcessParams:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ouht.cli
 import ouht.measure
 from ouht.cli import main
 from ouht.harness import ExperimentReport
@@ -304,6 +305,28 @@ def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
     assert digest == ref.SIMULATE_SHA256_N65537_SEED12[process, scheme, fmt]
+
+
+@pytest.mark.parametrize("process,scheme", [("ou-killed", "exact"), ("radial", "euler")])
+def test_simulate_output_does_not_depend_on_the_write_chunk(tmp_path, monkeypatch, process,
+                                                             scheme):
+    # chunks of 1 and 7 put a CSV row break and a JSON separator at every
+    # chunk edge; 300 paths fit in one BLOCK_SIZE chunk
+    argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1", "--a", "1",
+            "--t", "0.5", "--t", "1", "--paths", "300", "--seed", "5", "--workers", "1",
+            "--dt", "0.01"]
+    for fmt in ("csv", "json"):
+        outputs = set()
+        for chunk in (1, 7, BLOCK_SIZE):
+            monkeypatch.setattr(ouht.cli, "WRITE_CHUNK", chunk)
+            out = tmp_path / f"{chunk}.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1, fmt
+    rows = [l for l in (tmp_path / "1.csv").read_text().splitlines() if l[:1].isdigit()]
+    assert len(rows) == 600
+    if process == "ou-killed":  # absorbed paths among them
+        assert {r.rsplit(",", 1)[1] for r in rows} == {"0", "1"}
 
 
 SMALL_COMMANDS = [

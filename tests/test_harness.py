@@ -116,6 +116,30 @@ def test_ks_statistic_edges():
         ks_statistic(x, np.array([]))
 
 
+def _ks_allocating(sample_a, sample_b):
+    # the formula as first written, one new array per operation
+    a = np.sort(np.asarray(sample_a, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
+    joint = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, joint, side="right") / a.size
+    cdf_b = np.searchsorted(b, joint, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+@pytest.mark.parametrize("a,b", [
+    (stream(406, 0).normal(size=3_000), stream(406, 1).normal(0.1, 1.2, size=1_777)),
+    # ties within and across the samples
+    (stream(406, 2).integers(0, 12, size=901).astype(float),
+     stream(406, 3).integers(0, 9, size=333).astype(float)),
+    (np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0])),
+    (np.array([0.5]), np.array([0.25, 0.5, 3.0])),
+])
+def test_ks_statistic_in_place_equals_the_allocating_formula(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert ks_statistic(x, y) == _ks_allocating(x, y)
+    assert ks_statistic(a, b) == ks_statistic(b, a)
+
+
 def test_ks_statistic_same_law_below_critical():
     p = ProcessParams(1.0, 1.0)
     n = 100_000

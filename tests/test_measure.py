@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from ouht.measure import (
     killed_exact,
     local_martingale_curve,
     radial_exact,
+    survival_flags,
 )
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
-from ouht.rng import stream
+from ouht.rng import BLOCK_SIZE, stream
 from ouht.simulate import TimeGrid, simulate_killed_ou_exact
 
 import refvalues as ref
@@ -244,3 +246,27 @@ def test_radial_exact_first_time_is_the_marginal_draw():
     # estimators (and verify) see the same numbers as before
     draws = radial_exact(P11, (0.5, 1.0, 2.0), stream(302, 0), 1_000)
     assert np.array_equal(draws[:, 0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))
+
+
+@pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
+def test_survival_flags_are_the_last_column_of_the_full_bridge(gamma):
+    # keeping one row draws the same variates in the same order, so the flags
+    # are the full kernel's last column read as > 0, over two ragged blocks
+    params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
+    full = simulate_killed_ou_exact(params, TimeGrid.uniform(1.0, 16), stream(232, 0), n)
+    flags = survival_flags(params, (1.0,), stream(232, 0), n)
+    assert flags.shape == (n, 1)
+    assert flags.tobytes() == (full.values[:, -1:] > 0.0).astype(float).tobytes()
+    assert 0 < np.count_nonzero(flags == 0.0) < n
+
+
+def test_survival_flags_peak_memory_is_a_few_block_rows():
+    # the full 17-row grid with its flag copies peaked at 23.5 block rows
+    rng = stream(0, 0)
+    tracemalloc.start()
+    try:
+        survival_flags(P11, (1.0,), rng, BLOCK_SIZE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * BLOCK_SIZE, peak / (8 * BLOCK_SIZE)

@@ -44,6 +44,13 @@ def test_config_validation():
         SuiteConfig(a=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_config_rejects_a_bad_dt_as_the_scheme_does(bad):
+    # the one dt check, at construction, not first inside run_suite
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0, got "):
+        SuiteConfig(dt=bad)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite_times(bad):
     # the one observation-times check, with the message the CLI prints after "t: "
