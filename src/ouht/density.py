@@ -24,9 +24,23 @@ from .process import ProcessParams, radial_transition, time_change
 # Gaussian mass beyond 12 standard deviations is ~1e-33, far below the
 # 1e-8 tolerance the mass checks are held to; this sets the quadrature window.
 _TAIL_SIGMAS = 12.0
-# composite Gauss-Legendre rule: 20 nodes on each of 64 equal panels
+# composite Gauss-Legendre rule: 20 nodes on each of 64 equal panels.  The
+# positive half of np.polynomial.legendre.leggauss(20), written out so that no
+# command imports numpy.polynomial or runs its eigen-solve; mirrored, it gives
+# leggauss's arrays bit for bit (its nodes are exactly odd, its weights even).
 _PANELS = 64
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_HALF_NODES = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+)
+_HALF_WEIGHTS = (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+    0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+)
+_NODES = np.concatenate((-np.array(_HALF_NODES[::-1]), _HALF_NODES))
+_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 
 def gaussian_pdf(y, variance: float):
@@ -150,7 +164,10 @@ def _quad(fn, lo: float, hi: float, points=()) -> float:
     with the panels also split at points so that fn is smooth on each.  The
     lower edge matters for a narrow peak far from 0, which a rule on [0, hi]
     would miss."""
-    edges = np.union1d(np.linspace(lo, hi, _PANELS + 1), points)
+    # the sorted distinct edges, as np.union1d gives them; its np.unique
+    # would import numpy.ma
+    edges = np.sort(np.concatenate((np.linspace(lo, hi, _PANELS + 1), points)))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     half = 0.5 * np.diff(edges)
     x = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
     return float(np.sum(half * (fn(x) @ _WEIGHTS)))

@@ -38,7 +38,8 @@ class BlockStats(NamedTuple):
             return cls(0, 0.0, 0.0)
         total = float(x.sum())
         dev = x - total / n
-        return cls(n, total, float((dev * dev).sum()))
+        # squared in place: one block row of scratch, not two
+        return cls(n, total, float(np.multiply(dev, dev, out=dev).sum()))
 
 
 def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:

@@ -10,8 +10,6 @@ matter how blocks are distributed over workers.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -48,7 +46,9 @@ def block_sizes(n_total: int, block_size: int = BLOCK_SIZE) -> list[int]:
     return [block_size] * full + ([rest] if rest else [])
 
 
-_pool: ProcessPoolExecutor | None = None
+# the pool modules are imported when the first pool starts: a serial run
+# never loads concurrent.futures.process or multiprocessing
+_pool = None
 _pool_workers = 0
 _in_block_worker = False
 
@@ -65,10 +65,13 @@ def _drop_pool() -> None:
     _pool, _pool_workers = None, 0
 
 
-def _executor(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of ``workers`` processes, kept across calls."""
+def _executor(workers: int):
+    """This process's ProcessPoolExecutor of ``workers`` processes, kept
+    across calls."""
     global _pool, _pool_workers
     if _pool_workers != workers:
+        from concurrent.futures import ProcessPoolExecutor
+
         _drop_pool()
         _pool = ProcessPoolExecutor(max_workers=workers, initializer=_mark_block_worker)
         _pool_workers = workers
@@ -86,6 +89,8 @@ def map_blocks(worker, tasks, workers: int = 1) -> list:
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1 or _in_block_worker:
         return [worker(t) for t in tasks]
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return list(_executor(workers).map(worker, tasks))
     except BrokenProcessPool:

@@ -140,8 +140,8 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
 
     Every interval of the grid is stepped, with the same variates whichever
     rows are kept, so a kept row's bytes do not depend on the others.  The
-    interval's normals, uniforms, proposal and crossing probability live in
-    reused buffers.
+    interval's uniforms, proposal (formed over its normals), crossing
+    probability and kill flags live in reused buffers.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -154,13 +154,14 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
         out[slot[0]] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
     y = np.full(n_paths, params.a, dtype=float)
-    z, u, y_next, p_cross = (np.empty_like(y) for _ in range(4))
+    u, y_next, p_cross = (np.empty_like(y) for _ in range(3))
+    keep = np.empty(n_paths, dtype=bool)
 
     for i in range(times.size - 1):
         dtau = taus[i + 1] - taus[i]
-        rng.standard_normal(out=z)
+        rng.standard_normal(out=y_next)
         rng.random(out=u)
-        np.multiply(z, math.sqrt(dtau), out=y_next)
+        y_next *= math.sqrt(dtau)
         y_next += y
         # the clipped exponent is 0, so crossing is certain, when y_next <= 0
         # and when y = 0: an absorbed path is held at 0
@@ -169,7 +170,11 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
         p_cross /= dtau
         np.minimum(p_cross, 0.0, out=p_cross)
         np.exp(p_cross, out=p_cross)
-        np.copyto(y_next, 0.0, where=u < p_cross)
+        # kill where u < p_cross by a multiply, with no branch on the random
+        # mask; adding 0.0 turns the -0.0 of a killed negative proposal to 0.0
+        np.greater_equal(u, p_cross, out=keep)
+        y_next *= keep
+        y_next += 0.0
         y, y_next = y_next, y
         if i + 1 in slot:
             np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[slot[i + 1]])

@@ -293,6 +293,33 @@ def test_commands_do_not_load_scipy(tmp_path, argv):
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["simulate", "--process", "ou-killed", "--gamma", "1", "--a", "1", "--t", "1",
+     "--paths", "100", "--workers", "1", "--out", "x.csv"],
+    ["verify", "--paths", "200", "--workers", "1"],
+    ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01", "--x-max", "3"],
+    ["local-martingale", "--paths", "200", "--workers", "1"],
+], ids=["version", "simulate", "verify", "density", "local-martingale"])
+def test_serial_commands_load_no_pool_quadrature_or_masked_modules(tmp_path, argv):
+    # a serial run starts no pool, the quadrature rule is a literal, and the
+    # panel edges are found without np.unique, which loads numpy.ma
+    code = (
+        "import sys, ouht.cli\n"
+        "try:\n"
+        f"    code = ouht.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
+        "                         'numpy.ma', 'numpy.polynomial') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("process,scheme,fmt", list(ref.SIMULATE_SHA256_N65537_SEED12))
 def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1",

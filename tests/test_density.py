@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 from ouht.density import (
+    _NODES,
+    _WEIGHTS,
     _killed_support,
     _radial_support,
     density_identity_residual,
@@ -106,6 +108,15 @@ def test_killed_mass_is_relatively_accurate_at_tiny_survival(gamma, t):
     p = ProcessParams(gamma, 1.0)
     s = survival_probability(p, t)
     assert abs(killed_density_mass(p, t) - s) <= 1e-12 * s
+
+
+def test_literal_gauss_legendre_rule_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    for got, want in ((_NODES, nodes), (_WEIGHTS, weights)):
+        assert got.shape == want.shape == (20,)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert np.array_equal(_NODES, -_NODES[::-1])
+    assert np.array_equal(_WEIGHTS, _WEIGHTS[::-1])
 
 
 def _adaptive_quad(fn, lo, hi, points=None):

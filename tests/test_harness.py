@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_block_stats_pickle_small():
     stats = BlockStats.of(stream(408, 0).normal(size=65_536))
     assert len(pickle.dumps(stats)) < 200
     assert pickle.loads(pickle.dumps(stats)) == stats
+
+
+def test_block_stats_squares_its_deviations_in_place():
+    # one block row for the deviations; squaring them into a second row
+    # peaked at 2.0 block rows
+    x = stream(409, 0).normal(size=65_536)
+    tracemalloc.start()
+    try:
+        BlockStats.of(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes, peak / x.nbytes
 
 
 def test_ks_statistic_edges():

@@ -109,6 +109,16 @@ def test_exact_killed_kernel_matches_the_allocating_reference(gamma, grid):
     assert 0 < np.count_nonzero(kernel.values[:, -1] == 0.0) < n
 
 
+@pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
+def test_exact_killed_paths_read_plus_zero_once_absorbed(gamma):
+    # the kernel kills by multiplying with a 0/1 flag, which leaves -0.0 where
+    # a negative proposal is killed; the bytes must hold +0.0 there
+    paths = simulate_killed_ou_exact(ProcessParams(gamma, 1.0), TimeGrid.uniform(2.0, 16),
+                                     stream(231, 0), 20_000)
+    assert 0 < np.count_nonzero(paths.values[:, -1] == 0.0) < paths.n_paths
+    assert not np.any(np.signbit(paths.values))
+
+
 def test_exact_killed_conditional_law_matches_density():
     # survivors on a many-interval grid must still follow the closed-form
     # conditional law: the bridge removes all grid bias
