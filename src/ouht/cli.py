@@ -43,8 +43,8 @@ OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
 WRITE_CHUNK = 4096
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field."""
+class ConfigError(Exception):
+    """Invalid configuration; the message is complete and names the field."""
 
 
 def _fmt(v: float) -> str:
@@ -52,66 +52,48 @@ def _fmt(v: float) -> str:
 
 
 # --- checks ----------------------------------------------------------------
-# check(key, value, resolved) returns the value or raises ConfigError;
-# `resolved` holds the options resolved before this one.
+# check(value, resolved) returns the value or raises a ValueError, which
+# _resolve prefixes with the option's key; `resolved` holds the options
+# resolved before this one.
 
 def _at_least(low: int):
-    def check(key, value, resolved):
+    def check(value, resolved):
         if value < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         return value
 
     return check
 
 
-def _positive(key, value, resolved=None):
+def _positive(value, resolved):
     if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{key}: must be finite and > 0, got {value}")
+        raise ValueError(f"must be finite and > 0, got {value}")
     return value
 
 
-def _params(key, a, resolved):
-    """gamma and a are checked together, as a ProcessParams."""
-    try:
-        ProcessParams(gamma=resolved["gamma"], a=a)
-    except ValueError as exc:
-        field = "gamma" if "gamma" in str(exc) else "a"
-        raise ConfigError(f"{field}: {exc}") from exc
-    return a
+def _above(low_key: str | None):
+    """value > the option low_key, resolved before it; > 0 for None."""
+    def check(value, resolved):
+        if not (math.isfinite(value) and value > (resolved[low_key] if low_key else 0.0)):
+            raise ValueError(f"must be > {low_key or 0}, got {value}")
+        return value
+
+    return check
 
 
-def _times(key, times, resolved):
-    if not times:
-        raise ConfigError("missing required parameter: t")
-    try:
-        check_times(times)
-    except ValueError as exc:
-        raise ConfigError(f"t: {exc}") from exc
-    return times
-
-
-def _one_time(key, times, resolved):
-    if not times:
-        raise ConfigError("missing required parameter: t")
+def _one_time(times, resolved):
     if len(times) != 1:
-        raise ConfigError("t: density tabulation takes exactly one time")
-    return _positive(key, times[0])
+        raise ValueError("density tabulation takes exactly one time")
+    return check_times(times)[0]
 
 
-def _grid(key, value, resolved):
-    low, name = (resolved["x-min"], "x-min") if key == "x-max" else (0.0, "0")
-    if not (math.isfinite(value) and value > low):
-        raise ConfigError(f"{key}: must be > {name}, got {value}")
-    return value
-
-
-def _euler_dt(key, dt, resolved):
+def _euler_dt(dt, resolved):
     """simulate's dt is needed, and checked, for the Euler scheme only."""
     if resolved["scheme"] != "euler":
         return None
     if dt is None:
         raise ConfigError("missing required parameter: dt")
-    return _positive(key, dt)
+    return _positive(dt, resolved)
 
 
 # --- the option table ------------------------------------------------------
@@ -130,8 +112,12 @@ class _Opt(NamedTuple):
     check: Callable | None = None
 
 
-_GAMMA = _Opt(float, _REQUIRED, "mean-reversion rate (any sign)")
-_A = _Opt(float, _REQUIRED, "starting point (> 0)", _params)
+# a is resolved after gamma, so gamma is checked with a valid a in its place
+_GAMMA = _Opt(float, _REQUIRED, "mean-reversion rate (any sign)",
+              lambda gamma, _: ProcessParams(gamma, 1.0).gamma)
+_A = _Opt(float, _REQUIRED, "starting point (> 0)",
+          lambda a, resolved: ProcessParams(resolved["gamma"], a).a)
+_check_t = lambda times, _: check_times(times)
 _SEED = _Opt(int, 0, "master seed (default 0)", _at_least(0))
 _WORKERS = _Opt(int, os.cpu_count() or 1, "worker processes (default: CPU count)", _at_least(1))
 _FORMAT = _Opt(("csv", "json"), "csv", "output format (default csv)")
@@ -143,7 +129,7 @@ _COMMANDS = {
         "scheme": _Opt(("exact", "euler"), "exact",
                        "exact transition sampling or Euler-Maruyama (default exact)"),
         "gamma": _GAMMA, "a": _A,
-        "t": _Opt(list, _REQUIRED, "observation time (repeatable, ascending)", _times),
+        "t": _Opt(list, _REQUIRED, "observation time (repeatable, ascending)", _check_t),
         "paths": _Opt(int, 100_000, "number of paths (default 100000)", _at_least(2)),
         "seed": _SEED, "workers": _WORKERS,
         "dt": _Opt(float, None, "Euler step size (required for --scheme euler)", _euler_dt),
@@ -152,7 +138,7 @@ _COMMANDS = {
     }),
     "verify": ("run the full identity-verification suite", {
         "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
-        "t": _Opt(list, [0.5, 1.0, 2.0], "check times (repeatable; default 0.5 1 2)", _times),
+        "t": _Opt(list, [0.5, 1.0, 2.0], "check times (repeatable; default 0.5 1 2)", _check_t),
         "paths": _Opt(int, 100_000, "paths per estimator (default 100000)", _at_least(1)),
         "dt": _Opt(float, 0.002, "Euler step for scheme checks (default 0.002)", _positive),
         "seed": _SEED, "workers": _WORKERS,
@@ -161,8 +147,8 @@ _COMMANDS = {
     "density": ("tabulate closed-form densities on an x grid", {
         "gamma": _GAMMA, "a": _A,
         "t": _Opt(list, _REQUIRED, "time of the marginal (one value)", _one_time),
-        "x-min": _Opt(float, _REQUIRED, "grid lower end (> 0)", _grid),
-        "x-max": _Opt(float, _REQUIRED, "grid upper end", _grid),
+        "x-min": _Opt(float, _REQUIRED, "grid lower end (> 0)", _above(None)),
+        "x-max": _Opt(float, _REQUIRED, "grid upper end", _above("x-min")),
         "x-points": _Opt(int, 500, "grid size (default 500)", _at_least(2)),
         "x-scale": _Opt(("linear", "log"), "log", "grid spacing (default log)"),
         "format": _FORMAT,
@@ -173,7 +159,7 @@ _COMMANDS = {
     "local-martingale": ("tabulate m(t) = E_Q[(1/X_t) e^{-gamma t}] with its closed form", {
         "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
         "t": _Opt(list, [0.25, 0.5, 1.0, 2.0, 4.0],
-                  "curve times (repeatable; default 0.25 0.5 1 2 4)", _times),
+                  "curve times (repeatable; default 0.25 0.5 1 2 4)", _check_t),
         "paths": _Opt(int, 100_000, "paths per point (default 100000)", _at_least(2)),
         "seed": _SEED, "workers": _WORKERS,
         "out": _Opt(str, "ouht_local_martingale.csv", "output path"),
@@ -222,6 +208,8 @@ def _resolve(args) -> dict:
                 value = _cast(opt.kind, defaults[key])
             except ValueError as exc:
                 raise ConfigError(f"{key}: bad value {defaults[key]!r} in defaults file") from exc
+            if value == []:  # "t =" lists no time
+                raise ConfigError(f"missing required parameter: {key}")
         if value is None:
             if opt.fallback is _REQUIRED:
                 raise ConfigError(f"missing required parameter: {key}")
@@ -230,7 +218,10 @@ def _resolve(args) -> dict:
                 value = value.format_map(resolved)
         if isinstance(opt.kind, tuple) and value not in opt.kind:
             raise ConfigError(f"{key}: must be {' or '.join(opt.kind)}, got {value!r}")
-        resolved[key] = opt.check(key, value, resolved) if opt.check else value
+        try:
+            resolved[key] = opt.check(value, resolved) if opt.check else value
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return resolved
 
 
@@ -463,7 +454,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:  # ConfigError is a ValueError
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

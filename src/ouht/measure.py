@@ -143,11 +143,16 @@ def killed_euler(params, times, rng, n, *, scheme):
     return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
 
 
+def _radial_domain(params, times):
+    """radial_transition at every time: raises, naming the caller's t, before any draw."""
+    for t in times:
+        radial_transition(params, t)
+
+
 def radial_exact(params, times, rng, n):
     """R_t along one path per row: the exact marginal at times[0], then the
     exact transition from each time to the next."""
-    for t in times[1:]:
-        radial_transition(params, t)  # the domain check, naming the caller's t
+    _radial_domain(params, times)
     cols = [sample_radial_exact(params, times[0], rng, size=n)]
     for s, t in zip(times, times[1:]):
         cols.append(sample_radial_step(params, cols[-1], t - s, rng))
@@ -157,6 +162,7 @@ def radial_exact(params, times, rng, n):
 def radial_euler(params, times, rng, n, *, scheme):
     """R_t along one path per row by the drift-implicit Euler step, which
     stays positive without a guard."""
+    _radial_domain(params, times)
     return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
 
 
@@ -287,15 +293,10 @@ def estimate_killed_expectation_via_Q(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    weight_scale: float = 1.0,
 ) -> MCEstimate:
     """E[f(X_t) 1_{t<T0}] estimated from exact radial draws:
-    average of f(R_t) (a/R_t) e^{-gamma t}.
-
-    weight_scale multiplies every weight and exists as a negative-control
-    hook; leave it at 1.0 for estimation.
-    """
-    integrand = partial(inverse_weighted, params, t, f, weight_scale)
+    average of f(R_t) (a/R_t) e^{-gamma t}."""
+    integrand = partial(inverse_weighted, params, t, f, 1.0)
     return _estimate(params, f, radial_exact, integrand, t, n_paths, seed, workers)
 
 

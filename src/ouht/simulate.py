@@ -45,19 +45,12 @@ class TimeGrid:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("grid needs at least the two times 0 and t_1")
-        if times[0] != 0.0:
-            raise ValueError(f"grid must start at 0, got {times[0]}")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("grid times must be strictly increasing")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("grid times must be finite")
+        if times.ndim != 1 or times[:1].tolist() != [0.0]:
+            raise ValueError("grid must be one row of times starting at 0")
+        check_times(times[1:])
 
     @classmethod
     def uniform(cls, t_end: float, n_intervals: int) -> "TimeGrid":
-        if t_end <= 0 or n_intervals < 1:
-            raise ValueError("need t_end > 0 and n_intervals >= 1")
         return cls(np.linspace(0.0, t_end, n_intervals + 1))
 
     @classmethod

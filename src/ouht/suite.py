@@ -57,7 +57,7 @@ from .measure import (
     run_draws,
     survival_flags,
 )
-from .process import ProcessParams, martingale_value, radial_transition
+from .process import ProcessParams, martingale_value, radial_transition, time_change
 from .rng import derive_seed
 from .simulate import SchemeConfig, check_times
 
@@ -86,11 +86,14 @@ class SuiteConfig:
     functionals: tuple[TestFunctional, ...] = field(default_factory=default_functional_suite)
 
     def __post_init__(self):
-        ProcessParams(gamma=self.gamma, a=self.a)  # validate eagerly
+        p = self.params  # validates gamma and a
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         object.__setattr__(self, "times", check_times(self.times))
         SchemeConfig(dt=self.dt)  # dt is checked as the Euler rows will check it
+        for t in self.times:  # so is every law's horizon, before any draw
+            time_change(p, t)
+            radial_transition(p, t)
 
     @property
     def params(self) -> ProcessParams:

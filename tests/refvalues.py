@@ -266,6 +266,9 @@ CLI_SINGLE_FAULTS = {
                             "error: process: must be ou-killed or radial, got 'bogus'\n"),
     "defaults-bad-x-scale": (_DENSITY + ["--defaults", "d.conf"], "x-scale = cubic\n", 2,
                              "error: x-scale: must be linear or log, got 'cubic'\n"),
+    # an empty t names no time, even where t has a fallback
+    "defaults-empty-t": (["verify", "--defaults", "d.conf"], "t =\n", 2,
+                         "error: missing required parameter: t\n"),
     "unwritable-simulate": (_SIM + ["--format", "json", "--out", "no/dir/s.json"], None, 1,
                             f"error: cannot write no/dir/s.json: {_ENOENT}: 'no/dir/s.json'\n"),
     "unwritable-verify": (["verify", "--paths", "50", "--workers", "1", "--out", "no/dir/rep"], None, 1,

@@ -446,6 +446,7 @@ def test_simulate_across_blocks(tmp_path, capsys, process, scheme):
     ["verify", "--paths", "200"],
     ["simulate", "--process", "radial", "--paths", "10"],
     ["simulate", "--process", "radial", "--paths", "10", "--t", "0.1"],
+    ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.002", "--paths", "10"],
 ])
 def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -23,6 +23,12 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0]))
+    for bad in ([], [[0.0, 1.0]], [0.0, np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            TimeGrid(np.array(bad))
+    for t_end, n_intervals in ((0.0, 4), (-1.0, 4), (1.0, 0)):
+        with pytest.raises(ValueError):
+            TimeGrid.uniform(t_end, n_intervals)
     grid = TimeGrid.uniform(2.0, 4)
     assert grid.n_intervals == 4
     assert grid.index_of(1.0) == 2
