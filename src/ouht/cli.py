@@ -65,12 +65,6 @@ def _at_least(low: int):
     return check
 
 
-def _positive(value, resolved):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"must be finite and > 0, got {value}")
-    return value
-
-
 def _above(low_key: str | None):
     """value > the option low_key, resolved before it; > 0 for None."""
     def check(value, resolved):
@@ -87,13 +81,18 @@ def _one_time(times, resolved):
     return check_times(times)[0]
 
 
+def _dt(dt, resolved):
+    """An Euler step, checked by the SchemeConfig that carries it."""
+    return SchemeConfig(dt).dt
+
+
 def _euler_dt(dt, resolved):
     """simulate's dt is needed, and checked, for the Euler scheme only."""
     if resolved["scheme"] != "euler":
         return None
     if dt is None:
         raise ConfigError("missing required parameter: dt")
-    return _positive(dt, resolved)
+    return _dt(dt, resolved)
 
 
 # --- the option table ------------------------------------------------------
@@ -140,7 +139,7 @@ _COMMANDS = {
         "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
         "t": _Opt(list, [0.5, 1.0, 2.0], "check times (repeatable; default 0.5 1 2)", _check_t),
         "paths": _Opt(int, 100_000, "paths per estimator (default 100000)", _at_least(1)),
-        "dt": _Opt(float, 0.002, "Euler step for scheme checks (default 0.002)", _positive),
+        "dt": _Opt(float, 0.002, "Euler step for scheme checks (default 0.002)", _dt),
         "seed": _SEED, "workers": _WORKERS,
         "out": _Opt(str, "verify_report", "output path"),
     }),
@@ -271,13 +270,13 @@ def _absorbed(values):
 
 
 def _write_simulate_csv(fh, pairs, times, values) -> None:
-    """One t,path,value,absorbed row per path and time, WRITE_CHUNK rows per write."""
+    """One t,path,value,absorbed row per path and time, WRITE_CHUNK rows per
+    write; values is time-major, one row per time."""
     fh.write("\n".join(_header("simulate", pairs)) + "\nt,path,value,absorbed\n")
-    n_paths = values.shape[0]
-    for j, t in enumerate(times):
+    for t, at_t in zip(times, values):
         row = _fmt(t) + ",%d,%.17g,%d\n"
-        for start in range(0, n_paths, WRITE_CHUNK):
-            chunk = values[start:start + WRITE_CHUNK, j]
+        for start in range(0, at_t.size, WRITE_CHUNK):
+            chunk = at_t[start:start + WRITE_CHUNK]
             fh.write("".join(
                 row % r for r in zip(range(start, start + chunk.size), chunk.tolist(),
                                      _absorbed(chunk).tolist())
@@ -294,10 +293,10 @@ def _write_simulate_json(fh, pairs, times, summaries, values) -> None:
     fh.write(pieces[0])
     sep = ",\n" + 8 * " "
     for k, piece in enumerate(pieces[1:]):
-        column = values[:, k // 2]
+        at_t = values[k // 2]
         fh.write("[\n" + 8 * " ")
-        for start in range(0, column.size, WRITE_CHUNK):
-            chunk = column[start:start + WRITE_CHUNK]
+        for start in range(0, at_t.size, WRITE_CHUNK):
+            chunk = at_t[start:start + WRITE_CHUNK]
             if k % 2 == 0:
                 chunk = _absorbed(chunk).astype(np.int8)
             fh.write((sep if start else "") + json.dumps(chunk.tolist())[1:-1].replace(", ", sep))
@@ -322,10 +321,9 @@ def cmd_simulate(args) -> int:
     summaries = []
     print(f"ouht simulate: process={process} scheme={scheme} "
           f"gamma={params.gamma:g} a={params.a:g} paths={n_paths} seed={seed}")
-    for j, t in enumerate(times):
-        col = values[:, j]
-        est = aggregate(col, seed=seed)
-        survival = float(1.0 - _absorbed(col).mean())
+    for t, at_t in zip(times, values):
+        est = aggregate(at_t, seed=seed)
+        survival = float(1.0 - _absorbed(at_t).mean())
         summaries.append({"t": t, "n": n_paths, "mean": est.mean,
                           "stderr": est.stderr, "survival": survival})
         print(f"  t={t:g}: mean={est.mean:.6g} stderr={est.stderr:.3g} survival={survival:.6g}")

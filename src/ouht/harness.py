@@ -63,7 +63,18 @@ def aggregate(samples, seed: int | None = None) -> MCEstimate:
     """Mean and standard error of a sample stream: reduce_blocks on the whole
     input taken as one block."""
     arr = samples if isinstance(samples, np.ndarray) else np.fromiter(samples, dtype=float)
-    return reduce_blocks([BlockStats.of(arr)], seed=seed)
+    with np.errstate(over="ignore"):
+        est = reduce_blocks([BlockStats.of(arr)], seed=seed)
+    if math.isfinite(est.stderr):
+        return est
+    top = float(np.max(np.abs(arr)))
+    if not math.isfinite(top):
+        return est
+    # finite samples whose sum or squared deviations overflow: the estimate of
+    # the samples scaled below 1 by a power of two, scaled back (both exact)
+    e = math.frexp(top)[1]
+    est = reduce_blocks([BlockStats.of(np.ldexp(arr, -e))], seed=seed)
+    return MCEstimate(math.ldexp(est.mean, e), math.ldexp(est.stderr, e), est.n, seed)
 
 
 def sigma_gap(value: float, target: float, stderr: float) -> float:

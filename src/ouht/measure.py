@@ -25,12 +25,12 @@ from .density import survival_probability
 from .harness import BlockStats, MCEstimate, reduce_blocks, sigma_gap
 from .process import (
     ProcessParams,
-    radial_transition,
+    ou_transition,
     sample_ou_exact,
     sample_radial_exact,
     sample_radial_step,
 )
-from .rng import block_sizes, derive_seed, map_blocks, stream
+from .rng import BLOCK_SIZE, block_sizes, derive_seed, map_blocks, stream
 from .simulate import (TimeGrid, _killed_bridge, check_times, euler_ou, euler_radial,
                        simulate_killed_ou_exact)
 
@@ -125,59 +125,73 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 
 # --- terminal samplers -----------------------------------------------------
 #
-# A sampler is called as sampler(params, times, rng, n) with ascending times
-# and returns an (n, len(times)) array whose column j holds the values at
-# times[j], and nothing else.  Samplers are module-level functions, the
-# Euler ones bound to their SchemeConfig by functools.partial(..., scheme=...),
-# so that tasks pickle.  They look the process and simulate functions up in
-# this module's globals at call time, so a wrapper rebound there sees every
-# call.
+# A sampler is called as sampler(params, times, rng, n, out=None) with
+# ascending times and returns a time-major (len(times), n) array whose row j
+# holds the n values at times[j], and nothing else; given out, it writes into
+# it and returns it.  Samplers are module-level functions, the Euler ones
+# bound to their SchemeConfig by functools.partial(..., scheme=...), so that
+# tasks pickle.  They look the process and simulate functions up in this
+# module's globals at call time, so a wrapper rebound there sees every call.
 
-def killed_exact(params, times, rng, n):
-    """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed."""
-    return simulate_killed_ou_exact(params, TimeGrid.from_times(times), rng, n).values[:, 1:]
+def killed_exact(params, times, rng, n, out=None):
+    """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed.
+    Without out, the rows after time 0 of simulate_killed_ou_exact's paths
+    (the layer benchmarks/traced.py times); with out, the same kernel writes
+    only those rows, straight into out."""
+    _law_domain(params, times)
+    grid = TimeGrid.from_times(times)
+    if out is None:
+        return simulate_killed_ou_exact(params, grid, rng, n).values.T[1:]
+    return _killed_bridge(params, grid, range(1, grid.times.size), rng, n, out)
 
 
-def killed_euler(params, times, rng, n, *, scheme):
+def killed_euler(params, times, rng, n, out=None, *, scheme):
     """X_{t and T0} by Euler-Maruyama with sign-check killing: 0 once absorbed."""
-    return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
+    _law_domain(params, times)
+    return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
 
 
-def _radial_domain(params, times):
-    """radial_transition at every time: raises, naming the caller's t, before any draw."""
+def _law_domain(params, times):
+    """ou_transition at every time: raises before any draw, naming the
+    caller's gamma and t, where exp(-2 gamma t), and with it the second
+    moment of every law sampled here, overflows."""
     for t in times:
-        radial_transition(params, t)
+        ou_transition(params, t)
 
 
-def radial_exact(params, times, rng, n):
+def radial_exact(params, times, rng, n, out=None):
     """R_t along one path per row: the exact marginal at times[0], then the
     exact transition from each time to the next."""
-    _radial_domain(params, times)
-    cols = [sample_radial_exact(params, times[0], rng, size=n)]
-    for s, t in zip(times, times[1:]):
-        cols.append(sample_radial_step(params, cols[-1], t - s, rng))
-    return np.column_stack(cols)
+    _law_domain(params, times)
+    out = np.empty((len(times), n)) if out is None else out
+    sample_radial_exact(params, times[0], rng, size=n, out=out[0])
+    for j in range(1, len(times)):
+        sample_radial_step(params, out[j - 1], times[j] - times[j - 1], rng, out[j])
+    return out
 
 
-def radial_euler(params, times, rng, n, *, scheme):
+def radial_euler(params, times, rng, n, out=None, *, scheme):
     """R_t along one path per row by the drift-implicit Euler step, which
     stays positive without a guard."""
-    _radial_domain(params, times)
-    return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n).values[:, 1:]
+    _law_domain(params, times)
+    return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
 
 
-def ou_exact(params, times, rng, n):
+def ou_exact(params, times, rng, n, out=None):
     """Unkilled X_t from the exact marginal, one independent draw per time."""
-    return np.column_stack([sample_ou_exact(params, t, rng, size=n) for t in times])
+    out = np.empty((len(times), n)) if out is None else out
+    for j, t in enumerate(times):
+        out[j] = sample_ou_exact(params, t, rng, size=n)
+    return out
 
 
-def survival_flags(params, times, rng, n):
+def survival_flags(params, times, rng, n, out=None):
     """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
     a single time only.  Only the last of the 17 grid rows is kept."""
     (t,) = times
-    flags = _killed_bridge(params, TimeGrid.uniform(t, 16), (16,), rng, n)
+    flags = _killed_bridge(params, TimeGrid.uniform(t, 16), (16,), rng, n, out)
     np.greater(flags, 0.0, out=flags)
-    return flags.T
+    return flags
 
 
 # --- block-wise estimation -------------------------------------------------
@@ -185,14 +199,14 @@ def survival_flags(params, times, rng, n):
 # A run is a table of Draws whose blocks all go to map_blocks in one call, in
 # table order.  Block j of a draw comes from stream(seed, j) and each draw is
 # reduced in its own block order, so neither the worker count nor the table
-# order changes a result.  An integrand maps the whole (n, len(times)) block to
-# the samples being averaged (None averages the draws themselves).
+# order changes a result.  An integrand maps the whole (len(times), n) block
+# to the samples being averaged (None averages the draws themselves).
 
 @dataclass(frozen=True)
 class Draw:
     """n_paths paths of sampler at times, block j on stream(seed, j).  With
-    integrands=None the run returns the (n_paths, len(times)) sample in block
-    order; with a tuple, one estimate per integrand, and () draws nothing."""
+    integrands=None the run returns the (len(times), n_paths) sample; with a
+    tuple, one estimate per integrand, and () draws nothing."""
 
     sampler: Callable
     times: tuple[float, ...]
@@ -201,12 +215,28 @@ class Draw:
     integrands: tuple | None = None
 
 
+class _Columns:
+    """A block's columns of its draw's sample.  A serial block draws straight
+    into them; sent to a pool worker, this pickles empty, so the worker draws
+    into an array of its own and run_draws copies it in."""
+
+    def __init__(self, view=None):
+        self.view = view
+
+    def __reduce__(self):
+        return _Columns, ()
+
+
 def _block(task):
-    sampler, params, times, seed, block, n, integrands, _ = task
-    draws = sampler(params, times, stream(seed, block), n)
-    if integrands is None:
-        return draws
-    return tuple(BlockStats.of(draws if g is None else g(draws)) for g in integrands)
+    sampler, params, times, seed, block, n, integrands, columns, _ = task
+    rng = stream(seed, block)
+    if integrands is not None:
+        draws = sampler(params, times, rng, n)
+        return tuple(BlockStats.of(draws if g is None else g(draws)) for g in integrands)
+    if columns.view is None:
+        return sampler(params, times, rng, n)
+    sampler(params, times, rng, n, out=columns.view)
+    return None  # drawn in place: nothing to send back
 
 
 def _reduce(stats, seed):
@@ -219,18 +249,26 @@ def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
     sample, or its tuple of MCEstimates, reduced block by block so that no
     worker returns more than a few numbers per integrand.  An estimate needs
     n_paths >= 2; an integrand that keeps fewer than 2 of them (an average
-    over survivors that no path reaches) gets a NaN estimate with its count."""
+    over survivors that no path reaches) gets a NaN estimate with its count.
+    A sample is allocated once and its blocks are written into it."""
     for d in table.values():
         if d.integrands is not None and d.n_paths < 2:
             raise ValueError(f"need at least 2 samples, got {d.n_paths}")
-    tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands, key)
+    samples = {key: np.empty((len(d.times), d.n_paths))
+               for key, d in table.items() if d.integrands is None}
+    tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands,
+              _Columns(samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n]) if key in samples
+              else None, key)
              for key, d in table.items() if d.integrands != ()
              for j, n in enumerate(block_sizes(d.n_paths))]
-    blocks = {key: [] for key in table}
-    for task, result in zip(tasks, map_blocks(_block, tasks, workers)):
-        blocks[task[-1]].append(result)
-    return {key: np.concatenate(blocks[key]) if d.integrands is None
-            else tuple(_reduce(stats, d.seed) for stats in zip(*blocks[key]))
+    stats = {key: [] for key in table}
+    for (*_, columns, key), result in zip(tasks, map_blocks(_block, tasks, workers)):
+        if columns is None:
+            stats[key].append(result)
+        elif result is not None:  # drawn in a pool worker
+            columns.view[...] = result
+    return {key: samples[key] if key in samples
+            else tuple(_reduce(block_stats, d.seed) for block_stats in zip(*stats[key]))
             for key, d in table.items()}
 
 
@@ -242,10 +280,10 @@ def _estimate(params, f, sampler, integrand, t, n_paths, seed, workers):
 # --- integrands ------------------------------------------------------------
 #
 # Module-level, so that partial(integrand, ...) pickles.  Each is elementwise
-# on a one-time block; at_column hands one column of a multi-time block on.
+# on a one-time block; at_time hands row j of a multi-time block on.
 
-def at_column(j, integrand, block):
-    return integrand(block[:, j])
+def at_time(j, integrand, block):
+    return integrand(block[j])
 
 
 def inverse_weighted(params, t, f, weight_scale, r):

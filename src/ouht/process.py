@@ -142,15 +142,17 @@ def sample_ou_exact(
     return law.mean + sd * z
 
 
-def _gaussian_norm(center, sd: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def _gaussian_norm(center, sd: float, rng: np.random.Generator, size: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """|(center, 0, 0) + sd Z| for size independent 3-d standard normals Z;
-    center may be a scalar or one value per draw.
+    center may be a scalar or one value per draw.  Written into out when it
+    is given.
 
     Two variates per draw, not three: Z_2^2 + Z_3^2 is chi^2_2 = 2 Exp(1), so
     the norm is sqrt((center + sd Z_1)^2 + 2 sd^2 E), drawn as size normals
     Z_1 and then size standard exponentials E.
     """
-    r = rng.standard_normal(int(size))
+    r = rng.standard_normal(int(size), out=out)
     r *= sd
     r += center
     r *= r
@@ -165,13 +167,15 @@ def sample_radial_exact(
     t: float,
     rng: np.random.Generator,
     size: int | None = None,
+    out: np.ndarray | None = None,
 ):
-    """Draw R_t exactly: norm of a 3-d Gaussian draw; strictly positive a.s."""
+    """Draw R_t exactly: norm of a 3-d Gaussian draw; strictly positive a.s.
+    With out, size draws are written into it."""
     law = radial_transition(params, t)
     sd = math.sqrt(law.sigma2)
     if size is None:
         return float(_gaussian_norm(law.center, sd, rng, 1)[0])
-    return _gaussian_norm(law.center, sd, rng, size)
+    return _gaussian_norm(law.center, sd, rng, size, out)
 
 
 def sample_radial_step(
@@ -179,15 +183,17 @@ def sample_radial_step(
     r: np.ndarray,
     dt: float,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw R_{s+dt} given R_s = r, exactly, for each value in r.
+    """Draw R_{s+dt} given R_s = r, exactly, for each value in r (into out
+    when it is given).
 
     The 3-d vector moves to e^{-gamma dt} vec + sqrt(v(dt)) Z, with v(dt) the
     scalar transition variance.  Z is isotropic, so the law of the new norm
     depends on |vec| = r alone, and vec is taken along the first axis.
     """
     law = ou_transition(ProcessParams(params.gamma, 1.0), dt)  # from 1: mean e^{-gamma dt}
-    return _gaussian_norm(law.mean * r, math.sqrt(law.variance), rng, r.size)
+    return _gaussian_norm(law.mean * r, math.sqrt(law.variance), rng, r.size, out)
 
 
 def martingale_value(params: ProcessParams, x, t: float):

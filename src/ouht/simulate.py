@@ -11,8 +11,10 @@ Three schemes:
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
 Every scheme returns one Paths record, an (n_paths, n_times) array on its
-grid.  Absorption is stored in the values alone: a killed path reads 0 from
-the grid time after its absorption on, as the stopped path X_{t and T0} does.
+grid; the Euler schemes leave out the shared start column a, as they write
+each later grid time straight into their caller's rows.  Absorption is
+stored in the values alone: a killed path reads 0 from the grid time after
+its absorption on, as the stopped path X_{t and T0} does.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class SchemeConfig:
 
 @dataclass(eq=False)
 class Paths:
-    """A set of paths on a common grid: values[i, j] is path i at times[j].
+    """A set of paths on a common grid: values[i, j] is path i at
+    times[j + start], where start is 0 when every grid time is stored and 1
+    when the shared start a at time 0 is left out (the Euler schemes).
 
     A killed path reads 0 from its absorption on, so a value is > 0 exactly
     while its path is alive; radial paths are > 0 throughout.
@@ -101,8 +105,15 @@ class Paths:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def start(self) -> int:
+        return self.grid.times.size - self.values.shape[1]
+
     def values_at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
+        j = self.grid.index_of(t) - self.start
+        if j < 0:
+            raise ValueError(f"t = {t} is the shared start, which these paths leave out")
+        return self.values[:, j]
 
     def survival_fraction(self, t: float) -> float:
         return float(np.mean(self.values_at(t) > 0.0))
@@ -126,15 +137,16 @@ def simulate_killed_ou_exact(
 
 
 def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.Generator,
-                  n_paths: int) -> np.ndarray:
+                  n_paths: int, out: np.ndarray | None = None) -> np.ndarray:
     """The bridge-killed values of simulate_killed_ou_exact at the grid
     indices rows (ascending), as a (len(rows), n_paths) array: row k holds
-    every path at times[rows[k]].
+    every path at times[rows[k]].  Written into out when it is given.
 
     Every interval of the grid is stepped, with the same variates whichever
     rows are kept, so a kept row's bytes do not depend on the others.  The
-    interval's uniforms, proposal (formed over its normals), crossing
-    probability and kill flags live in reused buffers.
+    interval's uniforms and proposal (formed over its normals) live in reused
+    buffers; its crossing probability, then its kill flags, are formed in the
+    buffer of the state the proposal replaces.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -142,13 +154,13 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
     taus = np.array([time_change(params, t) for t in times])
     slot = {i: k for k, i in enumerate(rows)}
 
-    out = np.empty((len(slot), n_paths))
+    if out is None:
+        out = np.empty((len(slot), n_paths))
     if 0 in slot:
         out[slot[0]] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
     y = np.full(n_paths, params.a, dtype=float)
-    u, y_next, p_cross = (np.empty_like(y) for _ in range(3))
-    keep = np.empty(n_paths, dtype=bool)
+    u, y_next = np.empty_like(y), np.empty_like(y)
 
     for i in range(times.size - 1):
         dtau = taus[i + 1] - taus[i]
@@ -156,17 +168,19 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
         rng.random(out=u)
         y_next *= math.sqrt(dtau)
         y_next += y
-        # the clipped exponent is 0, so crossing is certain, when y_next <= 0
-        # and when y = 0: an absorbed path is held at 0
-        np.multiply(y, -2.0, out=p_cross)
-        p_cross *= y_next
-        p_cross /= dtau
-        np.minimum(p_cross, 0.0, out=p_cross)
-        np.exp(p_cross, out=p_cross)
-        # kill where u < p_cross by a multiply, with no branch on the random
-        # mask; adding 0.0 turns the -0.0 of a killed negative proposal to 0.0
-        np.greater_equal(u, p_cross, out=keep)
-        y_next *= keep
+        # y becomes the crossing probability, read only here.  The clipped
+        # exponent is 0, so crossing is certain, when y_next <= 0 and when
+        # y = 0: an absorbed path is held at 0
+        y *= -2.0
+        y *= y_next
+        y /= dtau
+        np.minimum(y, 0.0, out=y)
+        np.exp(y, out=y)
+        # kill where u < the crossing probability by multiplying with the 0/1
+        # flag u >= it, formed in y: no branch on the random mask.  Adding 0.0
+        # turns the -0.0 of a killed negative proposal to 0.0
+        np.greater_equal(u, y, out=y)
+        y_next *= y
         y_next += 0.0
         y, y_next = y_next, y
         if i + 1 in slot:
@@ -185,6 +199,7 @@ def euler_ou(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
+    out: np.ndarray | None = None,
 ) -> Paths:
     """Euler-Maruyama killed OU: x += -gamma x h + sqrt(h) z on substeps of
     size <= dt, absorbed at the first substep value <= 0.
@@ -192,25 +207,38 @@ def euler_ou(
     Killing is by sign check only, so intra-step crossings are missed and the
     survival is biased high by O(sqrt(dt)); the exact scheme is the unbiased
     reference.
+
+    Row i of out (allocated when not given) receives times[i + 1]; the
+    shared start a is not stored.  A substep draws its normals into the row
+    it writes, once it has read the state there.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = grid.times
-    n_times = times.size
-    values = np.empty((n_paths, n_times))
-    values[:, 0] = params.a
-    x = np.full(n_paths, params.a)
+    if out is None:
+        out = np.empty((grid.n_intervals, n_paths))
+    out[0] = params.a  # the state until the first substep overwrites it
+    x, step = out[0], np.empty(n_paths)
+    alive = np.empty(n_paths, dtype=bool)
 
     for i, m in enumerate(_substep_counts(grid, scheme.dt)):
         h = (times[i + 1] - times[i]) / m
         sq = math.sqrt(h)
+        row = out[i]
         for _ in range(m):
-            z = rng.standard_normal(n_paths)
-            # a step to <= 0 absorbs the path at 0, where it stays
-            x = np.where(x > 0.0, np.maximum(x - params.gamma * x * h + sq * z, 0.0), 0.0)
-        values[:, i + 1] = x
+            # x - gamma x h + sqrt(h) z, floored at 0; an absorbed path stays at 0
+            np.greater(x, 0.0, out=alive)
+            np.multiply(x, params.gamma, out=step)
+            step *= h
+            np.subtract(x, step, out=step)
+            rng.standard_normal(out=row)
+            row *= sq
+            step += row
+            np.maximum(step, 0.0, out=step)
+            np.multiply(step, alive, out=row)
+            x = row
 
-    return Paths(grid, values)
+    return Paths(grid, out.T)
 
 
 def euler_radial(
@@ -219,6 +247,7 @@ def euler_radial(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
+    out: np.ndarray | None = None,
 ) -> Paths:
     """Drift-implicit Euler for dR = (1/R - gamma R) dt + dB on substeps of
     size h <= dt: with y = R + sqrt(h) z and k = 1 + gamma h, the step solves
@@ -227,15 +256,21 @@ def euler_radial(
         R' = (y + sqrt(y^2 + 4 k h)) / (2 k),
 
     so every value is > 0 whenever k > 0, with no guard (Alfonsi 2005).
+    For k >= 1/2 a negative y has y^2 <= h z^2, so the sum loses at most a
+    few ulp; below that (strongly explosive gamma) it can cancel to 0, and
+    the root of a negative y is taken as 2h / (sqrt(y^2 + 4 k h) - y).
+
+    Row i of out (allocated when not given) receives times[i + 1]; the
+    shared start a is not stored.  A substep forms y in its one scratch row
+    and the root in the row it writes.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = grid.times
-    values = np.empty((n_paths, times.size))
-    values[:, 0] = params.a
-    # float64 even for an int a; y is scratch for R + sqrt(h) z
-    r = np.full(n_paths, params.a, dtype=float)
-    y = np.empty_like(r)
+    if out is None:
+        out = np.empty((grid.n_intervals, n_paths))
+    out[0] = params.a  # float64 even for an int a; the state until the first substep
+    r, y = out[0], np.empty(n_paths)
 
     for i, m in enumerate(_substep_counts(grid, scheme.dt)):
         h = (times[i + 1] - times[i]) / m
@@ -246,15 +281,27 @@ def euler_radial(
                 f"{params.gamma:g} with substep h = {h:g} (use a smaller dt)"
             )
         sq, c, inv_2k = math.sqrt(h), 4.0 * k * h, 0.5 / k
+        negative = None if k >= 0.5 else np.empty(n_paths, dtype=bool)
+        row = out[i]
         for _ in range(m):
             rng.standard_normal(out=y)
             y *= sq
             y += r
-            np.multiply(y, y, out=r)
-            r += c
-            np.sqrt(r, out=r)
-            r += y
-            r *= inv_2k
-        values[:, i + 1] = r
+            np.multiply(y, y, out=row)
+            row += c
+            np.sqrt(row, out=row)
+            if negative is None:
+                row += y
+                row *= inv_2k
+            else:
+                # with s = sqrt(y^2 + 4kh), the root is (s + |y|) / (2k) for
+                # y >= 0 and 2h / (s + |y|) for y < 0: no cancellation
+                np.less(y, 0.0, out=negative)
+                np.abs(y, out=y)
+                row += y
+                np.divide(2.0 * h, row, out=row, where=negative)
+                np.logical_not(negative, out=negative)
+                np.multiply(row, inv_2k, out=row, where=negative)
+            r = row
 
-    return Paths(grid, values)
+    return Paths(grid, out.T)

@@ -43,7 +43,7 @@ from .measure import (
     Draw,
     TestFunctional,
     alive,
-    at_column,
+    at_time,
     conditional_draws,
     conditional_results,
     curve_draws,
@@ -149,7 +149,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                                    (partial(martingale_value, p, t=t),)) for t in times},
         # every time read off one killed path
         "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"),
-                          tuple(partial(at_column, j, partial(forward_weighted, p, t, one))
+                          tuple(partial(at_time, j, partial(forward_weighted, p, t, one))
                                 for j, t in enumerate(times))),
         "transport-direct": Draw(killed_exact, (t_mid,), n, derive_seed(seed, "transport-direct"),
                                  tuple(partial(alive, f) for f in fs)),
@@ -267,11 +267,11 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     law = radial_transition(p, t_mid)
 
     def euler_ks():
-        ks = ks_statistic(got["euler-radial"][:, 0], got["euler-radial-reference"][:, 0])
+        ks = ks_statistic(got["euler-radial"][0], got["euler-radial-reference"][0])
         return ks, 0.0, ks, ks_two_sample_critical(n_euler, n_euler, alpha=0.01), seed_e
 
     def euler_msq():
-        est = aggregate(got["euler-radial"][:, 0] ** 2, seed=seed_e)
+        est = aggregate(got["euler-radial"][0] ** 2, seed=seed_e)
         allowance = SIGMA_THRESHOLD * est.stderr + MSQ_BIAS_PER_DT * config.dt
         return est.mean, law.mean_square(), abs(est.mean - law.mean_square()), allowance, seed_e
 
@@ -281,7 +281,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         # largest of n_euler exact draws exceeds this with probability <= TAIL_ALPHA
         bound = math.sqrt(law.mean_square()) + math.sqrt(
             2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
-        top = float(got["euler-radial"][:, 0].max())
+        top = float(got["euler-radial"][0].max())
         return top, bound, top, bound, seed_e
 
     row("euler-radial-ks", "Euler radial terminal law equals the exact radial law",

@@ -247,8 +247,9 @@ CLI_SINGLE_FAULTS = {
               "error: a: a must be finite and > 0, got -1.0\n"),
     "bad-t": (["verify", "--t", "2", "--t", "1"], None, 2,
               "error: t: times must be positive, finite and strictly ascending\n"),
+    # re-pinned when the dt check moved to SchemeConfig, whose message names dt
     "bad-dt": (["verify", "--dt", "-0.5"], None, 2,
-               "error: dt: must be finite and > 0, got -0.5\n"),
+               "error: dt: dt must be finite and > 0, got -0.5\n"),
     "bad-x-min": (_DENSITY + ["--x-min", "0"], None, 2,
                   "error: x-min: must be > 0, got 0.0\n"),
     "bad-x-max": (_DENSITY + ["--x-max", "0.05"], None, 2,

@@ -447,6 +447,10 @@ def test_simulate_across_blocks(tmp_path, capsys, process, scheme):
     ["simulate", "--process", "radial", "--paths", "10"],
     ["simulate", "--process", "radial", "--paths", "10", "--t", "0.1"],
     ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.002", "--paths", "10"],
+    # the killed law's values (about 1e217) are finite, but not their squares
+    ["simulate", "--process", "ou-killed", "--paths", "10", "--format", "json"],
+    ["simulate", "--process", "ou-killed", "--scheme", "euler", "--dt", "0.002", "--paths", "10",
+     "--format", "json"],
 ])
 def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -456,6 +460,22 @@ def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "overflows for gamma = -50, t = 10 (gamma*t = -500)" in err, err
     assert not list(tmp_path.iterdir())
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_simulate_stderr_stays_finite_where_the_squares_overflow(tmp_path, capsys):
+    # inside the law's domain, killed values near 1e154 spread by about 7e153:
+    # their squared deviations overflow, but the stderr is finite
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--process", "ou-killed", "--gamma", "-0.0001", "--a", "100",
+                 "--t", "3.5e6", "--paths", "10", "--workers", "1", "--format", "json",
+                 "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text(), parse_constant=_reject)["results"]
+    assert 1e150 < result["stderr"] < result["mean"] < 1e155, result
+    assert "inf" not in capsys.readouterr().out
 
 
 def _load_traced():
@@ -520,3 +540,19 @@ def test_traced_verify_records_the_sampler_layers(tmp_path):
     assert total("simulate.euler_radial", "path_substeps") > 0
     # the parser must pick the command up through the module global the tracer rebinds
     assert [s["name"] for s in spans if s["parent"] is None] == ["cli.command"]
+
+
+def test_traced_simulate_euler_records_the_euler_layer(tmp_path):
+    # the benchmark's simulate_euler command at 1,000 paths: the radial Euler
+    # draw writes into the sample, and the tracer still counts its substeps
+    # (250 + 250 + 500 of dt 0.002 per path)
+    argv = ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.002",
+            "--gamma", "1.0", "--a", "1.0", "--t", "0.5", "--t", "1.0", "--t", "2.0",
+            "--paths", "1000", "--workers", "1", "--seed", "1", "--out", "sim.csv"]
+    res = subprocess.run([sys.executable, "-B", str(TRACED), "spans.json", "--", *argv],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout + res.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    euler = [s["counts"] for s in spans if s["name"] == "simulate.euler_radial"]
+    assert sum(c["path_substeps"] for c in euler) == 1000 * 1000 > 0
+    assert (tmp_path / "sim.csv").exists()

@@ -122,6 +122,15 @@ def test_block_stats_squares_its_deviations_in_place():
     assert peak < 1.5 * x.nbytes, peak / x.nbytes
 
 
+def test_aggregate_scales_samples_whose_squares_overflow():
+    # the squared deviations of 2^1000 * (1, 2, 3, 4) overflow; scaled by a
+    # power of two the estimate is that of (1, 2, 3, 4), bit for bit
+    small = aggregate(np.arange(1.0, 5.0), seed=7)
+    big = aggregate(np.ldexp(np.arange(1.0, 5.0), 1000), seed=7)
+    assert big == MCEstimate(math.ldexp(small.mean, 1000), math.ldexp(small.stderr, 1000), 4, 7)
+    assert math.isfinite(big.stderr)
+
+
 def test_ks_statistic_edges():
     x = np.array([1.0, 2.0, 3.0])
     assert ks_statistic(x, x) == 0.0

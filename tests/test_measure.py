@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
+    Draw,
     TestFunctional,
     forward_weighted,
     conditional_identity_detail,
@@ -18,14 +20,18 @@ from ouht.measure import (
     estimate_Q_expectation_via_P,
     estimate_radial_expectation_direct,
     inverse_weight,
+    killed_euler,
     killed_exact,
     local_martingale_curve,
+    ou_exact,
+    radial_euler,
     radial_exact,
+    run_draws,
     survival_flags,
 )
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import BLOCK_SIZE, stream
-from ouht.simulate import TimeGrid, simulate_killed_ou_exact
+from ouht.simulate import SchemeConfig, TimeGrid, simulate_killed_ou_exact
 
 import refvalues as ref
 
@@ -107,7 +113,7 @@ def test_forward_weight_on_paths():
 
 def test_forward_weight_gamma_zero_is_plain_ratio():
     p = ProcessParams(0.0, 2.0)
-    x = killed_exact(p, (1.0,), stream(305, 0), 5_000)[:, 0]
+    x = killed_exact(p, (1.0,), stream(305, 0), 5_000)[0]
     w = forward_weighted(p, 1.0, TestFunctional.constant_one(), x)
     assert np.allclose(w, x / p.a)
 
@@ -228,7 +234,7 @@ def test_radial_exact_rows_are_paths():
     # so Cov(R_s^2, R_t^2) = e^{-2 gamma (t-s)} Var(R_s^2)
     s, t, n = 0.5, 1.0, 50_000
     draws = radial_exact(P11, (s, t), stream(301, 0), n)
-    sq_s, sq_t = draws[:, 0] ** 2, draws[:, 1] ** 2
+    sq_s, sq_t = draws[0] ** 2, draws[1] ** 2
 
     law = radial_transition(P11, s)
     target = math.exp(-2.0 * (t - s)) * (6.0 * law.sigma2**2 + 4.0 * law.center**2 * law.sigma2)
@@ -236,16 +242,16 @@ def test_radial_exact_rows_are_paths():
     stderr = products.std(ddof=1) / math.sqrt(n)
     assert abs(products.mean() - target) <= 4.0 * stderr, (products.mean(), target, stderr)
 
-    # each later column keeps the exact marginal
+    # each later row keeps the exact marginal
     target_t = radial_transition(P11, t).mean_square()
     assert abs(sq_t.mean() - target_t) <= 4.0 * sq_t.std(ddof=1) / math.sqrt(n)
 
 
 def test_radial_exact_first_time_is_the_marginal_draw():
-    # the first column is sample_radial_exact's draw, so single-time
+    # the first row is sample_radial_exact's draw, so single-time
     # estimators (and verify) see the same numbers as before
     draws = radial_exact(P11, (0.5, 1.0, 2.0), stream(302, 0), 1_000)
-    assert np.array_equal(draws[:, 0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))
+    assert np.array_equal(draws[0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))
 
 
 @pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
@@ -255,8 +261,8 @@ def test_survival_flags_are_the_last_column_of_the_full_bridge(gamma):
     params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
     full = simulate_killed_ou_exact(params, TimeGrid.uniform(1.0, 16), stream(232, 0), n)
     flags = survival_flags(params, (1.0,), stream(232, 0), n)
-    assert flags.shape == (n, 1)
-    assert flags.tobytes() == (full.values[:, -1:] > 0.0).astype(float).tobytes()
+    assert flags.shape == (1, n)
+    assert flags.tobytes() == (full.values[:, -1] > 0.0).astype(float).tobytes()
     assert 0 < np.count_nonzero(flags == 0.0) < n
 
 
@@ -270,3 +276,48 @@ def test_survival_flags_peak_memory_is_a_few_block_rows():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 8 * BLOCK_SIZE, peak / (8 * BLOCK_SIZE)
+
+
+def _peak_block_rows(draw):
+    tracemalloc.start()
+    try:
+        draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * BLOCK_SIZE)
+
+
+def test_raw_euler_sample_is_held_once():
+    # a serial block writes into its columns of the one (3, n) sample, with
+    # one scratch row; a block array per block and their concatenation
+    # peaked at about 14.4 block rows
+    draw = Draw(partial(radial_euler, scheme=SchemeConfig(dt=0.5)), (0.5, 1.0, 2.0),
+                2 * BLOCK_SIZE, 3)
+    rows = _peak_block_rows(lambda: run_draws(P11, {0: draw}, workers=1))
+    assert rows <= 6 + 3, rows
+
+
+def test_killed_exact_block_peak_memory():
+    # three times make a four-row grid; the bridge adds its uniforms, its
+    # proposal and its state, which also holds the crossing probability and
+    # the kill flags (a crossing-probability row and a flag row made 8.1)
+    rng = stream(0, 0)
+    rows = _peak_block_rows(lambda: killed_exact(P11, (0.5, 1.0, 2.0), rng, BLOCK_SIZE))
+    assert rows <= 7.2, rows
+
+
+@pytest.mark.parametrize("sampler", [
+    killed_exact, partial(killed_euler, scheme=SchemeConfig(dt=0.1)), radial_exact,
+    partial(radial_euler, scheme=SchemeConfig(dt=0.1)), ou_exact, survival_flags,
+], ids=["killed_exact", "killed_euler", "radial_exact", "radial_euler", "ou_exact",
+        "survival_flags"])
+def test_raw_sample_is_its_blocks_drawn_in_place(sampler):
+    # each serial block draws into its columns of the one time-major sample;
+    # the bytes are those of the block drawn into an array of its own
+    times = (1.0,) if sampler is survival_flags else (0.5, 1.0, 2.0)
+    n = BLOCK_SIZE + 300
+    sample = run_draws(P11, {0: Draw(sampler, times, n, 7)}, workers=1)[0]
+    blocks = [sampler(P11, times, stream(7, j), m) for j, m in enumerate((BLOCK_SIZE, 300))]
+    assert sample.shape == (len(times), n)
+    assert sample.tobytes() == np.concatenate(blocks, axis=1).tobytes()

@@ -68,6 +68,12 @@ def test_exact_killed_unreachable_boundary():
     assert paths.survival_fraction(1.0) == 1.0
 
 
+def _every_grid_time(paths, a):
+    """paths.values with the shared start column a put back where the
+    scheme leaves it out, so every scheme is read on its whole grid."""
+    return np.hstack([np.full((paths.n_paths, paths.start), float(a)), paths.values])
+
+
 KILLED_SCHEMES = {
     "exact": lambda grid, rng, n: simulate_killed_ou_exact(P11, grid, rng, n),
     "euler": lambda grid, rng, n: euler_ou(P11, grid, SchemeConfig(dt=0.01), rng, n),
@@ -79,7 +85,7 @@ def test_killed_paths_are_positive_until_absorbed_then_zero(scheme):
     # absorption is stored in the values alone: each row is > 0 up to its
     # absorption column and exactly 0 from there on
     paths = KILLED_SCHEMES[scheme](TimeGrid.uniform(2.0, 8), stream(205, 0), 5_000)
-    values = paths.values
+    values = _every_grid_time(paths, P11.a)
     assert np.all(values[:, 0] == P11.a)
     alive = values > 0.0
     assert np.all(alive | (values == 0.0))
@@ -96,7 +102,7 @@ def test_killed_paths_are_positive_until_absorbed_then_zero(scheme):
 def test_killed_paths_on_sixteen_intervals_are_pinned(scheme):
     seed = {"exact": 220, "euler": 221}[scheme]
     paths = KILLED_SCHEMES[scheme](TimeGrid.uniform(2.0, 16), stream(seed, 0), 4096)
-    digest = hashlib.sha256(paths.values.tobytes()).hexdigest()
+    digest = hashlib.sha256(_every_grid_time(paths, P11.a).tobytes()).hexdigest()
     assert digest == ref.KILLED_SHA256_G1_A1_T2_N16[scheme]
 
 
@@ -222,7 +228,8 @@ def test_euler_radial_near_zero_start_is_pinned_and_positive():
         ProcessParams(0.5, 0.05), TimeGrid.from_times((0.5, 1.0)),
         SchemeConfig(dt=0.05), stream(4, 0), 4096,
     )
-    assert hashlib.sha256(sample.values.tobytes()).hexdigest() == ref.EULER_RADIAL_G05_A005_DT005
+    values = _every_grid_time(sample, 0.05)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == ref.EULER_RADIAL_G05_A005_DT005
     assert np.all(np.isfinite(sample.values)) and np.all(sample.values > 0.0)
 
 
@@ -248,6 +255,24 @@ def test_euler_radial_step_from_near_zero_stays_positive():
     root = 2.0 * h / (math.sqrt(y * y + 4.0 * k * h) - y)
     assert np.all(np.isfinite(r)) and np.all(r > 0.0)
     assert r == pytest.approx(root, rel=1e-12)
+
+
+def test_euler_radial_keeps_a_negative_y_off_zero_near_the_explosive_limit():
+    # k = 1 + gamma*h is about 1e-16 here, so 4kh vanishes next to y^2 and
+    # y + sqrt(y^2 + 4kh) cancels to 0 for y < 0 (4,531 of these paths read
+    # exactly 0); 2h / (sqrt(y^2 + 4kh) - y) keeps each root positive
+    gamma, h, a, n = -499.99999999999994, 0.002, 1e-3, 100_000
+    sample = euler_radial(ProcessParams(gamma, a), TimeGrid.from_times((h,)),
+                          SchemeConfig(dt=h), stream(1, 0), n)
+    r = sample.values_at(h)
+    assert np.all(r > 0.0)
+    y = a + math.sqrt(h) * stream(1, 0).standard_normal(n)
+    k = 1.0 + gamma * h
+    s = np.sqrt(y * y + 4.0 * k * h)
+    neg = y < 0.0
+    assert np.count_nonzero(neg) > 1_000
+    assert np.allclose(r[neg], 2.0 * h / (s[neg] - y[neg]), rtol=1e-15, atol=0.0)
+    assert np.allclose(r[~neg], (y[~neg] + s[~neg]) / (2.0 * k), rtol=1e-15, atol=0.0)
 
 
 def test_euler_radial_rejects_a_step_past_the_explosive_limit():

@@ -254,7 +254,7 @@ def test_unit_mass_rows_skip_when_survival_is_tiny():
 
 
 def _absorb_every_path(params, times, rng, n):
-    return np.zeros((n, len(times)))
+    return np.zeros((len(times), n))
 
 
 def test_unit_mass_rows_fail_a_sampler_that_absorbs_every_path(monkeypatch):
@@ -267,7 +267,7 @@ def test_unit_mass_rows_fail_a_sampler_that_absorbs_every_path(monkeypatch):
     assert all(c.status == FAIL and c.value == 0.0 for c in rows)
 
 
-def _explicit_radial(params, times, rng, n, *, scheme):
+def _explicit_radial(params, times, rng, n, out=None, *, scheme):
     """Explicit Euler for dR = (1/R - gamma R) dt + dB, reflected at 0: the
     reference scheme that the euler-radial-tail row must reject."""
     (t,) = times
@@ -276,7 +276,10 @@ def _explicit_radial(params, times, rng, n, *, scheme):
     r = np.full(n, float(params.a))
     for _ in range(m):
         r = np.abs(r + (1.0 / r - params.gamma * r) * h + math.sqrt(h) * rng.standard_normal(n))
-    return r[:, None]
+    if out is None:
+        return r[None, :]
+    out[0] = r
+    return out
 
 
 def test_tail_row_rejects_explicit_euler(monkeypatch):
