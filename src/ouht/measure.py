@@ -25,6 +25,7 @@ from .density import survival_probability
 from .harness import BlockStats, MCEstimate, reduce_blocks, sigma_gap
 from .process import (
     ProcessParams,
+    check_horizon,
     check_times,
     ou_transition,
     sample_ou_exact,
@@ -139,7 +140,6 @@ def killed_exact(params, times, rng, n, out=None):
     Without out, the rows after time 0 of simulate_killed_ou_exact's paths
     (the layer benchmarks/traced.py times); with out, the same kernel writes
     only those rows, straight into out."""
-    _law_domain(params, times)
     grid = TimeGrid.from_times(times)
     if out is None:
         return simulate_killed_ou_exact(params, grid, rng, n).values.T[1:]
@@ -148,22 +148,12 @@ def killed_exact(params, times, rng, n, out=None):
 
 def killed_euler(params, times, rng, n, out=None, *, scheme):
     """X_{t and T0} by Euler-Maruyama with sign-check killing: 0 once absorbed."""
-    _law_domain(params, times)
     return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
-
-
-def _law_domain(params, times):
-    """ou_transition at every time: raises before any draw, naming the
-    caller's gamma and t, where exp(-2 gamma t), and with it the second
-    moment of every law sampled here, overflows."""
-    for t in times:
-        ou_transition(params, t)
 
 
 def radial_exact(params, times, rng, n, out=None):
     """R_t along one path per row: the exact marginal at times[0], then the
     exact transition from each time to the next."""
-    _law_domain(params, times)
     out = np.empty((len(times), n)) if out is None else out
     sample_radial_exact(params, times[0], rng, size=n, out=out[0])
     for j in range(1, len(times)):
@@ -174,7 +164,6 @@ def radial_exact(params, times, rng, n, out=None):
 def radial_euler(params, times, rng, n, out=None, *, scheme):
     """R_t along one path per row by the drift-implicit Euler step, which
     stays positive without a guard."""
-    _law_domain(params, times)
     return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
 
 
@@ -207,7 +196,7 @@ def survival_flags(params, times, rng, n, out=None):
 class Draw:
     """n_paths paths of sampler at times, block j on stream(seed, j).  With
     integrands=None the run returns the (len(times), n_paths) sample; with a
-    tuple, one estimate per integrand, and () draws nothing."""
+    tuple, one estimate per integrand."""
 
     sampler: Callable
     times: tuple[float, ...]
@@ -248,19 +237,22 @@ def _reduce(stats, seed):
 def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
     """Every Draw in table (key -> Draw) from one map_blocks call: key -> its
     sample, or its tuple of MCEstimates, reduced block by block so that no
-    worker returns more than a few numbers per integrand.  An estimate needs
-    n_paths >= 2; an integrand that keeps fewer than 2 of them (an average
-    over survivors that no path reaches) gets a NaN estimate with its count.
-    A sample is allocated once and its blocks are written into it."""
+    worker returns more than a few numbers per integrand.  Each draw's times
+    pass ou_transition, which names gamma and t, before any block is drawn.
+    An estimate needs n_paths >= 2; an integrand that keeps fewer than 2 of
+    them (an average over survivors that no path reaches) gets a NaN estimate
+    with its count.  A sample is allocated once and its blocks written into it."""
     for d in table.values():
         if d.integrands is not None and d.n_paths < 2:
             raise ValueError(f"need at least 2 samples, got {d.n_paths}")
+        for t in d.times:
+            ou_transition(params, t)
     samples = {key: np.empty((len(d.times), d.n_paths))
                for key, d in table.items() if d.integrands is None}
     tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands,
               _Columns(samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n]) if key in samples
               else None, key)
-             for key, d in table.items() if d.integrands != ()
+             for key, d in table.items()
              for j, n in enumerate(block_sizes(d.n_paths))]
     stats = {key: [] for key in table}
     for (*_, columns, key), result in zip(tasks, map_blocks(_block, tasks, workers)):
@@ -386,7 +378,6 @@ class ConditionalIdentityResult:
     lhs: MCEstimate
     q_inverse_mean: MCEstimate
     conditional_mean: MCEstimate
-    n_survivors: int
 
     @property
     def rhs(self) -> float:
@@ -413,7 +404,7 @@ def conditional_draws(fs: tuple[TestFunctional, ...], t: float, n_paths: int,
     for f in fs:
         _check_functional(f)
     sides = {"conditional-lhs": (radial_exact, [partial(_over, f) for f in fs]),
-             "conditional-qinv": (radial_exact, [partial(_scaled_reciprocal, 1.0)] if fs else []),
+             "conditional-qinv": (radial_exact, [partial(_scaled_reciprocal, 1.0)]),
              "conditional-killed": (killed_exact, [partial(_survivors, f) for f in fs])}
     return {tag: Draw(sampler, (t,), n_paths, derive_seed(seed, tag), tuple(integrands))
             for tag, (sampler, integrands) in sides.items()}
@@ -429,8 +420,7 @@ def conditional_results(draws: dict, results: dict) -> tuple[ConditionalIdentity
                          f"{draws['conditional-killed'].n_paths}: "
                          "n_paths too small for a conditional estimate")
     return tuple(
-        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv[0], conditional_mean=c,
-                                  n_survivors=c.n)
+        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv[0], conditional_mean=c)
         for l, c in zip(lhs, conds)
     )
 
@@ -482,11 +472,14 @@ class CurvePoint:
 
 def curve_draws(params: ProcessParams, times, n_paths: int, seed: int) -> dict:
     """The draws behind local_martingale_curve, one per time, keyed by the
-    tags ("local-martingale", i) that derive their streams from seed."""
+    tags ("local-martingale", i) that derive their streams from seed; the
+    horizon is checked first, as the closed form S(t) needs it."""
+    times = check_times(times)
+    check_horizon(params, times)
     return {("local-martingale", i):
             Draw(radial_exact, (t,), n_paths, derive_seed(seed, "local-martingale", i),
                  (partial(_scaled_reciprocal, math.exp(-params.gamma * t)),))
-            for i, t in enumerate(check_times(times))}
+            for i, t in enumerate(times)}
 
 
 def local_martingale_curve(

@@ -137,16 +137,21 @@ def radial_transition(params: ProcessParams, t: float) -> RadialLaw:
     return RadialLaw(center=law.mean, sigma2=law.variance)
 
 
+def check_horizon(params: ProcessParams, times) -> None:
+    """time_change and ou_transition at every time: an OverflowError names
+    gamma and t where the clock tau(t) or e^{-2 gamma t} overflows."""
+    for t in times:
+        time_change(params, t)
+        ou_transition(params, t)
+
+
 def sample_ou_exact(
     params: ProcessParams,
     t: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw from the exact (unkilled) marginal of X_t; values may be <= 0.
-
-    Returns a float when size is None, else an ndarray of that length.
-    """
+    size: int,
+) -> np.ndarray:
+    """size draws from the exact (unkilled) marginal of X_t; values may be <= 0."""
     law = ou_transition(params, t)
     sd = math.sqrt(law.variance)
     z = rng.standard_normal(size)
@@ -177,15 +182,13 @@ def sample_radial_exact(
     params: ProcessParams,
     t: float,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     out: np.ndarray | None = None,
-):
-    """Draw R_t exactly: norm of a 3-d Gaussian draw; strictly positive a.s.
-    With out, size draws are written into it."""
+) -> np.ndarray:
+    """size exact draws of R_t, the norm of a 3-d Gaussian draw; strictly
+    positive a.s.  Written into out when it is given."""
     law = radial_transition(params, t)
     sd = math.sqrt(law.sigma2)
-    if size is None:
-        return float(_gaussian_norm(law.center, sd, rng, 1)[0])
     return _gaussian_norm(law.center, sd, rng, size, out)
 
 

@@ -157,20 +157,21 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
         rng.random(out=u)
         y_next *= math.sqrt(dtau)
         y_next += y
-        # y becomes the crossing probability, read only here.  The clipped
-        # exponent is 0, so crossing is certain, when y_next <= 0 and when
-        # y = 0: an absorbed path is held at 0
-        y *= -2.0
-        y *= y_next
-        y /= dtau
-        np.minimum(y, 0.0, out=y)
-        np.exp(y, out=y)
-        # kill where u < the crossing probability by multiplying with the 0/1
-        # flag u >= it, formed in y: no branch on the random mask.  Adding 0.0
-        # turns the -0.0 of a killed negative proposal to 0.0
-        np.greater_equal(u, y, out=y)
-        y_next *= y
-        y_next += 0.0
+        if dtau > 0.0:  # else tau has stopped in floating point and y_next is y
+            # y becomes the crossing probability, read only here.  The clipped
+            # exponent is 0, so crossing is certain, when y_next <= 0 and when
+            # y = 0: an absorbed path is held at 0
+            y *= -2.0
+            y *= y_next
+            y /= dtau
+            np.minimum(y, 0.0, out=y)
+            np.exp(y, out=y)
+            # kill where u < the crossing probability by multiplying with the
+            # 0/1 flag u >= it, formed in y: no branch on the random mask.
+            # Adding 0.0 turns the -0.0 of a killed negative proposal to 0.0
+            np.greater_equal(u, y, out=y)
+            y_next *= y
+            y_next += 0.0
         y, y_next = y_next, y
         if i + 1 in slot:
             np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[slot[i + 1]])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 
@@ -57,7 +57,7 @@ from .measure import (
     run_draws,
     survival_flags,
 )
-from .process import ProcessParams, check_times, martingale_value, radial_transition, time_change
+from .process import ProcessParams, check_horizon, check_times, martingale_value, radial_transition
 from .rng import derive_seed
 from .simulate import SchemeConfig
 
@@ -71,6 +71,7 @@ RESIDUAL_TOLERANCE = 1e-12
 TAIL_ALPHA = 1e-6
 # documented O(dt) weak-error allowance for the radial Euler second moment
 MSQ_BIAS_PER_DT = 5.0
+FUNCTIONALS = default_functional_suite()
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class SuiteConfig:
     seed: int = 0
     workers: int = 1
     weight_bias: float = 0.0
-    functionals: tuple[TestFunctional, ...] = field(default_factory=default_functional_suite)
 
     def __post_init__(self):
         p = self.params  # validates gamma and a
@@ -91,9 +91,7 @@ class SuiteConfig:
             raise ValueError("n_paths must be >= 1")
         object.__setattr__(self, "times", check_times(self.times))
         SchemeConfig(dt=self.dt)  # dt is checked as the Euler rows will check it
-        for t in self.times:  # so is every law's horizon, before any draw
-            time_change(p, t)
-            radial_transition(p, t)
+        check_horizon(p, self.times)  # so is every law's horizon, before any draw
 
     @property
     def params(self) -> ProcessParams:
@@ -112,7 +110,7 @@ class SuiteConfig:
             "dt": self.dt,
             "seed": self.seed,
             "weight_bias": self.weight_bias,
-            "functionals": [f.label() for f in self.functionals],
+            "functionals": [f.label() for f in FUNCTIONALS],
         }
 
 
@@ -133,7 +131,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     """
     t_start = time.perf_counter()
     p, n, seed = config.params, config.n_paths, config.seed
-    times, t_mid, fs = config.times, config.t_mid, config.functionals
+    times, t_mid, fs = config.times, config.t_mid, FUNCTIONALS
     one = TestFunctional.constant_one()
     n_euler = min(n, 50_000)
     seed_e, seed_c = derive_seed(seed, "euler-radial"), derive_seed(seed, "conditioning")

@@ -286,6 +286,17 @@ CLI_SINGLE_FAULTS = {
                            "error: paths: must be >= 2, got 1\n"),
     "bad-paths-local-martingale": (["local-martingale", "--paths", "1", "--workers", "1"], None, 2,
                                    "error: paths: must be >= 2, got 1\n"),
+    # recorded after commit a0c4b2b, where the first printed only "error: math
+    # range error" and the second drew all 16 blocks before its closed form failed
+    "horizon-local-martingale-explosive": (
+        ["local-martingale", "--gamma", "-50", "--a", "1", "--t", "15", "--workers", "1"], None, 2,
+        "error: exp(-2*gamma*t) overflows for gamma = -50, t = 15 (gamma*t = -750); "
+        "the requested horizon is outside the usable range\n"),
+    "horizon-local-martingale-clock": (
+        ["local-martingale", "--gamma", "400", "--a", "1", "--t", "1", "--paths", "1000000",
+         "--workers", "1"], None, 2,
+        "error: exp(2*gamma*t) overflows for gamma = 400, t = 1 (gamma*t = 400); "
+        "the requested horizon is outside the usable range\n"),
     # recorded after commit e6fc482, where this command still exited 0 and
     # printed mean=1.3e17 (the exact law's mean is about 1.1e26)
     "euler-step-past-explosive-limit": (
@@ -294,3 +305,13 @@ CLI_SINGLE_FAULTS = {
         "error: the drift-implicit radial step needs 1 + gamma*h > 0; got gamma = -600 "
         "with substep h = 0.002 (use a smaller dt)\n"),
 }
+
+# -- SHA-256 of the files written by `ouht density --gamma 1 --a 1 --t 1
+#    --x-min 0.01 --x-max 3 --format F` (500 log-spaced points) and by
+#    `ouht local-martingale --paths 20000 --seed 7` (times 0.25 0.5 1 2 4),
+#    as computed at commit a0c4b2b: output -> digest -------------------------
+DENSITY_SHA256_G1_A1_T1 = {
+    "csv": "24b9c85f2b2f9041b985f879429353aa688231ab65376e45fe5f8677685f70b4",
+    "json": "b166d8daa443950f5f65093600944019b97fccef37921ddf1bd497fc33ab6d4e",
+}
+LOCAL_MARTINGALE_SHA256_N20000_SEED7 = "fe83422be8df5ef286cd328d375f8cdd142047cdee030bacbc74e77f9c0877fe"

@@ -334,6 +334,23 @@ def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     assert digest == ref.SIMULATE_SHA256_N65537_SEED12[process, scheme, fmt]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_output_bytes_are_pinned(tmp_path, fmt):
+    out = tmp_path / f"d.{fmt}"
+    assert main(["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01",
+                 "--x-max", "3", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ref.DENSITY_SHA256_G1_A1_T1[fmt]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_local_martingale_output_bytes_are_pinned(tmp_path, workers):
+    out = tmp_path / "l.csv"
+    assert main(["local-martingale", "--paths", "20000", "--seed", "7", "--workers", workers,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ref.LOCAL_MARTINGALE_SHA256_N20000_SEED7
+
+
 @pytest.mark.parametrize("process,scheme", [("ou-killed", "exact"), ("radial", "euler")])
 def test_simulate_output_does_not_depend_on_the_write_chunk(tmp_path, monkeypatch, process,
                                                              scheme):
@@ -459,6 +476,23 @@ def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert "overflows for gamma = -50, t = 10 (gamma*t = -500)" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["horizon-local-martingale-explosive",
+                                  "horizon-local-martingale-clock"])
+def test_local_martingale_refuses_a_bad_horizon_before_drawing(tmp_path, monkeypatch, capsys,
+                                                                name):
+    argv, _, code, stderr = ref.CLI_SINGLE_FAULTS[name]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("map_blocks was called")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ouht.measure, "map_blocks", no_draws)
+    assert main(argv) == code == 2
+    err = capsys.readouterr().err
+    assert err == stderr and "gamma = " in err and "t = " in err
     assert not list(tmp_path.iterdir())
 
 

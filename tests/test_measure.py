@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import ouht.measure
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     Draw,
@@ -178,7 +179,7 @@ def test_conditional_identity_gaps_within_four_sigma():
 def test_conditional_identity_uses_disjoint_streams():
     d = conditional_identity_detail(P11, TestFunctional.constant_one(), 1.0, 50_000, 313)
     assert d.lhs.seed != d.q_inverse_mean.seed != d.conditional_mean.seed
-    assert d.n_survivors > 0
+    assert d.conditional_mean.n > 0
     assert d.combined_stderr > 0
 
 
@@ -218,6 +219,19 @@ def test_curve_draws_reject_non_finite_times(bad):
         curve_draws(P11, [bad], 1000, 1)
     with pytest.raises(ValueError, match="^times must be positive, finite and strictly ascending$"):
         curve_draws(P11, [0.5, bad], 1000, 1)
+
+
+@pytest.mark.parametrize("sampler,integrands", [(killed_exact, None), (radial_exact, (None,)),
+                                                (ou_exact, (None,))])
+def test_run_draws_checks_each_horizon_before_any_block(monkeypatch, sampler, integrands):
+    # e^{-2 gamma t} = e^{1000} overflows: the draw is refused before map_blocks
+    def no_draws(*args, **kwargs):
+        raise AssertionError("map_blocks was called")
+
+    monkeypatch.setattr(ouht.measure, "map_blocks", no_draws)
+    draw = Draw(sampler, (0.5, 10.0), 1000, 1, integrands)
+    with pytest.raises(OverflowError, match=r"for gamma = -50, t = 10 \(gamma\*t = -500\)"):
+        run_draws(ProcessParams(-50.0, 1.0), {0: draw})
 
 
 def test_estimators_are_deterministic_and_worker_invariant():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ouht.density import survival_probability
-from ouht.process import ProcessParams, radial_transition, sample_radial_exact
+from ouht.process import ProcessParams, radial_transition, sample_radial_exact, time_change
 from ouht.rng import BLOCK_SIZE, stream
 from ouht.simulate import SchemeConfig, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 from ouht.harness import ks_statistic, ks_two_sample_critical
@@ -129,6 +129,19 @@ def test_exact_killed_paths_read_plus_zero_once_absorbed(gamma):
                                      stream(231, 0), 20_000)
     assert 0 < np.count_nonzero(paths.values[:, -1] == 0.0) < paths.n_paths
     assert not np.any(np.signbit(paths.values))
+
+
+def test_exact_killed_bridge_holds_still_where_tau_stops():
+    # at gamma = -1, tau(20) and tau(40) are both 0.5 in floating point: the
+    # second interval has dtau = 0, where no path may cross and none may die
+    p = ProcessParams(-1.0, 1.0)
+    assert time_change(p, 20.0) == time_change(p, 40.0)
+    paths = simulate_killed_ou_exact(p, TimeGrid.from_times((20.0, 40.0)), stream(232, 0), 4096)
+    alive20, alive40 = paths.values_at(20.0) > 0.0, paths.values_at(40.0) > 0.0
+    assert np.all(np.isfinite(paths.values))
+    assert 0 < np.count_nonzero(alive20) < paths.n_paths
+    assert np.array_equal(alive40, alive20)
+    assert paths.survival_fraction(40.0) == paths.survival_fraction(20.0)
 
 
 def test_exact_killed_conditional_law_matches_density():

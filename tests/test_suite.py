@@ -285,7 +285,7 @@ def _explicit_radial(params, times, rng, n, out=None, *, scheme):
 def test_tail_row_rejects_explicit_euler(monkeypatch):
     # the suite's Euler stream at seed 98, 50,000 paths and dt 0.002; only
     # t_mid = 1 matters to the Euler rows
-    config = SuiteConfig(n_paths=50_000, seed=98, times=(1.0,), functionals=())
+    config = SuiteConfig(n_paths=50_000, seed=98, times=(1.0,))
 
     def tail():
         (row,) = [c for c in run_suite(config).checks if c.check == "euler-radial-tail"]
