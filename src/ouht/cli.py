@@ -31,7 +31,7 @@ from .density import (density_identity_residual, killed_density_mass, killed_ou_
 from .harness import aggregate
 from .measure import (Draw, killed_euler, killed_exact, local_martingale_curve, radial_euler,
                       radial_exact, run_draws)
-from .process import ProcessParams, check_times
+from .process import ProcessParams, check_horizon, check_times, radial_transition
 from .simulate import SchemeConfig
 from .suite import SuiteConfig, run_suite
 
@@ -313,6 +313,10 @@ def cmd_simulate(args) -> int:
     sampler = _SIM_SAMPLERS[process, scheme]
     if dt is not None:
         sampler = partial(sampler, scheme=SchemeConfig(dt=dt))
+    if process == "radial":  # a radial draw squares values up to its law's far end at
+        # each time, and an Euler path squares its start a at time 0 as well
+        for t in (*times, 0.0) if scheme == "euler" else times:
+            radial_transition(params, t)
     values = run_draws(params, {0: Draw(sampler, tuple(times), n_paths, seed)}, cfg["workers"])[0]
 
     pairs = [("process", process), ("scheme", scheme), ("gamma", params.gamma), ("a", params.a),
@@ -364,6 +368,7 @@ def cmd_density(args) -> int:
     cfg = _resolve(args)
     params = ProcessParams(gamma=cfg["gamma"], a=cfg["a"])
     t, points, spacing = cfg["t"], cfg["x-points"], cfg["x-scale"]
+    check_horizon(params, (t,))
 
     xs = (np.geomspace if spacing == "log" else np.linspace)(cfg["x-min"], cfg["x-max"], points)
     killed = killed_ou_density(params, t, xs)

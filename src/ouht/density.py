@@ -19,11 +19,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .process import ProcessParams, check_times, radial_transition, time_change
+from .process import TAIL_SIGMAS, ProcessParams, check_times, radial_transition, time_change
 
-# Gaussian mass beyond 12 standard deviations is ~1e-33, far below the
-# 1e-8 tolerance the mass checks are held to; this sets the quadrature window.
-_TAIL_SIGMAS = 12.0
 # composite Gauss-Legendre rule: 20 nodes on each of 64 equal panels.  The
 # positive half of np.polynomial.legendre.leggauss(20), written out so that no
 # command imports numpy.polynomial or runs its eigen-solve; mirrored, it gives
@@ -142,14 +139,14 @@ def relative_identity_residual(params: ProcessParams, t: float, x):
 def _killed_support(params: ProcessParams, t: float) -> tuple[float, float]:
     """(lo, hi) with the killed density negligible outside: a -/+ 12 sqrt(tau)
     on the Brownian clock, mapped back by e^{-gamma t}."""
-    spread = _TAIL_SIGMAS * math.sqrt(time_change(params, t))
+    spread = TAIL_SIGMAS * math.sqrt(time_change(params, t))
     scale = math.exp(-params.gamma * t)
     return max(0.0, (params.a - spread) * scale), (params.a + spread) * scale
 
 
 def _radial_support(params: ProcessParams, t: float) -> tuple[float, float]:
     law = radial_transition(params, t)
-    spread = _TAIL_SIGMAS * math.sqrt(law.sigma2)
+    spread = TAIL_SIGMAS * math.sqrt(law.sigma2)
     return max(0.0, law.center - spread), law.center + spread
 
 

@@ -130,10 +130,14 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 # A sampler is called as sampler(params, times, rng, n, out=None) with
 # ascending times and returns a time-major (len(times), n) array whose row j
 # holds the n values at times[j], and nothing else; given out, it writes into
-# it and returns it.  Samplers are module-level functions, the Euler ones
-# bound to their SchemeConfig by functools.partial(..., scheme=...), so that
-# tasks pickle.  They look the process and simulate functions up in this
-# module's globals at call time, so a wrapper rebound there sees every call.
+# it and returns it.  The kernels underneath write the same way, each into
+# the trailing grid rows of the array it is handed, so a sampler hands its
+# out, whose rows are the grid times after 0, straight down.  No sampler
+# checks its law: run_draws and the commands do, once, before any block.
+# Samplers are module-level functions, the Euler ones bound to their
+# SchemeConfig by functools.partial(..., scheme=...), so that tasks pickle.
+# They look the process and simulate functions up in this module's globals
+# at call time, so a wrapper rebound there sees every call.
 
 def killed_exact(params, times, rng, n, out=None):
     """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed.
@@ -143,7 +147,7 @@ def killed_exact(params, times, rng, n, out=None):
     grid = TimeGrid.from_times(times)
     if out is None:
         return simulate_killed_ou_exact(params, grid, rng, n).values.T[1:]
-    return _killed_bridge(params, grid, range(1, grid.times.size), rng, n, out)
+    return _killed_bridge(params, grid, rng, out)
 
 
 def killed_euler(params, times, rng, n, out=None, *, scheme):
@@ -171,7 +175,7 @@ def ou_exact(params, times, rng, n, out=None):
     """Unkilled X_t from the exact marginal, one independent draw per time."""
     out = np.empty((len(times), n)) if out is None else out
     for j, t in enumerate(times):
-        out[j] = sample_ou_exact(params, t, rng, size=n)
+        sample_ou_exact(params, t, rng, size=n, out=out[j])
     return out
 
 
@@ -179,9 +183,9 @@ def survival_flags(params, times, rng, n, out=None):
     """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
     a single time only.  Only the last of the 17 grid rows is kept."""
     (t,) = times
-    flags = _killed_bridge(params, TimeGrid.uniform(t, 16), (16,), rng, n, out)
-    np.greater(flags, 0.0, out=flags)
-    return flags
+    out = np.empty((1, n)) if out is None else out
+    _killed_bridge(params, TimeGrid.uniform(t, 16), rng, out)
+    return np.greater(out, 0.0, out=out)
 
 
 # --- block-wise estimation -------------------------------------------------

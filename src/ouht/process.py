@@ -27,6 +27,11 @@ SERIES_THRESHOLD = 1e-4
 # exp(2 gamma t) overflows past ~709; refuse a little early.
 _EXP_ARG_MAX = 700.0
 
+# Gaussian mass beyond 12 standard deviations is ~1e-33, far below the
+# 1e-8 tolerance the mass checks are held to: this sets the quadrature window,
+# and a radial law is refused where the square of its far end overflows.
+TAIL_SIGMAS = 12.0
+
 
 @dataclass(frozen=True)
 class ProcessParams:
@@ -131,18 +136,28 @@ def radial_transition(params: ProcessParams, t: float) -> RadialLaw:
 
     Each coordinate is an independent scalar OU, so R_t is the norm of an
     isotropic Gaussian with center a e^{-gamma t} and per-coordinate variance
-    equal to the scalar transition variance.
+    equal to the scalar transition variance.  The samplers square values up
+    to center + TAIL_SIGMAS sd, so an OverflowError names gamma, a and t
+    where that square overflows.
     """
     law = ou_transition(params, t)
+    tail = law.mean + TAIL_SIGMAS * math.sqrt(law.variance)
+    if not math.isfinite(tail * tail):
+        raise OverflowError(
+            f"the radial law's squared {TAIL_SIGMAS:g}-sigma tail overflows for gamma = "
+            f"{params.gamma:g}, a = {params.a:g}, t = {t:g}; "
+            "the requested start and horizon are outside the usable range"
+        )
     return RadialLaw(center=law.mean, sigma2=law.variance)
 
 
 def check_horizon(params: ProcessParams, times) -> None:
-    """time_change and ou_transition at every time: an OverflowError names
-    gamma and t where the clock tau(t) or e^{-2 gamma t} overflows."""
+    """time_change and radial_transition at every time: an OverflowError
+    names gamma and t where the clock tau(t) or e^{-2 gamma t} overflows,
+    and gamma, a and t where the radial law's squared tail does."""
     for t in times:
         time_change(params, t)
-        ou_transition(params, t)
+        radial_transition(params, t)
 
 
 def sample_ou_exact(
@@ -150,12 +165,15 @@ def sample_ou_exact(
     t: float,
     rng: np.random.Generator,
     size: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """size draws from the exact (unkilled) marginal of X_t; values may be <= 0."""
+    """size draws from the exact (unkilled) marginal of X_t; values may be
+    <= 0.  Written into out when it is given."""
     law = ou_transition(params, t)
-    sd = math.sqrt(law.variance)
-    z = rng.standard_normal(size)
-    return law.mean + sd * z
+    x = rng.standard_normal(int(size), out=out)
+    x *= math.sqrt(law.variance)
+    x += law.mean
+    return x
 
 
 def _gaussian_norm(center, sd: float, rng: np.random.Generator, size: int,

@@ -10,11 +10,13 @@ Three schemes:
 * drift-implicit Euler radial OU: the singular 1/R drift taken at the end
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
-Every scheme returns one Paths record, an (n_paths, n_times) array on its
-grid; the Euler schemes leave out the shared start column a, as they write
-each later grid time straight into their caller's rows.  Absorption is
-stored in the values alone: a killed path reads 0 from the grid time after
-its absorption on, as the stopped path X_{t and T0} does.
+Every kernel writes the trailing grid rows of the time-major array it is
+handed: with k rows on a grid of n times, row j holds every path at
+times[n - k + j].  The Euler kernels take the n - 1 rows after the shared
+start a at time 0; the exact bridge takes any k, and writes a at time 0
+when k = n.  Each scheme returns one Paths record over the transpose.
+Absorption is stored in the values alone: a killed path reads 0 from the
+grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
 
 from __future__ import annotations
@@ -122,33 +124,32 @@ def simulate_killed_ou_exact(
     exp(-2 y_i y_{i+1} / (tau_{i+1} - tau_i)); if y_{i+1} <= 0 it is certain.
     The joint law of (grid values, killing) is exact for any grid.
     """
-    return Paths(grid, _killed_bridge(params, grid, range(grid.times.size), rng, n_paths).T)
-
-
-def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.Generator,
-                  n_paths: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The bridge-killed values of simulate_killed_ou_exact at the grid
-    indices rows (ascending), as a (len(rows), n_paths) array: row k holds
-    every path at times[rows[k]].  Written into out when it is given.
-
-    Every interval of the grid is stepped, with the same variates whichever
-    rows are kept, so a kept row's bytes do not depend on the others.  The
-    interval's uniforms and proposal (formed over its normals) live in reused
-    buffers; its crossing probability, then its kill flags, are formed in the
-    buffer of the state the proposal replaces.
-    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    out = np.empty((grid.times.size, n_paths))
+    return Paths(grid, _killed_bridge(params, grid, rng, out).T)
+
+
+def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generator,
+                   out: np.ndarray) -> np.ndarray:
+    """The bridge-killed values of simulate_killed_ou_exact at the last
+    len(out) grid times, written into out and returned: each row holds every
+    path at its time, and time 0 reads a when it is among them.
+
+    Every interval of the grid is stepped, with the same variates however
+    many rows are kept, so a kept row's bytes do not depend on the others.
+    The interval's uniforms and proposal (formed over its normals) live in
+    reused buffers; its crossing probability, then its kill flags, are formed
+    in the buffer of the state the proposal replaces.
+    """
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
-    slot = {i: k for k, i in enumerate(rows)}
+    first = times.size - len(out)  # the grid index of out[0]
 
-    if out is None:
-        out = np.empty((len(slot), n_paths))
-    if 0 in slot:
-        out[slot[0]] = params.a
+    if first == 0:
+        out[0] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
-    y = np.full(n_paths, params.a, dtype=float)
+    y = np.full(out.shape[1], params.a, dtype=float)
     u, y_next = np.empty_like(y), np.empty_like(y)
 
     for i in range(times.size - 1):
@@ -173,8 +174,8 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rows, rng: np.random.G
             y_next *= y
             y_next += 0.0
         y, y_next = y_next, y
-        if i + 1 in slot:
-            np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[slot[i + 1]])
+        if i + 1 >= first:
+            np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[i + 1 - first])
 
     return out
 

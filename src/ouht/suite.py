@@ -91,7 +91,9 @@ class SuiteConfig:
             raise ValueError("n_paths must be >= 1")
         object.__setattr__(self, "times", check_times(self.times))
         SchemeConfig(dt=self.dt)  # dt is checked as the Euler rows will check it
-        check_horizon(p, self.times)  # so is every law's horizon, before any draw
+        # so is every law's horizon, before any draw, and the start a at time 0,
+        # whose square begins each radial Euler path
+        check_horizon(p, (*self.times, 0.0))
 
     @property
     def params(self) -> ProcessParams:

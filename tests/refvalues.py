@@ -226,6 +226,8 @@ _SIM = ["simulate", "--process", "radial", "--gamma", "1", "--a", "1", "--t", "1
 _DENSITY = ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1", "--x-max", "2",
             "--x-points", "5"]
 _ENOENT = "[Errno 2] No such file or directory"
+_RADIAL_TAIL = ("error: the radial law's squared 12-sigma tail overflows for gamma = 1, "
+                "a = {a}, t = {t}; the requested start and horizon are outside the usable range\n")
 CLI_SINGLE_FAULTS = {
     "missing-process": (["simulate", "--gamma", "1", "--a", "1", "--t", "1"], None, 2,
                         "error: missing required parameter: process\n"),
@@ -304,6 +306,36 @@ CLI_SINGLE_FAULTS = {
          "--t", "0.1", "--dt", "0.002", "--paths", "10", "--workers", "1"], None, 2,
         "error: the drift-implicit radial step needs 1 + gamma*h > 0; got gamma = -600 "
         "with substep h = 0.002 (use a smaller dt)\n"),
+    # recorded after commit 26c5f90, where the two simulate and the
+    # local-martingale and density command lines exited 0 printing inf, mc=0
+    # or a radial mass of 0, and verify exited 2 printing only
+    # "error: (34, 'Numerical result out of range')"
+    "radial-tail-simulate-exact": (
+        ["simulate", "--process", "radial", "--gamma", "1", "--a", "1e300", "--t", "1",
+         "--paths", "1000", "--workers", "1"], None, 2, _RADIAL_TAIL.format(a="1e+300", t="1")),
+    "radial-tail-simulate-euler": (
+        ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.01", "--gamma", "1",
+         "--a", "1e155", "--t", "1", "--paths", "1000", "--workers", "1"], None, 2,
+        _RADIAL_TAIL.format(a="1e+155", t="1")),
+    "radial-tail-local-martingale": (
+        ["local-martingale", "--a", "1e300", "--paths", "2000", "--workers", "1"], None, 2,
+        _RADIAL_TAIL.format(a="1e+300", t="0.25")),
+    "radial-tail-density": (
+        ["density", "--gamma", "1", "--a", "1e300", "--t", "1", "--x-min", "1e299",
+         "--x-max", "1e301"], None, 2, _RADIAL_TAIL.format(a="1e+300", t="1")),
+    "radial-tail-verify": (
+        ["verify", "--a", "1e300", "--paths", "2000", "--workers", "1"], None, 2,
+        _RADIAL_TAIL.format(a="1e+300", t="0.5")),
+    # recorded after commit fc6bacd, where both command lines passed the
+    # tail rule at t = 5 and squared the start a = 1e155 of each radial Euler
+    # path: simulate exited 0 writing inf, verify exited 3 with inf rows
+    "radial-tail-simulate-euler-start": (
+        ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.01", "--gamma", "1",
+         "--a", "1e155", "--t", "5", "--paths", "1000", "--workers", "1"], None, 2,
+        _RADIAL_TAIL.format(a="1e+155", t="0")),
+    "radial-tail-verify-euler-start": (
+        ["verify", "--gamma", "1", "--a", "1e155", "--t", "5", "--paths", "2000", "--workers",
+         "1"], None, 2, _RADIAL_TAIL.format(a="1e+155", t="0")),
 }
 
 # -- SHA-256 of the files written by `ouht density --gamma 1 --a 1 --t 1

@@ -417,6 +417,8 @@ def test_single_fault_exit_code_and_message_are_pinned(tmp_path, monkeypatch, ca
         (tmp_path / "d.conf").write_text(conf)
     assert main(argv) == code
     assert capsys.readouterr().err == stderr
+    if code == 2:  # a refused configuration writes no file
+        assert [p.name for p in tmp_path.iterdir()] == ([] if conf is None else ["d.conf"])
 
 
 def test_verify_survives_a_functional_without_mass(tmp_path):
@@ -480,7 +482,12 @@ def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("name", ["horizon-local-martingale-explosive",
-                                  "horizon-local-martingale-clock"])
+                                  "horizon-local-martingale-clock",
+                                  "radial-tail-local-martingale",
+                                  # the radial tail rule runs once per command, never in a block
+                                  "radial-tail-simulate-exact", "radial-tail-simulate-euler",
+                                  "radial-tail-simulate-euler-start",
+                                  "radial-tail-verify-euler-start"])
 def test_local_martingale_refuses_a_bad_horizon_before_drawing(tmp_path, monkeypatch, capsys,
                                                                 name):
     argv, _, code, stderr = ref.CLI_SINGLE_FAULTS[name]

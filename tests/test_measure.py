@@ -32,7 +32,7 @@ from ouht.measure import (
 )
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import BLOCK_SIZE, stream
-from ouht.simulate import SchemeConfig, TimeGrid, simulate_killed_ou_exact
+from ouht.simulate import SchemeConfig, TimeGrid, _killed_bridge, simulate_killed_ou_exact
 
 import refvalues as ref
 
@@ -278,6 +278,18 @@ def test_survival_flags_are_the_last_column_of_the_full_bridge(gamma):
     assert flags.shape == (1, n)
     assert flags.tobytes() == (full.values[:, -1] > 0.0).astype(float).tobytes()
     assert 0 < np.count_nonzero(flags == 0.0) < n
+
+
+@pytest.mark.parametrize("k", [1, 4, 5])
+def test_killed_bridge_fills_the_trailing_grid_rows_it_is_handed(k):
+    # on a 4-interval grid, k rows are the full kernel's last k: the kept
+    # rows draw the same variates, and time 0 reads a when it is kept
+    params, grid, n = ProcessParams(0.8, 1.0), TimeGrid.uniform(2.0, 4), 3_000
+    full = simulate_killed_ou_exact(params, grid, stream(233, 0), n)
+    out = np.empty((k, n))
+    assert _killed_bridge(params, grid, stream(233, 0), out) is out
+    assert out.tobytes() == np.ascontiguousarray(full.values.T[-k:]).tobytes()
+    assert 0 < np.count_nonzero(out[-1] == 0.0) < n
 
 
 def test_survival_flags_peak_memory_is_a_few_block_rows():

@@ -135,6 +135,30 @@ def test_sample_ou_exact_degenerate_at_zero_time():
     assert np.all(x == 2.0)
 
 
+@pytest.mark.parametrize("t", [1.0, 0.0])
+def test_sample_ou_exact_writes_the_allocating_draw_into_out(t):
+    # at t = 0 the sd is 0, so every draw reads the mean
+    p = ProcessParams(0.7, 1.3)
+    fresh = sample_ou_exact(p, t, stream(104, 0), size=5_000)
+    buf = np.empty(5_000)
+    assert sample_ou_exact(p, t, stream(104, 0), size=5_000, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    law = ou_transition(p, t)
+    z = stream(104, 0).standard_normal(5_000)
+    assert buf.tobytes() == (law.mean + math.sqrt(law.variance) * z).tobytes()
+
+
+def test_radial_transition_refuses_a_tail_whose_square_overflows():
+    # the far end a e^{-1} + 12 sd is about 3.7e154, whose square overflows
+    with pytest.raises(OverflowError, match=r"gamma = 1, a = 1e\+155, t = 1;"):
+        radial_transition(ProcessParams(1.0, 1e155), 1.0)
+    law = radial_transition(ProcessParams(1.0, 1e153), 1.0)
+    assert math.isfinite(law.mean_square())
+    # a clock that overflows first keeps its own message
+    with pytest.raises(OverflowError, match=r"exp\(-2\*gamma\*t\) overflows for gamma = -50"):
+        radial_transition(ProcessParams(-50.0, 1e300), 10.0)
+
+
 def test_exponentially_rescaled_mean_is_constant():
     # E[X_t e^{gamma t}] stays at the starting point for every sign of gamma
     n = 200_000
