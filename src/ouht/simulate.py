@@ -161,10 +161,12 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
         if dtau > 0.0:  # else tau has stopped in floating point and y_next is y
             # y becomes the crossing probability, read only here.  The clipped
             # exponent is 0, so crossing is certain, when y_next <= 0 and when
-            # y = 0: an absorbed path is held at 0
-            y *= -2.0
-            y *= y_next
-            y /= dtau
+            # y = 0: an absorbed path is held at 0.  An exponent past the
+            # float range is -inf, whose probability 0 is the right one
+            with np.errstate(over="ignore"):
+                y *= -2.0
+                y *= y_next
+                y /= dtau
             np.minimum(y, 0.0, out=y)
             np.exp(y, out=y)
             # kill where u < the crossing probability by multiplying with the

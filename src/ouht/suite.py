@@ -13,6 +13,7 @@ streams.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -296,6 +297,9 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": round(time.perf_counter() - t_start, 3),
         "workers": config.workers,
+        # the streams are numpy's generator algorithms: name the numpy that ran them
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
     }
     return ExperimentReport(
         name="ouht-verification",

@@ -320,6 +320,50 @@ def test_serial_commands_load_no_pool_quadrature_or_masked_modules(tmp_path, arg
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+SHA256_OF_NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.01", "--gamma", "1",
+     "--a", "1", "--t", "1", "--paths", "100", "--workers", "1", "--out", "x.csv"],
+    ["verify", "--paths", "200", "--workers", "1"],
+    ["verify", "--paths", "200", "--workers", "2"],
+    ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01", "--x-max", "3"],
+    ["local-martingale", "--paths", "200", "--workers", "1"],
+], ids=["version", "simulate-euler", "verify-serial", "verify-pool", "density",
+        "local-martingale"])
+def test_entry_path_keeps_openssl_out(tmp_path, argv):
+    # the streams never read OS entropy, so a process started through the
+    # entry function does not map OpenSSL; hashlib still hashes, builtin
+    code = (
+        "import sys, ouht.__main__\n"
+        "try:\n"
+        f"    code = ouht.__main__.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(sys.modules.get('_hashlib', 'absent'))\n"
+        "import hashlib\n"
+        "print(hashlib.sha256(b'').hexdigest())\n"
+        "sys.exit(code)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-2:] == ["None", SHA256_OF_NOTHING]
+
+
+def test_console_script_enters_through_the_entry_function():
+    # the installed `ouht` script must start as lean as `python -m ouht`
+    tomllib = pytest.importorskip("tomllib")
+    from importlib.metadata import EntryPoint
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ouht"]
+    assert target == "ouht.__main__:main"
+    assert callable(EntryPoint("ouht", target, "console_scripts").load())
+
+
 @pytest.mark.parametrize("process,scheme,fmt", list(ref.SIMULATE_SHA256_N65537_SEED12))
 def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1",

@@ -144,6 +144,16 @@ def test_exact_killed_bridge_holds_still_where_tau_stops():
     assert paths.survival_fraction(40.0) == paths.survival_fraction(20.0)
 
 
+def test_exact_killed_bridge_far_from_zero_survives_without_an_overflow_warning():
+    # at a = 1e300 the crossing exponent -2 y y_next / dtau passes the float
+    # range; its -inf gives the right crossing probability, 0, and no
+    # warning (the pytest settings turn every RuntimeWarning into an error)
+    paths = simulate_killed_ou_exact(ProcessParams(1.0, 1e300), TimeGrid.uniform(1.0, 4),
+                                     stream(0, 0), 1000)
+    assert np.all(np.isfinite(paths.values))
+    assert paths.survival_fraction(1.0) == 1.0
+
+
 def test_exact_killed_conditional_law_matches_density():
     # survivors on a many-interval grid must still follow the closed-form
     # conditional law: the bridge removes all grid bias

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -183,6 +184,12 @@ def test_reports_identical_across_worker_counts(multi_block_report, multi_block_
     assert _strip_meta(rep1.to_json()) == _strip_meta(rep2.to_json())
     assert rep1.to_csv() == rep2.to_csv()
     assert rep1.meta["workers"] == 1 and rep2.meta["workers"] == 2
+
+
+def test_meta_names_the_python_and_numpy_that_ran_the_report(multi_block_report):
+    # the streams are numpy's generator algorithms, so the report names its numpy
+    assert multi_block_report.meta["python"] == platform.python_version()
+    assert multi_block_report.meta["numpy"] == np.__version__
 
 
 def test_multi_block_report_bytes_are_pinned(multi_block_report, multi_block_pool_report):
