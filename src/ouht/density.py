@@ -128,11 +128,13 @@ def density_identity_residual(params: ProcessParams, t: float, x):
 
 
 def relative_identity_residual(params: ProcessParams, t: float, x):
-    """|residual| scaled by the larger of the two sides (0 where both vanish)."""
+    """|residual| scaled by the larger of the two sides; 0 where both are 0 or
+    subnormal, whose few significant digits say nothing about the identity."""
     lhs, rhs = map(np.asarray, _identity_sides(params, t, x))
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    normal = scale >= np.finfo(float).tiny
     with np.errstate(invalid="ignore"):
-        rel = np.where(scale > 0, np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0), 0.0)
+        rel = np.where(normal, np.abs(lhs - rhs) / np.where(normal, scale, 1.0), 0.0)
     return float(rel) if rel.ndim == 0 else rel
 
 

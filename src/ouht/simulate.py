@@ -13,8 +13,9 @@ Three schemes:
 Every kernel writes the trailing grid rows of the time-major array it is
 handed: with k rows on a grid of n times, row j holds every path at
 times[n - k + j].  The Euler kernels take the n - 1 rows after the shared
-start a at time 0; the exact bridge takes any k, and writes a at time 0
-when k = n.  Each scheme returns one Paths record over the transpose.
+start a at time 0, through one walk in equal substeps of at most dt per
+interval; the exact bridge takes any k, and writes a at time 0 when k = n.
+Each scheme returns one Paths record over the transpose.
 Absorption is stored in the values alone: a killed path reads 0 from the
 grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
@@ -182,8 +183,27 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
     return out
 
 
-def _substep_counts(grid: TimeGrid, dt: float) -> list[int]:
-    return [max(1, math.ceil(delta / dt - 1e-12)) for delta in np.diff(grid.times)]
+def _euler_walk(params: ProcessParams, grid: TimeGrid, scheme: SchemeConfig, n_paths: int,
+                out: np.ndarray | None):
+    """Check n_paths and return out (allocated when not given), with a in
+    row 0, and an iterator over the substeps: an interval of length delta
+    takes m = ceil(delta/dt) of h = delta/m, each handed over as (h, state,
+    row); it reads state and writes row, the row of its interval's end."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if out is None:
+        out = np.empty((grid.n_intervals, n_paths))
+    out[0] = params.a  # float64 even for an int a
+
+    def substeps():
+        state = out[0]
+        for i, delta in enumerate(np.diff(grid.times)):
+            m = max(1, math.ceil(delta / scheme.dt - 1e-12))
+            for _ in range(m):
+                yield delta / m, state, out[i]
+                state = out[i]
+
+    return out, substeps()
 
 
 def euler_ou(
@@ -199,37 +219,23 @@ def euler_ou(
 
     Killing is by sign check only, so intra-step crossings are missed and the
     survival is biased high by O(sqrt(dt)); the exact scheme is the unbiased
-    reference.
-
-    Row i of out (allocated when not given) receives times[i + 1]; the
-    shared start a is not stored.  A substep draws its normals into the row
-    it writes, once it has read the state there.
+    reference.  A substep draws its normals into the row it writes, once it
+    has read the state there.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    times = grid.times
-    if out is None:
-        out = np.empty((grid.n_intervals, n_paths))
-    out[0] = params.a  # the state until the first substep overwrites it
-    x, step = out[0], np.empty(n_paths)
-    alive = np.empty(n_paths, dtype=bool)
+    out, substeps = _euler_walk(params, grid, scheme, n_paths, out)
+    step, alive = np.empty(n_paths), np.empty(n_paths, dtype=bool)
 
-    for i, m in enumerate(_substep_counts(grid, scheme.dt)):
-        h = (times[i + 1] - times[i]) / m
-        sq = math.sqrt(h)
-        row = out[i]
-        for _ in range(m):
-            # x - gamma x h + sqrt(h) z, floored at 0; an absorbed path stays at 0
-            np.greater(x, 0.0, out=alive)
-            np.multiply(x, params.gamma, out=step)
-            step *= h
-            np.subtract(x, step, out=step)
-            rng.standard_normal(out=row)
-            row *= sq
-            step += row
-            np.maximum(step, 0.0, out=step)
-            np.multiply(step, alive, out=row)
-            x = row
+    for h, x, row in substeps:
+        # x - gamma x h + sqrt(h) z, floored at 0; an absorbed path stays at 0
+        np.greater(x, 0.0, out=alive)
+        np.multiply(x, params.gamma, out=step)
+        step *= h
+        np.subtract(x, step, out=step)
+        rng.standard_normal(out=row)
+        row *= math.sqrt(h)
+        step += row
+        np.maximum(step, 0.0, out=step)
+        np.multiply(step, alive, out=row)
 
     return Paths(grid, out.T)
 
@@ -252,49 +258,38 @@ def euler_radial(
     For k >= 1/2 a negative y has y^2 <= h z^2, so the sum loses at most a
     few ulp; below that (strongly explosive gamma) it can cancel to 0, and
     the root of a negative y is taken as 2h / (sqrt(y^2 + 4 k h) - y).
-
-    Row i of out (allocated when not given) receives times[i + 1]; the
-    shared start a is not stored.  A substep forms y in its one scratch row
-    and the root in the row it writes.
+    A substep forms y in its one scratch row and the root in the row it
+    writes.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    times = grid.times
-    if out is None:
-        out = np.empty((grid.n_intervals, n_paths))
-    out[0] = params.a  # float64 even for an int a; the state until the first substep
-    r, y = out[0], np.empty(n_paths)
+    out, substeps = _euler_walk(params, grid, scheme, n_paths, out)
+    y, negative = np.empty(n_paths), None
 
-    for i, m in enumerate(_substep_counts(grid, scheme.dt)):
-        h = (times[i + 1] - times[i]) / m
+    for h, r, row in substeps:
         k = 1.0 + params.gamma * h
         if k <= 0.0:
             raise ValueError(
                 f"the drift-implicit radial step needs 1 + gamma*h > 0; got gamma = "
                 f"{params.gamma:g} with substep h = {h:g} (use a smaller dt)"
             )
-        sq, c, inv_2k = math.sqrt(h), 4.0 * k * h, 0.5 / k
-        negative = None if k >= 0.5 else np.empty(n_paths, dtype=bool)
-        row = out[i]
-        for _ in range(m):
-            rng.standard_normal(out=y)
-            y *= sq
-            y += r
-            np.multiply(y, y, out=row)
-            row += c
-            np.sqrt(row, out=row)
+        rng.standard_normal(out=y)
+        y *= math.sqrt(h)
+        y += r
+        np.multiply(y, y, out=row)
+        row += 4.0 * k * h
+        np.sqrt(row, out=row)
+        if k >= 0.5:
+            row += y
+            row *= 0.5 / k
+        else:
+            # with s = sqrt(y^2 + 4kh), the root is (s + |y|) / (2k) for
+            # y >= 0 and 2h / (s + |y|) for y < 0: no cancellation
             if negative is None:
-                row += y
-                row *= inv_2k
-            else:
-                # with s = sqrt(y^2 + 4kh), the root is (s + |y|) / (2k) for
-                # y >= 0 and 2h / (s + |y|) for y < 0: no cancellation
-                np.less(y, 0.0, out=negative)
-                np.abs(y, out=y)
-                row += y
-                np.divide(2.0 * h, row, out=row, where=negative)
-                np.logical_not(negative, out=negative)
-                np.multiply(row, inv_2k, out=row, where=negative)
-            r = row
+                negative = np.empty(n_paths, dtype=bool)
+            np.less(y, 0.0, out=negative)
+            np.abs(y, out=y)
+            row += y
+            np.divide(2.0 * h, row, out=row, where=negative)
+            np.logical_not(negative, out=negative)
+            np.multiply(row, 0.5 / k, out=row, where=negative)
 
     return Paths(grid, out.T)

@@ -209,6 +209,16 @@ SIMULATE_SHA256_N65537_SEED12 = {
 #    as computed after commit e6fc482: SHA-256 of values.tobytes() -----------
 EULER_RADIAL_G05_A005_DT005 = "4f1ac3a87b802d54d929ad31d6677af8be732c63aadf5aff6b880a2dfa1d3939"
 
+# -- SHA-256 of .values.tobytes() on ragged grids, as computed at commit
+#    fe4ebae: euler_radial(ProcessParams(-300, 1e-3), TimeGrid.from_times((0.01,
+#    0.0105, 0.03)), SchemeConfig(0.002), stream(240, 0), 4096), whose 5, 1 and
+#    10 substeps have k = 1 + gamma*h of 0.4, 0.85 and 0.415, so both root
+#    branches run; and euler_ou(ProcessParams(1, 0.5), TimeGrid.from_times((0.3,
+#    0.3005, 0.9)), SchemeConfig(0.002), stream(241, 0), 4096), whose intervals
+#    take 150, 1 and 300 substeps -------------------------------------------
+EULER_RADIAL_RAGGED_GM300 = "8ca30d0501cab40d6658930b1eba3691b10b8a0723562e1e14afafd45ba11762"
+EULER_OU_RAGGED_G1_A05 = "eebc4618e99fd8183795402dc572ad364eeee6274844837d133a138a69a640df"
+
 # -- SHA-256 of values.tobytes() for simulate_killed_ou_exact(P, TimeGrid.uniform(2.0,
 #    16), stream(220, 0), 4096) and euler_ou(P, TimeGrid.uniform(2.0, 16),
 #    SchemeConfig(dt=0.01), stream(221, 0), 4096), P = ProcessParams(1, 1), as

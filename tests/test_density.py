@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import ouht.density
 from ouht.density import (
     _NODES,
     _WEIGHTS,
@@ -213,6 +214,34 @@ def test_radial_density_zero_limit_and_domain():
         radial_density(p, -1.0, 1.0)
     with pytest.raises(ValueError):
         radial_density(p, 1.0, np.array([0.5, -0.5]))
+
+
+def _suite_residual_grid(params, t):
+    # the grid of the suite's htransform-residual row
+    law = radial_transition(params, t)
+    hi = law.center + 10.0 * math.sqrt(law.sigma2)
+    return np.geomspace(hi * 1e-4, hi, 500)
+
+
+def test_identity_residual_leaves_out_subnormal_sides():
+    # at a = 100, t = 1 the grid reaches x = 11.48, where the two sides are
+    # 1.24e-322 and 1.3e-322: subnormals with about two significant digits,
+    # whose relative difference (0.04) says nothing about the identity
+    p = ProcessParams(1.0, 100.0)
+    assert relative_identity_residual(p, 1.0, _suite_residual_grid(p, 1.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.0, 100.0])
+def test_identity_residual_sees_a_relative_error_of_1e_10(monkeypatch, a):
+    sides = ouht.density._identity_sides
+
+    def skewed(params, t, x):
+        lhs, rhs = sides(params, t, x)
+        return lhs * (1.0 + 1e-10), rhs
+
+    monkeypatch.setattr(ouht.density, "_identity_sides", skewed)
+    p = ProcessParams(1.0, a)
+    assert relative_identity_residual(p, 1.0, _suite_residual_grid(p, 1.0)).max() > 1e-12
 
 
 def test_identity_residual_examples():

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import refvalues as ref
 from reference_samplers import killed_ou_bridge
 
 P11 = ProcessParams(1.0, 1.0)
+TRACED = Path(__file__).resolve().parents[1] / "benchmarks" / "traced.py"
 
 
 def test_time_grid_validation():
@@ -314,6 +317,69 @@ def test_euler_radial_takes_an_integer_start():
     floats = euler_radial(P11, grid, SchemeConfig(dt=0.01), stream(218, 0), 1_000)
     assert ints.values.dtype == np.float64
     assert np.array_equal(ints.values, floats.values)
+
+
+# grids whose intervals take different substep counts: kernel -> (params,
+# observation times, seed, digest of .values.tobytes(), substeps at dt = 0.002)
+RAGGED = {
+    euler_radial: (ProcessParams(-300.0, 1e-3), (0.01, 0.0105, 0.03), 240,
+                   ref.EULER_RADIAL_RAGGED_GM300, 5 + 1 + 10),
+    euler_ou: (ProcessParams(1.0, 0.5), (0.3, 0.3005, 0.9), 241,
+               ref.EULER_OU_RAGGED_G1_A05, 150 + 1 + 300),
+}
+
+
+def _ragged(kernel, rng):
+    params, times, _, _, _ = RAGGED[kernel]
+    return kernel(params, TimeGrid.from_times(times), SchemeConfig(0.002), rng, 4096)
+
+
+@pytest.mark.parametrize("kernel", list(RAGGED), ids=lambda k: k.__name__)
+def test_euler_kernels_on_ragged_grids_are_pinned(kernel):
+    # the radial grid's k = 1 + gamma*h is 0.4, 0.85 and 0.415 on its three
+    # intervals, so both root branches run in one call
+    _, _, seed, digest, _ = RAGGED[kernel]
+    sample = _ragged(kernel, stream(seed, 0))
+    assert hashlib.sha256(sample.values.tobytes()).hexdigest() == digest
+    assert np.all(np.isfinite(sample.values)) and np.all(sample.values >= 0.0)
+
+
+class _CountingNormals:
+    """Forwards standard_normal(out=...) to a Generator and records the size
+    of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, out):
+        self.sizes.append(out.size)
+        return self.rng.standard_normal(out=out)
+
+
+def _tracer_path_substeps(params, grid, scheme, result):
+    spec = importlib.util.spec_from_file_location("ouht_benchmark_traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)  # defines its counters; install() is not called
+    return traced._euler_radial_counts((params, grid, scheme), {}, result)["path_substeps"]
+
+
+@pytest.mark.parametrize("kernel", list(RAGGED), ids=lambda k: k.__name__)
+def test_euler_kernels_draw_one_row_per_substep_the_tracer_counts(kernel):
+    params, times, seed, _, substeps = RAGGED[kernel]
+    rng = _CountingNormals(stream(seed, 0))
+    sample = _ragged(kernel, rng)
+    assert rng.sizes == [4096] * substeps
+    grid, scheme = TimeGrid.from_times(times), SchemeConfig(0.002)
+    assert _tracer_path_substeps(params, grid, scheme, sample) == 4096 * substeps
+
+
+@pytest.mark.parametrize("kernel", [euler_ou, euler_radial], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_euler_kernels_refuse_n_paths_below_one_before_allocating(kernel, n_paths):
+    # a walk that allocated its rows first would raise numpy's "negative
+    # dimensions are not allowed" for -1
+    with pytest.raises(ValueError, match=rf"^n_paths must be >= 1, got {n_paths}$"):
+        kernel(P11, TimeGrid.uniform(1.0, 4), SchemeConfig(dt=0.01), stream(0, 0), n_paths)
 
 
 def test_simulations_are_seed_deterministic():
