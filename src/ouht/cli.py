@@ -3,13 +3,16 @@
 Commands: simulate, verify, density, local-martingale.  Exit codes:
 0 success, 1 I/O failure, 2 bad configuration, 3 verification failure.
 
-Every option of every command is declared once, in ``_COMMANDS``: its flag,
-its fallback, its help text and its check.  A value comes from the flag,
+Every option of every command is declared once, in ``_COMMANDS`` (its flag,
+fallback, help text and check), except --defaults and verify's hidden
+--inject-weight-bias, which build_parser adds.  A value comes from the flag,
 else from the key=value defaults file (--defaults, keys named as the flags),
-else from the fallback, and is checked as it is resolved.  Every output file
-starts with comment lines echoing the tool version and the science
-configuration, and identical command line + seed reproduces output files
-byte for byte.
+else from the fallback, and is checked as it is resolved.  The CSV files of
+simulate, density and local-martingale start with comment lines echoing the
+tool version, the command and the science configuration; the JSON files hold
+them as keys (verify's has no "command"), and verify's CSV holds neither.
+Identical command line + seed reproduces every output file byte for byte,
+outside the "meta" block of verify's JSON.
 """
 
 from __future__ import annotations

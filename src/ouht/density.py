@@ -113,15 +113,14 @@ def radial_density(params: ProcessParams, t: float, x):
 def _identity_sides(params: ProcessParams, t: float, x):
     """(p0(x), (a/x) e^{-gamma t} q(x)): the two sides of the identity."""
     x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError("x must be > 0 for the residual")
     lhs = killed_ou_density(params, t, x)
     return lhs, (params.a / x) * math.exp(-params.gamma * t) * radial_density(params, t, x)
 
 
 def density_identity_residual(params: ProcessParams, t: float, x):
     """p0(x) - (a/x) e^{-gamma t} q(x); zero up to rounding for all inputs."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be > 0 for the residual")
     lhs, rhs = _identity_sides(params, t, x)
     out = lhs - rhs
     return float(out) if np.ndim(out) == 0 else out

@@ -162,17 +162,13 @@ class ExperimentReport:
         """Stable-key-order JSON; everything outside "meta" is deterministic
         for a fixed config and seed."""
         body = {
-            "name": self.name,
-            "version": self.version,
-            "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
+            **asdict(self),
             "summary": {
                 "n_pass": self.n_pass,
                 "n_fail": self.n_fail,
                 "n_skipped": self.n_skipped,
                 "all_pass": self.all_pass,
             },
-            "meta": self.meta,
         }
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
 

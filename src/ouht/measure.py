@@ -402,9 +402,9 @@ class ConditionalIdentityResult:
 
 def conditional_draws(fs: tuple[TestFunctional, ...], t: float, n_paths: int,
                       seed: int) -> dict:
-    """The draws behind conditional_identities, keyed by the tag that derives
-    each stream from seed: the left-hand side, E_Q[1/X_t] and the survivors,
-    each drawn once and shared by every f in fs."""
+    """The three draws behind the conditioning identity, keyed by the tag that
+    derives each stream from seed: the left-hand side, E_Q[1/X_t] and the
+    survivors, each drawn once and shared by every f in fs."""
     for f in fs:
         _check_functional(f)
     sides = {"conditional-lhs": (radial_exact, [partial(_over, f) for f in fs]),
@@ -429,20 +429,6 @@ def conditional_results(draws: dict, results: dict) -> tuple[ConditionalIdentity
     )
 
 
-def conditional_identities(
-    params: ProcessParams,
-    fs: tuple[TestFunctional, ...],
-    t: float,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[ConditionalIdentityResult, ...]:
-    """Both sides of the conditioning identity for every f in fs, from the
-    three draws of conditional_draws in one run."""
-    draws = conditional_draws(fs, t, n_paths, seed)
-    return conditional_results(draws, run_draws(params, draws, workers))
-
-
 def conditional_identity_detail(
     params: ProcessParams,
     f: TestFunctional,
@@ -451,7 +437,8 @@ def conditional_identity_detail(
     seed: int,
     workers: int = 1,
 ) -> ConditionalIdentityResult:
-    return conditional_identities(params, (f,), t, n_paths, seed, workers)[0]
+    draws = conditional_draws((f,), t, n_paths, seed)
+    return conditional_results(draws, run_draws(params, draws, workers))[0]
 
 
 def conditional_identity_gap(

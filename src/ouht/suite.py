@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 
@@ -105,16 +105,10 @@ class SuiteConfig:
         return self.times[len(self.times) // 2]
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "a": self.a,
-            "times": list(self.times),
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "seed": self.seed,
-            "weight_bias": self.weight_bias,
-            "functionals": [f.label() for f in FUNCTIONALS],
-        }
+        out = asdict(self)
+        del out["workers"]  # no reported value depends on it; meta names it
+        return {**out, "times": list(self.times),
+                "functionals": [f.label() for f in FUNCTIONALS]}
 
 
 # --- the suite -------------------------------------------------------------

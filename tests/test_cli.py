@@ -13,8 +13,7 @@ import ouht.cli
 import ouht.measure
 from ouht.cli import main
 from ouht.harness import ExperimentReport
-from ouht.measure import (TestFunctional, conditional_identities, default_functional_suite,
-                          local_martingale_curve)
+from ouht.measure import TestFunctional, conditional_identity_detail, local_martingale_curve
 from ouht.process import ProcessParams
 from ouht.rng import BLOCK_SIZE
 from ouht.simulate import euler_radial
@@ -599,7 +598,7 @@ def test_tracer_wraps_the_single_functional_estimators(monkeypatch):
     rng_module, (map_name,), count = layers["rng.map_blocks"]
     monkeypatch.setattr(ouht.measure, map_name,
                         tracer.wrap("rng.map_blocks", getattr(rng_module, map_name), count))
-    conditional_identities(p, default_functional_suite(), 1.0, BLOCK_SIZE + 1, 3)
+    conditional_identity_detail(p, f, 1.0, BLOCK_SIZE + 1, 3)
     local_martingale_curve(p, (0.5, 1.0, 2.0), BLOCK_SIZE + 1, 3)
     # each makes its three draws of two blocks in one call
     assert [s["counts"]["tasks"] for s in tracer.spans[len(names):]] == [6, 6]

@@ -252,6 +252,14 @@ def test_identity_residual_examples():
     assert abs(got) <= 1e-15
 
 
+@pytest.mark.parametrize("residual", [density_identity_residual, relative_identity_residual])
+@pytest.mark.parametrize("x", [0.0, [0.0, 1.0]])
+def test_identity_residuals_refuse_x_at_0(residual, x):
+    # (a/x) q(x) divides by x: both residuals share one rule instead
+    with pytest.raises(ValueError, match="x must be > 0"):
+        residual(ProcessParams(1.0, 1.0), 1.0, x)
+
+
 def test_identity_residual_sweep_on_log_grids():
     for gamma in SWEEP_GAMMAS:
         for a in SWEEP_STARTS:
