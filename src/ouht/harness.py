@@ -85,17 +85,24 @@ def sigma_gap(value: float, target: float, stderr: float) -> float:
 
 
 def ks_statistic(sample_a, sample_b) -> float:
-    """sup_x |ECDF_a(x) - ECDF_b(x)| for two nonempty samples."""
+    """sup_x |ECDF_a(x) - ECDF_b(x)| for two nonempty samples.
+
+    The supremum is taken at the points of a, then at those of b, so no joint
+    sample or joint-length CDF is formed.  The samples are sorted in copies:
+    a caller may still read its arrays in their own order (the suite sums the
+    Euler sample after its KS row, and a sorted sum would move its bits).
+    """
     a = np.sort(np.asarray(sample_a, dtype=float))
     b = np.sort(np.asarray(sample_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    joint = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, joint, side="right") / a.size
-    # joint is read for the last time here, then holds cdf_b and the gap
-    gap = np.divide(np.searchsorted(b, joint, side="right"), b.size, out=joint)
-    np.subtract(cdf_a, gap, out=gap)
-    return float(np.abs(gap, out=gap).max())
+
+    def largest_gap(x):
+        gap = np.searchsorted(a, x, side="right") / a.size
+        gap -= np.searchsorted(b, x, side="right") / b.size
+        return float(np.abs(gap, out=gap).max())
+
+    return max(largest_gap(a), largest_gap(b))
 
 
 def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:

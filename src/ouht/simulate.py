@@ -139,9 +139,12 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
 
     Every interval of the grid is stepped, with the same variates however
     many rows are kept, so a kept row's bytes do not depend on the others.
-    The interval's uniforms and proposal (formed over its normals) live in
-    reused buffers; its crossing probability, then its kill flags, are formed
-    in the buffer of the state the proposal replaces.
+    An interval draws its uniforms into the row of out its result goes to,
+    which is free until then; the intervals that end before out[0]'s time
+    have no row there and share one spare row.  Its proposal (formed over
+    its normals) lives in a reused buffer; its crossing probability, then
+    its kill flags, are formed in the buffer of the state the proposal
+    replaces.
     """
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
@@ -151,10 +154,12 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
         out[0] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
     y = np.full(out.shape[1], params.a, dtype=float)
-    u, y_next = np.empty_like(y), np.empty_like(y)
+    y_next = np.empty_like(y)
+    spare = np.empty_like(y) if first > 1 else None
 
     for i in range(times.size - 1):
         dtau = taus[i + 1] - taus[i]
+        u = out[i + 1 - first] if i + 1 >= first else spare
         rng.standard_normal(out=y_next)
         rng.random(out=u)
         y_next *= math.sqrt(dtau)

@@ -156,11 +156,27 @@ def _ks_allocating(sample_a, sample_b):
      stream(406, 3).integers(0, 9, size=333).astype(float)),
     (np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0])),
     (np.array([0.5]), np.array([0.25, 0.5, 3.0])),
+    (np.array([0.1]), stream(406, 4).normal(size=5_000)),
 ])
 def test_ks_statistic_in_place_equals_the_allocating_formula(a, b):
     for x, y in ((a, b), (b, a)):
         assert ks_statistic(x, y) == _ks_allocating(x, y)
     assert ks_statistic(a, b) == ks_statistic(b, a)
+
+
+def test_ks_statistic_peak_memory_is_a_few_sample_lengths():
+    # two sorted copies and the gap at one sample's points with its two
+    # searchsorted temporaries; the joint sample and its two CDFs peaked at
+    # 8.2 sample lengths
+    n = 50_000
+    a, b = stream(410, 0).normal(size=n), stream(410, 1).normal(size=n)
+    tracemalloc.start()
+    try:
+        ks_statistic(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n, peak / (8 * n)
 
 
 def test_ks_statistic_same_law_below_critical():

@@ -11,6 +11,8 @@ from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     Draw,
     TestFunctional,
+    _block,
+    at_time,
     forward_weighted,
     conditional_identity_detail,
     conditional_identity_gap,
@@ -324,10 +326,24 @@ def test_raw_euler_sample_is_held_once():
     assert rows <= 6 + 3, rows
 
 
+def test_unit_mass_block_peak_memory():
+    # the suite's unit-mass block: a four-row grid, the proposal and the
+    # state, and the integrands' temporaries; the bridge's uniforms go to the
+    # row each interval writes (a buffer of their own peaked at 7.0 rows)
+    one = TestFunctional.constant_one()
+    times = (0.5, 1.0, 2.0)
+    integrands = tuple(partial(at_time, j, partial(forward_weighted, P11, t, one))
+                       for j, t in enumerate(times))
+    task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, None, "unit-mass")
+    rows = _peak_block_rows(lambda: _block(task))
+    assert rows < 6.5, rows
+
+
 def test_killed_exact_block_peak_memory():
-    # three times make a four-row grid; the bridge adds its uniforms, its
-    # proposal and its state, which also holds the crossing probability and
-    # the kill flags (a crossing-probability row and a flag row made 8.1)
+    # three times make a four-row grid; the bridge adds its proposal and its
+    # state, which also holds the crossing probability and the kill flags,
+    # and draws its uniforms into the row each interval writes (a
+    # crossing-probability row and a flag row made 8.1)
     rng = stream(0, 0)
     rows = _peak_block_rows(lambda: killed_exact(P11, (0.5, 1.0, 2.0), rng, BLOCK_SIZE))
     assert rows <= 7.2, rows
