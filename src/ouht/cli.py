@@ -6,11 +6,12 @@ Commands: simulate, verify, density, local-martingale.  Exit codes:
 Every option of every command is declared once, in ``_COMMANDS`` (its flag,
 fallback, help text and check), except --defaults and verify's hidden
 --inject-weight-bias, which build_parser adds.  A value comes from the flag,
-else from the key=value defaults file (--defaults, keys named as the flags),
-else from the fallback, and is checked as it is resolved.  The CSV files of
-simulate, density and local-martingale start with comment lines echoing the
-tool version, the command and the science configuration; the JSON files hold
-them as keys (verify's has no "command"), and verify's CSV holds neither.
+else from the key=value defaults file (--defaults, keys named as the flags; a
+key that no command has is refused), else from the fallback, and is checked
+as it is resolved.  The CSV files of simulate, density and local-martingale
+start with comment lines echoing the tool version, the command and its options
+in declaration order, but workers, format and out; the JSON files hold them as
+keys (verify's has no "command"), and verify's CSV holds neither.
 Identical command line + seed reproduces every output file byte for byte,
 outside the "meta" block of verify's JSON.
 """
@@ -133,8 +134,8 @@ _COMMANDS = {
         "gamma": _GAMMA, "a": _A,
         "t": _Opt(list, _REQUIRED, "observation time (repeatable, ascending)", _check_t),
         "paths": _Opt(int, 100_000, "number of paths (default 100000)", _at_least(2)),
-        "seed": _SEED, "workers": _WORKERS,
         "dt": _Opt(float, None, "Euler step size (required for --scheme euler)", _euler_dt),
+        "seed": _SEED, "workers": _WORKERS,
         "format": _FORMAT,
         "out": _Opt(str, "ouht_simulate.{format}", "output path"),
     }),
@@ -155,8 +156,6 @@ _COMMANDS = {
         "x-scale": _Opt(("linear", "log"), "log", "grid spacing (default log)"),
         "format": _FORMAT,
         "out": _Opt(str, "ouht_density.{format}", "output path"),
-        # tabulation is in-process and draws nothing; bad values are still rejected
-        "workers": _WORKERS, "seed": _SEED,
     }),
     "local-martingale": ("tabulate m(t) = E_Q[(1/X_t) e^{-gamma t}] with its closed form", {
         "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
@@ -168,7 +167,7 @@ _COMMANDS = {
     }),
 }
 
-# flags every command has; each command's usage and help list them first, in this order
+# each command's usage and help first list those of these flags it has, in this order
 _SHARED = ("gamma", "a", "seed", "workers", "out")
 
 
@@ -187,8 +186,10 @@ def _read_defaults(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"defaults: line {lineno} is not key=value: {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not any(key in options for _, options in _COMMANDS.values()):
+            raise ConfigError(f"defaults: line {lineno}: no command has an option {key!r}")
+        out[key] = value
     return out
 
 
@@ -245,7 +246,14 @@ def _write(files: dict, name: str | None = None) -> int:
     return OK
 
 
-def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
+def _config(cfg: dict) -> dict:
+    """Every resolved option but the run settings, in declaration order; one
+    that does not apply (simulate's dt for the exact scheme) reads "none"."""
+    return {k: "none" if v is None else v for k, v in cfg.items()
+            if k not in ("workers", "format", "out")}
+
+
+def _header(command: str, cfg: dict) -> list[str]:
     def show(v):
         if isinstance(v, float):
             return f"{v:g}"
@@ -253,7 +261,7 @@ def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
             return ",".join(show(x) for x in v)
         return str(v)
 
-    config = " ".join(f"{k}={show(v)}" for k, v in pairs)
+    config = " ".join(f"{k}={show(v)}" for k, v in _config(cfg).items())
     return [f"# ouht {__version__}", f"# command: {command}", f"# config: {config}"]
 
 
@@ -272,11 +280,11 @@ def _absorbed(values):
     return values <= 0.0
 
 
-def _write_simulate_csv(fh, pairs, times, values) -> None:
+def _write_simulate_csv(fh, cfg, values) -> None:
     """One t,path,value,absorbed row per path and time, WRITE_CHUNK rows per
     write; values is time-major, one row per time."""
-    fh.write("\n".join(_header("simulate", pairs)) + "\nt,path,value,absorbed\n")
-    for t, at_t in zip(times, values):
+    fh.write("\n".join(_header("simulate", cfg)) + "\nt,path,value,absorbed\n")
+    for t, at_t in zip(cfg["t"], values):
         row = _fmt(t) + ",%d,%.17g,%d\n"
         for start in range(0, at_t.size, WRITE_CHUNK):
             chunk = at_t[start:start + WRITE_CHUNK]
@@ -286,11 +294,11 @@ def _write_simulate_csv(fh, pairs, times, values) -> None:
             ))
 
 
-def _write_simulate_json(fh, pairs, times, summaries, values) -> None:
+def _write_simulate_json(fh, cfg, summaries, values) -> None:
     """The layout of json.dump(sort_keys=True, indent=2), with each values and
     absorbed array written WRITE_CHUNK items at a time."""
     slot = "\0"  # stands in for each array; sorted keys put absorbed before values
-    body = {"version": __version__, "command": "simulate", "config": dict(pairs, t=times),
+    body = {"version": __version__, "command": "simulate", "config": _config(cfg),
             "results": [dict(s, absorbed=slot, values=slot) for s in summaries]}
     pieces = json.dumps(body, sort_keys=True, indent=2).split(json.dumps(slot))
     fh.write(pieces[0])
@@ -322,9 +330,6 @@ def cmd_simulate(args) -> int:
             radial_transition(params, t)
     values = run_draws(params, {0: Draw(sampler, tuple(times), n_paths, seed)}, cfg["workers"])[0]
 
-    pairs = [("process", process), ("scheme", scheme), ("gamma", params.gamma), ("a", params.a),
-             ("t", times), ("paths", n_paths), ("dt", "none" if dt is None else dt), ("seed", seed)]
-
     summaries = []
     print(f"ouht simulate: process={process} scheme={scheme} "
           f"gamma={params.gamma:g} a={params.a:g} paths={n_paths} seed={seed}")
@@ -336,8 +341,8 @@ def cmd_simulate(args) -> int:
         print(f"  t={t:g}: mean={est.mean:.6g} stderr={est.stderr:.3g} survival={survival:.6g}")
 
     if cfg["format"] == "csv":
-        return _write({cfg["out"]: lambda fh: _write_simulate_csv(fh, pairs, times, values)})
-    return _write({cfg["out"]: lambda fh: _write_simulate_json(fh, pairs, times, summaries, values)})
+        return _write({cfg["out"]: lambda fh: _write_simulate_csv(fh, cfg, values)})
+    return _write({cfg["out"]: lambda fh: _write_simulate_json(fh, cfg, summaries, values)})
 
 
 # --- verify ----------------------------------------------------------------
@@ -374,35 +379,30 @@ def cmd_density(args) -> int:
     check_horizon(params, (t,))
 
     xs = (np.geomspace if spacing == "log" else np.linspace)(cfg["x-min"], cfg["x-max"], points)
-    killed = killed_ou_density(params, t, xs)
-    radial = radial_density(params, t, xs)
-    residual = density_identity_residual(params, t, xs)
-    residual_rel = relative_identity_residual(params, t, xs)
+    # the CSV columns, in order, and the JSON arrays
+    columns = {"x": xs, "killed_ou_density": killed_ou_density(params, t, xs),
+               "radial_density": radial_density(params, t, xs),
+               "identity_residual": density_identity_residual(params, t, xs),
+               "identity_residual_rel": relative_identity_residual(params, t, xs)}
     mass_killed = killed_density_mass(params, t)
     mass_radial = radial_density_mass(params, t)
     surv = survival_probability(params, t)
 
-    pairs = [("gamma", params.gamma), ("a", params.a), ("t", t),
-             ("x-min", cfg["x-min"]), ("x-max", cfg["x-max"]), ("x-points", points),
-             ("x-scale", spacing)]
     print(f"ouht density: gamma={params.gamma:g} a={params.a:g} t={t:g}")
     print(f"  killed mass = {mass_killed:.10g} (survival = {surv:.10g})")
     print(f"  radial mass = {mass_radial:.10g} (target 1)")
-    print(f"  max relative identity residual = {residual_rel.max():.3g}")
+    print(f"  max relative identity residual = {columns['identity_residual_rel'].max():.3g}")
 
     if cfg["format"] == "csv":
-        lines = [*_header("density", pairs),
-                 "x,killed_ou_density,radial_density,identity_residual,identity_residual_rel",
-                 *(",".join(map(_fmt, row)) for row in zip(xs, killed, radial, residual, residual_rel)),
+        lines = [*_header("density", cfg), ",".join(columns),
+                 *(",".join(map(_fmt, row)) for row in zip(*columns.values())),
                  f"# integral_killed={_fmt(mass_killed)} survival={_fmt(surv)}",
                  f"# integral_radial={_fmt(mass_radial)} target=1"]
         text = "\n".join(lines) + "\n"
     else:
-        body = {"version": __version__, "command": "density", "config": dict(pairs),
-                "x": xs.tolist(), "killed_ou_density": killed.tolist(),
-                "radial_density": radial.tolist(), "identity_residual": residual.tolist(),
-                "identity_residual_rel": residual_rel.tolist(), "integral_killed": mass_killed,
-                "survival": surv, "integral_radial": mass_radial}
+        body = {"version": __version__, "command": "density", "config": _config(cfg),
+                **{name: column.tolist() for name, column in columns.items()},
+                "integral_killed": mass_killed, "survival": surv, "integral_radial": mass_radial}
         text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     return _write({cfg["out"]: lambda fh: fh.write(text)})
 
@@ -415,10 +415,8 @@ def cmd_local_martingale(args) -> int:
     times, n_paths, seed = cfg["t"], cfg["paths"], cfg["seed"]
 
     curve = local_martingale_curve(params, times, n_paths, seed, cfg["workers"])
-    pairs = [("gamma", params.gamma), ("a", params.a), ("t", times),
-             ("paths", n_paths), ("seed", seed)]
     print(f"ouht local-martingale: gamma={params.gamma:g} a={params.a:g} (limit at 0+ is 1/a = {1/params.a:g})")
-    lines = [*_header("local-martingale", pairs), "t,estimate,stderr,closed_form"]
+    lines = [*_header("local-martingale", cfg), "t,estimate,stderr,closed_form"]
     for pt in curve:
         print(f"  t={pt.t:g}: mc={pt.estimate.mean:.6g} "
               f"(stderr {pt.estimate.stderr:.2g}) closed={pt.closed_form:.6g}")

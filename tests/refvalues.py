@@ -282,6 +282,21 @@ CLI_SINGLE_FAULTS = {
     # an empty t names no time, even where t has a fallback
     "defaults-empty-t": (["verify", "--defaults", "d.conf"], "t =\n", 2,
                          "error: missing required parameter: t\n"),
+    # recorded after commit 7dafcce, where a key that no command has was
+    # passed over without a word
+    "defaults-unknown-key": (["local-martingale", "--defaults", "d.conf"],
+                             "# shared settings\ngamma = 1\npathz = 10\n", 2,
+                             "error: defaults: line 3: no command has an option 'pathz'\n"),
+    "defaults-hidden-flag": (["verify", "--defaults", "d.conf"], "inject-weight-bias = 0.05\n", 2,
+                             "error: defaults: line 1: no command has an option "
+                             "'inject-weight-bias'\n"),
+    "defaults-unreadable": (["verify", "--defaults", "no.conf"], None, 2,
+                            f"error: defaults: cannot read no.conf: {_ENOENT}: 'no.conf'\n"),
+    "density-two-times": (_DENSITY + ["--t", "2"], None, 2,
+                          "error: t: density tabulation takes exactly one time\n"),
+    # simulate resolves dt before seed, so a missing dt is named first
+    "missing-dt-and-bad-seed": (_SIM + ["--scheme", "euler", "--seed", "-1"], None, 2,
+                                "error: missing required parameter: dt\n"),
     "unwritable-simulate": (_SIM + ["--format", "json", "--out", "no/dir/s.json"], None, 1,
                             f"error: cannot write no/dir/s.json: {_ENOENT}: 'no/dir/s.json'\n"),
     "unwritable-verify": (["verify", "--paths", "50", "--workers", "1", "--out", "no/dir/rep"], None, 1,

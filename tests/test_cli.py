@@ -244,6 +244,58 @@ def test_defaults_file_fills_gaps_and_flags_win(tmp_path):
     assert "seed=9" in config_line      # file filled the gap
 
 
+def test_defaults_file_shared_by_every_command(tmp_path, monkeypatch, capsys):
+    # each command reads the keys it declares and passes over the others'
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.conf").write_text(
+        "gamma = 1\na = 1\nt = 1\nprocess = radial\nseed = 4\nworkers = 1\npaths = 200\n"
+        "x-min = 0.1\nx-max = 2\nx-points = 3\n"
+    )
+    for command in ouht.cli._COMMANDS:
+        assert main([command, "--defaults", "d.conf", "--out", "o"]) in (0, 3), command
+        assert "error" not in capsys.readouterr().err, command
+
+
+def test_density_takes_no_seed_or_workers(tmp_path, capsys):
+    base = ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1", "--x-max", "2",
+            "--out", str(tmp_path / "d.csv")]
+    for flag in ("--seed", "--workers"):
+        with pytest.raises(SystemExit) as exit_:
+            main(base + [flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+_SIM_ARGV = ["simulate", "--process", "ou-killed", "--gamma", "1", "--a", "1", "--t", "0.5",
+             "--t", "1", "--paths", "10", "--workers", "1"]
+_DENSITY_ARGV = ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.1",
+                 "--x-max", "2", "--x-points", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIM_ARGV, _SIM_ARGV + ["--format", "json"],
+    _SIM_ARGV + ["--scheme", "euler", "--dt", "0.1"],
+    _SIM_ARGV + ["--scheme", "euler", "--dt", "0.1", "--format", "json"],
+    _DENSITY_ARGV, _DENSITY_ARGV + ["--format", "json"],
+    ["local-martingale", "--t", "1", "--paths", "10", "--workers", "1"],
+], ids=["simulate-exact-csv", "simulate-exact-json", "simulate-euler-csv", "simulate-euler-json",
+        "density-csv", "density-json", "local-martingale"])
+def test_output_echoes_every_declared_option_but_the_run_settings(tmp_path, argv):
+    options = [k for k in ouht.cli._COMMANDS[argv[0]][1] if k not in ("workers", "format", "out")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    if "json" in argv:
+        config = json.loads(text)["config"]
+        assert list(config) == sorted(options)  # the JSON keys are sorted
+    else:
+        line = next(l for l in text.splitlines() if l.startswith("# config: "))
+        config = dict(tok.split("=", 1) for tok in line.removeprefix("# config: ").split())
+        assert list(config) == options
+    if argv[0] == "simulate":
+        assert str(config["dt"]) == ("0.1" if "euler" in argv else "none")
+
+
 def test_verify_invalid_time_config(tmp_path):
     res = run_cli(["verify", "--t", "-1"], tmp_path)
     assert res.returncode == 2
@@ -429,6 +481,8 @@ SMALL_COMMANDS = [
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_every_command_rejects_workers_below_one(tmp_path, workers):
     for argv in SMALL_COMMANDS:
+        if argv[0] == "density":
+            continue  # density runs in-process and has no --workers
         res = run_cli(argv + [f"--workers={workers}", "--out", "out"], tmp_path)
         assert res.returncode == 2, argv
         assert f"workers: must be >= 1, got {workers}" in res.stderr, argv
@@ -441,8 +495,8 @@ def test_every_command_rejects_workers_below_one(tmp_path, workers):
 ])
 def test_every_command_names_a_bad_paths_or_seed(tmp_path, flag, message):
     for argv in SMALL_COMMANDS:
-        if flag.startswith("--paths") and argv[0] == "density":
-            continue  # density draws nothing and has no --paths
+        if argv[0] == "density":
+            continue  # density draws nothing and has no --paths or --seed
         res = run_cli(argv + [flag, "--out", "out"], tmp_path)
         expected = message
         if flag.startswith("--paths") and argv[0] in ("simulate", "local-martingale"):
@@ -516,8 +570,9 @@ def test_simulate_across_blocks(tmp_path, capsys, process, scheme):
 ])
 def test_explosive_overflow_names_the_given_gamma_and_t(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    code = main(argv + ["--gamma", "-50", "--a", "1", "--t", "10", "--workers", "1",
-                        "--out", str(out)])
+    if argv[0] != "density":  # which runs in-process and has no --workers
+        argv = argv + ["--workers", "1"]
+    code = main(argv + ["--gamma", "-50", "--a", "1", "--t", "10", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "overflows for gamma = -50, t = 10 (gamma*t = -500)" in err, err

@@ -139,6 +139,21 @@ def test_ks_statistic_edges():
         ks_statistic(x, np.array([]))
 
 
+def test_ks_two_sample_critical_refuses_an_empty_sample_and_alpha_outside_0_1():
+    with pytest.raises(ValueError, match=r"^sample sizes must be >= 1$"):
+        ks_two_sample_critical(0, 5)
+    for alpha in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)$"):
+            ks_two_sample_critical(5, 5, alpha)
+
+
+def test_aggregate_of_a_non_finite_sample_is_nan_without_rescaling():
+    # the power-of-two rescaling is for finite samples whose squares overflow
+    est = aggregate(np.array([np.nan, 1.0]), seed=3)
+    assert math.isnan(est.mean) and math.isnan(est.stderr)
+    assert (est.n, est.seed) == (2, 3)
+
+
 def _ks_allocating(sample_a, sample_b):
     # the formula as first written, one new array per operation
     a = np.sort(np.asarray(sample_a, dtype=float))

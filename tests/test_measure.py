@@ -363,3 +363,9 @@ def test_raw_sample_is_its_blocks_drawn_in_place(sampler):
     blocks = [sampler(P11, times, stream(7, j), m) for j, m in enumerate((BLOCK_SIZE, 300))]
     assert sample.shape == (len(times), n)
     assert sample.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+
+def test_run_draws_refuses_an_estimate_from_one_path():
+    draw = Draw(radial_exact, (1.0,), 1, 0, (None,))
+    with pytest.raises(ValueError, match=r"^need at least 2 samples, got 1$"):
+        run_draws(ProcessParams(1.0, 1.0), {0: draw})

@@ -9,6 +9,7 @@ from ouht.process import (
     GaussianLaw,
     _gaussian_norm,
     ProcessParams,
+    RadialLaw,
     martingale_value,
     ou_transition,
     radial_transition,
@@ -34,6 +35,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProcessParams(gamma=math.inf, a=1.0)
     ProcessParams(gamma=-3.0, a=0.25)  # negative rates are fine
+
+
+def test_radial_law_refuses_a_negative_center_or_variance():
+    with pytest.raises(ValueError, match=r"^center must be >= 0, got -1.0$"):
+        RadialLaw(center=-1.0, sigma2=1.0)
+    with pytest.raises(ValueError, match=r"^sigma2 must be >= 0, got -1e-09$"):
+        RadialLaw(center=1.0, sigma2=-1e-9)
+    RadialLaw(center=0.0, sigma2=0.0)  # the degenerate law at 0 is allowed
 
 
 def test_time_change_examples():

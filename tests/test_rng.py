@@ -24,3 +24,12 @@ def test_map_blocks_pool_lives_for_one_call():
     with pytest.raises(ArithmeticError, match="block 3 failed"):
         rng.map_blocks(_fail_on_three, range(8), 2)
     assert multiprocessing.active_children() == []
+
+
+def test_stream_tags_and_block_sizes_refuse_bad_values():
+    with pytest.raises(ValueError, match=r"^stream tags must be non-negative, got -1$"):
+        rng.stream(0, -1)
+    with pytest.raises(TypeError, match=r"^stream tag must be int or str, got float$"):
+        rng.stream(0, 1.5)
+    with pytest.raises(ValueError, match=r"^n_total must be >= 1, got 0$"):
+        rng.block_sizes(0)

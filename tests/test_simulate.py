@@ -382,6 +382,20 @@ def test_euler_kernels_refuse_n_paths_below_one_before_allocating(kernel, n_path
         kernel(P11, TimeGrid.uniform(1.0, 4), SchemeConfig(dt=0.01), stream(0, 0), n_paths)
 
 
+def test_exact_killed_refuses_n_paths_below_one():
+    with pytest.raises(ValueError, match=r"^n_paths must be >= 1, got 0$"):
+        simulate_killed_ou_exact(P11, TimeGrid.uniform(1.0, 4), stream(0, 0), 0)
+
+
+@pytest.mark.parametrize("kernel", [euler_ou, euler_radial], ids=lambda k: k.__name__)
+def test_euler_paths_leave_out_the_shared_start(kernel):
+    paths = kernel(P11, TimeGrid.uniform(1.0, 2), SchemeConfig(dt=0.1), stream(0, 0), 3)
+    assert paths.values_at(1.0).shape == (3,)
+    with pytest.raises(ValueError, match=r"^t = 0.0 is the shared start, which these paths "
+                                         r"leave out$"):
+        paths.values_at(0.0)
+
+
 def test_simulations_are_seed_deterministic():
     grid = TimeGrid.uniform(1.0, 8)
     a = simulate_killed_ou_exact(P11, grid, stream(216, 0), 2_000)
