@@ -140,10 +140,14 @@ _COMMANDS = {
         "out": _Opt(str, "ouht_simulate.{format}", "output path"),
     }),
     "verify": ("run the full identity-verification suite", {
-        "gamma": _GAMMA._replace(fallback=1.0), "a": _A._replace(fallback=1.0),
-        "t": _Opt(list, [0.5, 1.0, 2.0], "check times (repeatable; default 0.5 1 2)", _check_t),
-        "paths": _Opt(int, 100_000, "paths per estimator (default 100000)", _at_least(1)),
-        "dt": _Opt(float, 0.002, "Euler step for scheme checks (default 0.002)", _dt),
+        "gamma": _GAMMA._replace(fallback=SuiteConfig.gamma),
+        "a": _A._replace(fallback=SuiteConfig.a),
+        "t": _Opt(list, SuiteConfig.times, "check times (repeatable; default {})".format(
+            " ".join(f"{t:g}" for t in SuiteConfig.times)), _check_t),
+        "paths": _Opt(int, SuiteConfig.n_paths,
+                      f"paths per estimator (default {SuiteConfig.n_paths})", _at_least(1)),
+        "dt": _Opt(float, SuiteConfig.dt,
+                   f"Euler step for scheme checks (default {SuiteConfig.dt:g})", _dt),
         "seed": _SEED, "workers": _WORKERS,
         "out": _Opt(str, "verify_report", "output path"),
     }),

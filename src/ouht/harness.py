@@ -135,7 +135,7 @@ class CheckResult:
     value: float | None
     target: float | None
     gap: float | None
-    threshold: float
+    threshold: float | None
     status: str
     reason: str | None = None
     seed: int | None = None

@@ -90,6 +90,8 @@ class SuiteConfig:
         p = self.params  # validates gamma and a
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if not math.isfinite(self.weight_bias):
+            raise ValueError(f"weight_bias must be finite, got {self.weight_bias}")
         object.__setattr__(self, "times", check_times(self.times))
         SchemeConfig(dt=self.dt)  # dt is checked as the Euler rows will check it
         # so is every law's horizon, before any draw, and the start a at time 0,
@@ -122,9 +124,11 @@ def _sigma(est, target, stderr=None, seed=None):
 def run_suite(config: SuiteConfig) -> ExperimentReport:
     """Run every registered check and assemble the report.
 
-    Every draw of the report is declared in one table and submitted to the
-    pool at once.  Sample-based checks are marked skipped (not failed) when
-    n_paths is too small for their statistics to mean anything.
+    Beside the draw table, whose draws go to the pool at once, the rows are
+    one list in report order of (check, identity, oracle, draw keys, read).
+    A row with keys is read off exactly those draws, or skipped below
+    MIN_PATHS_FOR_MC paths; read returns (value, target, gap, threshold,
+    seed) or a reason to skip.  A row with no keys is its own tuple.
     """
     t_start = time.perf_counter()
     p, n, seed = config.params, config.n_paths, config.seed
@@ -133,6 +137,81 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     n_euler = min(n, 50_000)
     seed_e, seed_c = derive_seed(seed, "euler-radial"), derive_seed(seed, "conditioning")
     conditioning = conditional_draws(fs, t_mid, n, seed_c)
+
+    # total mass of the forward weight.  Its mean of 1 rests on surviving
+    # paths, so with too few of them expected the row means nothing
+    def unit_mass(j, t, ests):
+        survivors = n * survival_probability(p, t)
+        if survivors < MIN_EXPECTED_SURVIVORS:
+            return f"expected survivors n_paths*S(t) = {survivors:.3g} < {MIN_EXPECTED_SURVIVORS}"
+        return _sigma(ests[j], 1.0)
+
+    # transport: killed-OU MC vs weighted radial MC.  weight_bias scales this
+    # row's weighted estimate, as scaling every weight would in law; the
+    # killed-semigroup rows read the same estimate unscaled
+    def transport(i, directs, ests):
+        direct, est = directs[i], ests[i]
+        scale = 1.0 + config.weight_bias
+        weighted = replace(est, mean=est.mean * scale, stderr=est.stderr * scale)
+        return _sigma(weighted, direct.mean, math.hypot(direct.stderr, weighted.stderr))
+
+    # conditioning identity: its lhs, q_inv and survivor sides are one draw
+    # each, on three streams derived from the family seed
+    def conditioned(i, *sides):
+        try:
+            d = conditional_results(conditioning, dict(zip(conditioning, sides)))[i]
+        except ValueError as exc:
+            return str(exc)
+        return _sigma(d.lhs, d.rhs, d.combined_stderr, seed_c)
+
+    # density normalizations and the pointwise identity
+    def densities(t):
+        mass = killed_density_mass(p, t)
+        target = survival_probability(p, t)
+        qmass = radial_density_mass(p, t)
+        law = radial_transition(p, t)
+        hi = law.center + 10.0 * math.sqrt(law.sigma2)
+        grid = np.geomspace(hi * 1e-4, hi, 500)
+        worst = float(np.max(relative_identity_residual(p, t, grid)))
+        return [(f"killed-density-mass[t={t:g}]",
+                 "killed density integrates to the survival probability",
+                 "Gauss-Legendre quadrature", (),
+                 (mass, target, abs(mass - target), MASS_TOLERANCE, None)),
+                (f"radial-density-mass[t={t:g}]", "radial density integrates to 1",
+                 "Gauss-Legendre quadrature", (),
+                 (qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE, None)),
+                (f"htransform-residual[t={t:g}]",
+                 "killed density equals (a/x) e^{-gamma t} times radial density",
+                 "two independent derivations", (), (worst, 0.0, worst, RESIDUAL_TOLERANCE, None))]
+
+    # strict local martingale: closed form monotone and below 1/a, MC overlay
+    m_closed = [survival_probability(p, t) / p.a for t in times]
+    worst_rise = max(
+        [b - a for a, b in zip(m_closed, m_closed[1:])]
+        + [max(m_closed) - 1.0 / p.a]
+    )
+
+    # Euler radial vs exact radial at the same horizon
+    law = radial_transition(p, t_mid)
+
+    def euler_ks(euler, reference):
+        ks = ks_statistic(euler[0], reference[0])
+        return ks, 0.0, ks, ks_two_sample_critical(n_euler, n_euler, alpha=0.01), seed_e
+
+    def euler_msq(euler):
+        est = aggregate(euler[0] ** 2, seed=seed_e)
+        allowance = SIGMA_THRESHOLD * est.stderr + MSQ_BIAS_PER_DT * config.dt
+        return est.mean, law.mean_square(), abs(est.mean - law.mean_square()), allowance, seed_e
+
+    def euler_tail(euler):
+        # R = |(center,0,0) + sigma Z| is sigma-Lipschitz in Z, with mean at
+        # most sqrt(E R^2): by Gaussian concentration and a union bound, the
+        # largest of n_euler exact draws exceeds this with probability <= TAIL_ALPHA
+        bound = math.sqrt(law.mean_square()) + math.sqrt(
+            2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
+        top = float(euler[0].max())
+        return top, bound, top, bound, seed_e
+
     table = {
         # the two single-block Euler-row draws go first, so that neither
         # finishes last and alone on the pool
@@ -155,137 +234,53 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         "survival-exact": Draw(survival_flags, (t_mid,), n, derive_seed(seed, "survival-exact"),
                                (None,)),
     }
+    rows = [
+        *((f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
+           (("martingale", t),), lambda ests: _sigma(ests[0], p.a)) for t in times),
+        *((f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
+           ("unit-mass",), partial(unit_mass, j, t)) for j, t in enumerate(times)),
+        *((f"transport-agreement[{f.label()}]",
+           "killed-OU mean of f equals weighted radial mean of f", "two-sided MC",
+           ("transport-direct", "weighted-radial"), partial(transport, i))
+          for i, f in enumerate(fs)),
+        *((f"conditioning-gap[{f.label()}]",
+           "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC",
+           tuple(conditioning), partial(conditioned, i)) for i, f in enumerate(fs)),
+        # killed semigroup: weighted radial MC vs quadrature of the closed form
+        *((f"killed-semigroup[{f.label()}]",
+           "weighted radial mean of f equals integral of f against the killed density",
+           "quadrature", ("weighted-radial",), lambda ests, i=i, f=f: _sigma(
+               ests[i], killed_expectation_quadrature(p, t_mid, f, f.breakpoints())))
+          for i, f in enumerate(fs)),
+        *(row for t in times for row in densities(t)),
+        ("local-martingale-monotone", "m(t) = S(t)/a decreases strictly and stays below 1/a",
+         "closed-form survival", (), (max(m_closed), 1.0 / p.a, worst_rise, 0.0, None)),
+        *((f"local-martingale-mc[t={t:g}]", "radial mean of e^{-gamma t}/X equals S(t)/a",
+           "closed-form survival", (("local-martingale", i),),
+           lambda ests, m=m_closed[i]: _sigma(ests[0], m)) for i, t in enumerate(times)),
+        # killing machinery: bridge-corrected survival against the closed form
+        ("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
+         "closed-form survival", ("survival-exact",),
+         lambda ests: _sigma(ests[0], survival_probability(p, t_mid))),
+        ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
+         "exact radial sampler", ("euler-radial", "euler-radial-reference"), euler_ks),
+        ("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
+         "moment closed form", ("euler-radial",), euler_msq),
+        ("euler-radial-tail", "largest Euler radial draw stays inside the exact law's tail bound",
+         "Gaussian concentration bound", ("euler-radial",), euler_tail),
+    ]
+
     got = run_draws(p, table, config.workers) if n >= MIN_PATHS_FOR_MC else None
     checks = []
-
-    def add(check, idn, oracle, out):
-        # out is (value, target, gap, threshold, seed), or the reason to skip
+    for *names, keys, read in rows:
+        out = (read if not keys else read(*(got[key] for key in keys)) if got is not None
+               else f"insufficient samples: n_paths={n} < {MIN_PATHS_FOR_MC}")
         if isinstance(out, str):
-            checks.append(CheckResult(check, idn, oracle, None, None, None, math.nan, SKIPPED,
-                                      reason=out))
-            return
+            checks.append(CheckResult(*names, None, None, None, None, SKIPPED, reason=out))
+            continue
         value, target, gap, threshold, row_seed = out
-        checks.append(CheckResult(check, idn, oracle, float(value), float(target), float(gap),
-                                  float(threshold), PASS if gap <= threshold else FAIL,
-                                  seed=row_seed))
-
-    def row(check, idn, oracle, compute):
-        # compute() reads out off the draws; with nothing drawn it is not called
-        add(check, idn, oracle, compute() if got is not None
-            else f"insufficient samples: n_paths={n} < {MIN_PATHS_FOR_MC}")
-
-    # martingale of the unkilled process
-    for t in times:
-        row(f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
-            lambda: _sigma(got["martingale", t][0], p.a))
-
-    # total mass of the forward weight.  Its mean of 1 rests on surviving
-    # paths, so with too few of them expected the row means nothing
-    for j, t in enumerate(times):
-        survivors = n * survival_probability(p, t)
-        row(f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
-            lambda: _sigma(got["unit-mass"][j], 1.0) if survivors >= MIN_EXPECTED_SURVIVORS
-            else f"expected survivors n_paths*S(t) = {survivors:.3g} < {MIN_EXPECTED_SURVIVORS}")
-
-    # transport: killed-OU MC vs weighted radial MC.  weight_bias scales this
-    # row's weighted estimate, as scaling every weight would in law; the
-    # killed-semigroup rows read the same estimate unscaled
-    def transport(i):
-        direct, est = got["transport-direct"][i], got["weighted-radial"][i]
-        scale = 1.0 + config.weight_bias
-        weighted = replace(est, mean=est.mean * scale, stderr=est.stderr * scale)
-        return _sigma(weighted, direct.mean, math.hypot(direct.stderr, weighted.stderr))
-
-    for i, f in enumerate(fs):
-        row(f"transport-agreement[{f.label()}]",
-            "killed-OU mean of f equals weighted radial mean of f", "two-sided MC",
-            lambda: transport(i))
-
-    # conditioning identity: its lhs, q_inv and survivor sides are one draw
-    # each, on three streams derived from the family seed
-    def conditioned(i):
-        try:
-            d = conditional_results(conditioning, got)[i]
-        except ValueError as exc:
-            return str(exc)
-        return _sigma(d.lhs, d.rhs, d.combined_stderr, seed_c)
-
-    for i, f in enumerate(fs):
-        row(f"conditioning-gap[{f.label()}]",
-            "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC",
-            lambda: conditioned(i))
-
-    # killed semigroup: weighted radial MC vs quadrature of the closed form
-    for i, f in enumerate(fs):
-        row(f"killed-semigroup[{f.label()}]",
-            "weighted radial mean of f equals integral of f against the killed density",
-            "quadrature", lambda: _sigma(
-                got["weighted-radial"][i],
-                killed_expectation_quadrature(p, t_mid, f, f.breakpoints())))
-
-    # density normalizations and the pointwise identity
-    for t in times:
-        mass = killed_density_mass(p, t)
-        target = survival_probability(p, t)
-        add(f"killed-density-mass[t={t:g}]",
-            "killed density integrates to the survival probability",
-            "Gauss-Legendre quadrature", (mass, target, abs(mass - target), MASS_TOLERANCE, None))
-        qmass = radial_density_mass(p, t)
-        add(f"radial-density-mass[t={t:g}]", "radial density integrates to 1",
-            "Gauss-Legendre quadrature", (qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE, None))
-        law = radial_transition(p, t)
-        hi = law.center + 10.0 * math.sqrt(law.sigma2)
-        grid = np.geomspace(hi * 1e-4, hi, 500)
-        worst = float(np.max(relative_identity_residual(p, t, grid)))
-        add(f"htransform-residual[t={t:g}]",
-            "killed density equals (a/x) e^{-gamma t} times radial density",
-            "two independent derivations", (worst, 0.0, worst, RESIDUAL_TOLERANCE, None))
-
-    # strict local martingale: closed form monotone and below 1/a, MC overlay
-    m_closed = [survival_probability(p, t) / p.a for t in times]
-    worst_rise = max(
-        [b - a for a, b in zip(m_closed, m_closed[1:])]
-        + [max(m_closed) - 1.0 / p.a]
-    )
-    add("local-martingale-monotone", "m(t) = S(t)/a decreases strictly and stays below 1/a",
-        "closed-form survival", (max(m_closed), 1.0 / p.a, worst_rise, 0.0, None))
-    for i, t in enumerate(times):
-        row(f"local-martingale-mc[t={t:g}]", "radial mean of e^{-gamma t}/X equals S(t)/a",
-            "closed-form survival",
-            lambda: _sigma(got["local-martingale", i][0], m_closed[i]))
-
-    # killing machinery: bridge-corrected survival against the closed form
-    row("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
-        "closed-form survival",
-        lambda: _sigma(got["survival-exact"][0], survival_probability(p, t_mid)))
-
-    # Euler radial vs exact radial at the same horizon
-    law = radial_transition(p, t_mid)
-
-    def euler_ks():
-        ks = ks_statistic(got["euler-radial"][0], got["euler-radial-reference"][0])
-        return ks, 0.0, ks, ks_two_sample_critical(n_euler, n_euler, alpha=0.01), seed_e
-
-    def euler_msq():
-        est = aggregate(got["euler-radial"][0] ** 2, seed=seed_e)
-        allowance = SIGMA_THRESHOLD * est.stderr + MSQ_BIAS_PER_DT * config.dt
-        return est.mean, law.mean_square(), abs(est.mean - law.mean_square()), allowance, seed_e
-
-    def euler_tail():
-        # R = |(center,0,0) + sigma Z| is sigma-Lipschitz in Z, with mean at
-        # most sqrt(E R^2): by Gaussian concentration and a union bound, the
-        # largest of n_euler exact draws exceeds this with probability <= TAIL_ALPHA
-        bound = math.sqrt(law.mean_square()) + math.sqrt(
-            2.0 * law.sigma2 * math.log(n_euler / TAIL_ALPHA))
-        top = float(got["euler-radial"][0].max())
-        return top, bound, top, bound, seed_e
-
-    row("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
-        "exact radial sampler", euler_ks)
-    row("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",
-        "moment closed form", euler_msq)
-    row("euler-radial-tail", "largest Euler radial draw stays inside the exact law's tail bound",
-        "Gaussian concentration bound", euler_tail)
+        checks.append(CheckResult(*names, float(value), float(target), float(gap), float(threshold),
+                                  PASS if gap <= threshold else FAIL, seed=row_seed))
 
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -162,6 +162,24 @@ SUITE_N70000_SEED98_SHA256 = {
     "json": "30c1ba47bdd054d877d37414f1b9c3e6b8ac3fc151e08e1c7397b37b569b3f56",
 }
 
+# -- SHA-256 of the reports whose rows are skipped, digested as above:
+#    run_suite(SuiteConfig(n_paths=10)), where every sampled row is skipped
+#    for too few paths, and run_suite(SuiteConfig(gamma=50, times=(0.5, 6.9,
+#    6.95), n_paths=300)), where the weight-unit-mass rows expect too few
+#    survivors and the conditioning-gap rows draw none.  The CSVs are as
+#    computed at commit 9493536; the JSON as computed after it, when a skipped
+#    row's threshold became null (it was a bare NaN, which is not JSON) ------
+SUITE_SKIPPED_SHA256 = {
+    "n10": {
+        "csv": "84f894203d305747e9d5386b02cb8780ae0df4550a2914eec37ea7b6f498684e",
+        "json": "21db6231acc0ae6c3d8bd98586819e4e5d3e10e024025d0cfbe1733c4ab64758",
+    },
+    "gamma50": {
+        "csv": "4b270e18b7db8bee4090ad4bc66f66b8851da89526122b9c8df14ffb7a2874ab",
+        "json": "15c1fe326e16af0dfe9154aef580896e801afa65ab07d91e01315d7204e15347",
+    },
+}
+
 # -- printed per-t summary of `ouht simulate --process P --scheme S --gamma 1
 #    --a 1 --t 0.5 --t 1 --paths 65537 --seed 12` (plus --dt 0.01 for euler),
 #    as computed at commit 2fe095a; the radial-exact t=1 line was re-pinned
@@ -290,6 +308,10 @@ CLI_SINGLE_FAULTS = {
     "defaults-hidden-flag": (["verify", "--defaults", "d.conf"], "inject-weight-bias = 0.05\n", 2,
                              "error: defaults: line 1: no command has an option "
                              "'inject-weight-bias'\n"),
+    # recorded after commit 9493536, where it exited 3 with NaN in four
+    # transport-agreement rows of its report
+    "bad-weight-bias": (["verify", "--inject-weight-bias", "nan"], None, 2,
+                        "error: weight_bias must be finite, got nan\n"),
     "defaults-unreadable": (["verify", "--defaults", "no.conf"], None, 2,
                             f"error: defaults: cannot read no.conf: {_ENOENT}: 'no.conf'\n"),
     "density-two-times": (_DENSITY + ["--t", "2"], None, 2,

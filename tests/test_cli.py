@@ -617,6 +617,17 @@ def test_simulate_stderr_stays_finite_where_the_squares_overflow(tmp_path, capsy
     assert "inf" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--paths", "10"],
+                                  ["--gamma", "50", "--t", "6.9", "--paths", "300"]])
+def test_verify_report_with_skipped_rows_is_strict_json(tmp_path, argv):
+    # a skipped row has no threshold, written as null and never as a bare NaN
+    out = tmp_path / "rep"
+    assert main(["verify", *argv, "--workers", "1", "--out", str(out)]) == 0
+    body = json.loads((tmp_path / "rep.json").read_text(), parse_constant=_reject)
+    skipped = [c for c in body["checks"] if c["status"] == "skipped"]
+    assert skipped and all(c["threshold"] is None for c in skipped)
+
+
 def _load_traced():
     spec = importlib.util.spec_from_file_location("ouht_benchmark_traced", TRACED)
     traced = importlib.util.module_from_spec(spec)

@@ -233,7 +233,7 @@ def _tiny_report():
         checks=[
             CheckResult("alpha", "a = a", "closed form", 1.0, 1.0, 0.0, 4.0, "pass"),
             CheckResult("beta", "b = b", "quadrature", 2.0, 1.0, 9.0, 4.0, "fail"),
-            CheckResult("gamma-check", "c = c", "mc", None, None, None, math.nan,
+            CheckResult("gamma-check", "c = c", "mc", None, None, None, None,
                         "skipped", reason="insufficient samples"),
         ],
         meta={"workers": 2},

@@ -52,6 +52,13 @@ def test_config_rejects_a_bad_dt_as_the_scheme_does(bad):
         SuiteConfig(dt=bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_weight_bias(bad):
+    # the negative control's scale must itself be a number
+    with pytest.raises(ValueError, match=r"^weight_bias must be finite, got "):
+        SuiteConfig(weight_bias=bad)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite_times(bad):
     # the one observation-times check, with the message the CLI prints after "t: "
@@ -174,11 +181,6 @@ def multi_block_pool_report():
     return run_suite(dataclasses.replace(MULTI_BLOCK, workers=2))
 
 
-def test_multi_block_report_identical_on_the_pool(multi_block_report, multi_block_pool_report):
-    assert _strip_meta(multi_block_report.to_json()) == _strip_meta(multi_block_pool_report.to_json())
-    assert multi_block_report.to_csv() == multi_block_pool_report.to_csv()
-
-
 def test_reports_identical_across_worker_counts(multi_block_report, multi_block_pool_report):
     rep1, rep2 = multi_block_report, multi_block_pool_report
     assert _strip_meta(rep1.to_json()) == _strip_meta(rep2.to_json())
@@ -201,6 +203,39 @@ def test_multi_block_report_bytes_are_pinned(multi_block_report, multi_block_poo
     for rep in (multi_block_report, multi_block_pool_report):
         assert digest(rep.to_csv()) == ref.SUITE_N70000_SEED98_SHA256["csv"]
         assert digest(_strip_meta(rep.to_json())) == ref.SUITE_N70000_SEED98_SHA256["json"]
+
+
+@pytest.mark.parametrize("name,config", [
+    ("n10", SuiteConfig(n_paths=10)),
+    ("gamma50", SuiteConfig(gamma=50.0, times=(0.5, 6.9, 6.95), n_paths=300)),
+])
+def test_skipped_report_bytes_are_pinned(name, config):
+    # every skip path: too few paths, too few expected survivors, no survivor drawn
+    rep = run_suite(config)
+    assert rep.n_skipped > 0
+    digests = ref.SUITE_SKIPPED_SHA256[name]
+    assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == digests["csv"]
+    assert hashlib.sha256(_strip_meta(rep.to_json()).encode()).hexdigest() == digests["json"]
+
+
+def test_every_draw_is_read_by_some_row(monkeypatch):
+    # a draw that no row reads costs every run its paths and shows nowhere
+    drawn, read = set(), set()
+    real = ouht.suite.run_draws
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    def recording(params, table, workers=1):
+        drawn.update(table)
+        return Recording(real(params, table, workers))
+
+    monkeypatch.setattr(ouht.suite, "run_draws", recording)
+    rep = run_suite(SuiteConfig(n_paths=500, seed=99))
+    assert rep.n_skipped == 0 and len(drawn) == 15
+    assert read == drawn
 
 
 def test_run_suite_draws_each_law_once_per_family(monkeypatch):
