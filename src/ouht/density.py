@@ -45,7 +45,8 @@ def gaussian_pdf(y, variance: float):
     if not (math.isfinite(variance) and variance > 0):
         raise ValueError(f"variance must be finite and > 0, got {variance}")
     y = np.asarray(y, dtype=float)
-    out = np.exp(-(y * y) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+    with np.errstate(over="ignore"):  # a square past the float range: exp(-inf) = 0
+        out = np.exp(-(y * y) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,7 +86,9 @@ def killed_ou_density(params: ProcessParams, t: float, x):
     y = x * growth
     scale = growth / math.sqrt(2.0 * math.pi * tau)
     a = params.a
-    out = scale * np.exp(-((y - a) ** 2) / (2.0 * tau)) * -np.expm1(-2.0 * y * a / tau)
+    with np.errstate(over="ignore"):  # a square past the float range: exp(-inf) = 0
+        bell = np.exp(-((y - a) ** 2) / (2.0 * tau))
+    out = scale * bell * -np.expm1(-2.0 * y * a / tau)
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,27 +114,27 @@ def radial_density(params: ProcessParams, t: float, x):
 
 
 def _identity_sides(params: ProcessParams, t: float, x):
-    """(p0(x), (a/x) e^{-gamma t} q(x)): the two sides of the identity."""
+    """(p0(x), (a/x) e^{-gamma t} q(x), q(x)): the identity's two sides, and q."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("x must be > 0 for the residual")
-    lhs = killed_ou_density(params, t, x)
-    return lhs, (params.a / x) * math.exp(-params.gamma * t) * radial_density(params, t, x)
+    q = radial_density(params, t, x)
+    return killed_ou_density(params, t, x), (params.a / x) * math.exp(-params.gamma * t) * q, q
 
 
 def density_identity_residual(params: ProcessParams, t: float, x):
     """p0(x) - (a/x) e^{-gamma t} q(x); zero up to rounding for all inputs."""
-    lhs, rhs = _identity_sides(params, t, x)
+    lhs, rhs, _ = _identity_sides(params, t, x)
     out = lhs - rhs
     return float(out) if np.ndim(out) == 0 else out
 
 
 def relative_identity_residual(params: ProcessParams, t: float, x):
-    """|residual| scaled by the larger of the two sides; 0 where both are 0 or
-    subnormal, whose few significant digits say nothing about the identity."""
-    lhs, rhs = map(np.asarray, _identity_sides(params, t, x))
+    """|residual| scaled by the larger of the two sides; 0 where both, or q(x)
+    alone, are 0 or subnormal, whose few digits say nothing about the identity."""
+    lhs, rhs, q = map(np.asarray, _identity_sides(params, t, x))
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    normal = scale >= np.finfo(float).tiny
+    normal = np.minimum(scale, q) >= np.finfo(float).tiny
     with np.errstate(invalid="ignore"):
         rel = np.where(normal, np.abs(lhs - rhs) / np.where(normal, scale, 1.0), 0.0)
     return float(rel) if rel.ndim == 0 else rel

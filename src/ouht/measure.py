@@ -33,8 +33,7 @@ from .process import (
     sample_radial_step,
 )
 from .rng import BLOCK_SIZE, block_sizes, derive_seed, map_blocks, stream
-from .simulate import (TimeGrid, _killed_bridge, euler_ou, euler_radial,
-                       simulate_killed_ou_exact)
+from .simulate import TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
 
@@ -141,13 +140,10 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 
 def killed_exact(params, times, rng, n, out=None):
     """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed.
-    Without out, the rows after time 0 of simulate_killed_ou_exact's paths
-    (the layer benchmarks/traced.py times); with out, the same kernel writes
-    only those rows, straight into out."""
+    The kernel writes the rows after time 0 into out, or, without out, into
+    a whole grid of its own whose time-0 row is left off."""
     grid = TimeGrid.from_times(times)
-    if out is None:
-        return simulate_killed_ou_exact(params, grid, rng, n).values.T[1:]
-    return _killed_bridge(params, grid, rng, out)
+    return simulate_killed_ou_exact(params, grid, rng, n, out).values.T[-len(times):]
 
 
 def killed_euler(params, times, rng, n, out=None, *, scheme):
@@ -184,7 +180,7 @@ def survival_flags(params, times, rng, n, out=None):
     a single time only.  Only the last of the 17 grid rows is kept."""
     (t,) = times
     out = np.empty((1, n)) if out is None else out
-    _killed_bridge(params, TimeGrid.uniform(t, 16), rng, out)
+    simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n, out)
     return np.greater(out, 0.0, out=out)
 
 

@@ -10,12 +10,12 @@ Three schemes:
 * drift-implicit Euler radial OU: the singular 1/R drift taken at the end
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
-Every kernel writes the trailing grid rows of the time-major array it is
-handed: with k rows on a grid of n times, row j holds every path at
-times[n - k + j].  The Euler kernels take the n - 1 rows after the shared
-start a at time 0, through one walk in equal substeps of at most dt per
-interval; the exact bridge takes any k, and writes a at time 0 when k = n.
-Each scheme returns one Paths record over the transpose.
+Every kernel writes the trailing grid rows of a time-major out, which it
+allocates when none is handed in: with k rows on a grid of n times, row j
+holds every path at times[n - k + j].  The Euler kernels take the n - 1
+rows after the shared start a at time 0, through one walk in equal substeps
+of at most dt per interval; the exact kernel takes any k (all n by default),
+and writes a at time 0 when k = n.  Each returns one Paths over out.T.
 Absorption is stored in the values alone: a killed path reads 0 from the
 grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
@@ -80,8 +80,8 @@ class SchemeConfig:
 @dataclass(eq=False)
 class Paths:
     """A set of paths on a common grid: values[i, j] is path i at
-    times[j + start], where start is 0 when every grid time is stored and 1
-    when the shared start a at time 0 is left out (the Euler schemes).
+    times[j + start], where start is the grid index of the first stored row
+    (1 when the shared start a at time 0 is left out, as the Euler schemes do).
 
     A killed path reads 0 from its absorption on, so a value is > 0 exactly
     while its path is alive; radial paths are > 0 throughout.
@@ -116,26 +116,17 @@ def simulate_killed_ou_exact(
     grid: TimeGrid,
     rng: np.random.Generator,
     n_paths: int,
+    out: np.ndarray | None = None,
 ) -> Paths:
-    """Exact killed-OU paths at the grid times.
+    """Exact killed-OU paths at the last len(out) grid times (every grid
+    time when out is not given), written into out: each row holds every
+    path at its time, and time 0 reads a when it is among them.
 
     The driving Brownian motion is sampled exactly at tau(t_i) and mapped
     back through X = e^{-gamma t} Y.  Within each interval, absorption is
     decided by the Brownian-bridge zero-crossing probability
     exp(-2 y_i y_{i+1} / (tau_{i+1} - tau_i)); if y_{i+1} <= 0 it is certain.
     The joint law of (grid values, killing) is exact for any grid.
-    """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = np.empty((grid.times.size, n_paths))
-    return Paths(grid, _killed_bridge(params, grid, rng, out).T)
-
-
-def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generator,
-                   out: np.ndarray) -> np.ndarray:
-    """The bridge-killed values of simulate_killed_ou_exact at the last
-    len(out) grid times, written into out and returned: each row holds every
-    path at its time, and time 0 reads a when it is among them.
 
     Every interval of the grid is stepped, with the same variates however
     many rows are kept, so a kept row's bytes do not depend on the others.
@@ -146,6 +137,10 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
     its kill flags, are formed in the buffer of the state the proposal
     replaces.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if out is None:
+        out = np.empty((grid.times.size, n_paths))
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
     first = times.size - len(out)  # the grid index of out[0]
@@ -185,7 +180,7 @@ def _killed_bridge(params: ProcessParams, grid: TimeGrid, rng: np.random.Generat
         if i + 1 >= first:
             np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[i + 1 - first])
 
-    return out
+    return Paths(grid, out.T)
 
 
 def _euler_walk(params: ProcessParams, grid: TimeGrid, scheme: SchemeConfig, n_paths: int,

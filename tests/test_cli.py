@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import inspect
@@ -415,6 +416,20 @@ def test_console_script_enters_through_the_entry_function():
     assert callable(EntryPoint("ouht", target, "console_scripts").load())
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a _-prefixed name belongs to its own module: one imported across modules
+    # is a second entry that the public contract (and any wrapper of it) misses
+    package = Path(ouht.cli.__file__).resolve().parent
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "ouht"):
+                crossings += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert crossings == []
+
+
 @pytest.mark.parametrize("process,scheme,fmt", list(ref.SIMULATE_SHA256_N65537_SEED12))
 def test_simulate_output_bytes_are_pinned(tmp_path, process, scheme, fmt):
     argv = ["simulate", "--process", process, "--scheme", scheme, "--gamma", "1",
@@ -688,6 +703,9 @@ def test_traced_verify_records_the_sampler_layers(tmp_path):
     assert total("process.sample_ou_exact", "draws") > 0
     assert total("simulate.simulate_killed_ou_exact", "path_steps") > 0
     assert total("simulate.euler_radial", "path_substeps") > 0
+    # one block each of unit-mass, transport-direct, conditional-killed and
+    # survival-exact: every bridge call goes through the one killed kernel
+    assert [s["name"] for s in spans].count("simulate.simulate_killed_ou_exact") == 4
     # the parser must pick the command up through the module global the tracer rebinds
     assert [s["name"] for s in spans if s["parent"] is None] == ["cli.command"]
 

@@ -236,12 +236,36 @@ def test_identity_residual_sees_a_relative_error_of_1e_10(monkeypatch, a):
     sides = ouht.density._identity_sides
 
     def skewed(params, t, x):
-        lhs, rhs = sides(params, t, x)
-        return lhs * (1.0 + 1e-10), rhs
+        lhs, rhs, q = sides(params, t, x)
+        return lhs * (1.0 + 1e-10), rhs, q
 
     monkeypatch.setattr(ouht.density, "_identity_sides", skewed)
     p = ProcessParams(1.0, a)
     assert relative_identity_residual(p, 1.0, _suite_residual_grid(p, 1.0)).max() > 1e-12
+
+
+def test_identity_residual_leaves_out_a_subnormal_radial_density():
+    # at gamma = a = t = 1 the radial density is 2.4e-320 at x = 1e-160 and 0
+    # from x = 1e-162 down, while (a/x) e^{-gamma t} q(x) and the killed side
+    # are normal: the residual read 8.0e-6 and 1, where q's lost digits are
+    # all it measured.  Where q is normal again (x = 1e-150) it is still read
+    p = ProcessParams(1.0, 1.0)
+    xs = np.array([1e-200, 1e-162, 1e-160, 1e-150])
+    assert radial_density(p, 1.0, xs[2]) < np.finfo(float).tiny <= killed_ou_density(p, 1.0, xs[2])
+    assert relative_identity_residual(p, 1.0, xs[:3]).tolist() == [0.0, 0.0, 0.0]
+    assert 0.0 < relative_identity_residual(p, 1.0, xs[3]) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [1e160, 1e300])
+def test_densities_far_out_in_the_tail_are_0_without_an_overflow_warning(x):
+    # the Gaussian exponent's square overflows to inf there, and exp(-inf) = 0
+    # is the right density; RuntimeWarnings are errors under this suite
+    p = ProcessParams(1.0, 1.0)
+    assert gaussian_pdf(x, 1.0) == 0.0
+    assert killed_ou_density(p, 1.0, x) == 0.0
+    assert radial_density(p, 1.0, x) == 0.0
+    assert density_identity_residual(p, 1.0, x) == 0.0
+    assert relative_identity_residual(p, 1.0, x) == 0.0
 
 
 def test_identity_residual_examples():

@@ -34,7 +34,7 @@ from ouht.measure import (
 )
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import BLOCK_SIZE, stream
-from ouht.simulate import SchemeConfig, TimeGrid, _killed_bridge, simulate_killed_ou_exact
+from ouht.simulate import SchemeConfig, TimeGrid, simulate_killed_ou_exact
 
 import refvalues as ref
 
@@ -289,7 +289,8 @@ def test_killed_bridge_fills_the_trailing_grid_rows_it_is_handed(k):
     params, grid, n = ProcessParams(0.8, 1.0), TimeGrid.uniform(2.0, 4), 3_000
     full = simulate_killed_ou_exact(params, grid, stream(233, 0), n)
     out = np.empty((k, n))
-    assert _killed_bridge(params, grid, stream(233, 0), out) is out
+    kept = simulate_killed_ou_exact(params, grid, stream(233, 0), n, out)
+    assert kept.values.base is out and kept.start == grid.times.size - k
     assert out.tobytes() == np.ascontiguousarray(full.values.T[-k:]).tobytes()
     assert 0 < np.count_nonzero(out[-1] == 0.0) < n
 
