@@ -1,15 +1,14 @@
 """Closed-form oracles: survival probability, killed-OU and radial-OU
 transition densities, and the pointwise identity tying them together.
 
-Two independent derivations are kept deliberately separate:
-
-* the killed-OU density comes from the Brownian picture on the tau clock
-  (reflection at 0, then the change of variables y = x e^{gamma t});
-* the radial density comes from the norm of the 3-d Gaussian marginal
-  (center a e^{-gamma t}, per-coordinate variance sigma2).
-
-Their pointwise consistency, p0(x) = (a/x) e^{-gamma t} q(x), is a
-verification gate, not an implementation shortcut.
+Everything here works in one standardised coordinate: X_t = sd (u + W) for a
+standard normal W, with sd the OU standard deviation and u = a / sqrt(tau),
+and R_t = sd |(u, 0, 0) + W_3| (Brownian scaling of the tau clock).  The
+killed density comes from reflecting W at -u; the radial density from the
+norm of the 3-d Gaussian.  Their pointwise consistency,
+p0(x) = (a/x) e^{-gamma t} q(x), is a verification gate.  Every quadrature
+runs over W on one window, [max(-u, -TAIL_SIGMAS), TAIL_SIGMAS], which never
+narrows against its center, whatever the scale of a, t or gamma.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .process import TAIL_SIGMAS, ProcessParams, check_times, radial_transition, time_change
+from .process import TAIL_SIGMAS, ProcessParams, check_times, ou_transition, time_change
 
 # composite Gauss-Legendre rule: 20 nodes on each of 64 equal panels.  The
 # positive half of np.polynomial.legendre.leggauss(20), written out so that no
@@ -50,13 +49,6 @@ def gaussian_pdf(y, variance: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_x(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x < 0):
-        raise ValueError("x must be finite and >= 0")
-    return x
-
-
 def survival_probability(params: ProcessParams, t: float) -> float:
     """S(t) = P(T_0 > t) = 2 Phi(a / sqrt(tau(t))) - 1, by reflection of the
     driving Brownian motion on the tau clock."""
@@ -65,51 +57,66 @@ def survival_probability(params: ProcessParams, t: float) -> float:
     return math.erf(params.a / math.sqrt(2.0 * tau))
 
 
+def _standardised(params: ProcessParams, t: float, x=0.0):
+    """(sd, u, r): X_t = sd (u + W) for a standard normal W, with sd the OU
+    standard deviation, u = a / sqrt(tau) its mean over sd, and r = x / sd
+    for x finite and >= 0."""
+    t, = check_times((t,))
+    x = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(x)) or np.any(x < 0):
+        raise ValueError("x must be finite and >= 0")
+    law = ou_transition(params, t)
+    sd = math.sqrt(law.variance)
+    with np.errstate(over="ignore"):  # r held at the largest float, where the densities are 0
+        r = np.minimum(x / sd, np.finfo(float).max)
+    return sd, law.mean / sd, r
+
+
+def _killed(u, r, w):
+    """sd p0(sd r) = phi(w) (1 - e^{-2 u r}) at w = r - u; each caller forms
+    whichever of r and w it holds exactly, and the other from it."""
+    with np.errstate(over="ignore"):  # 2ur past the float range: 1 - e^{-inf} = 1
+        return gaussian_pdf(w, 1.0) * -np.expm1(-2.0 * u * r)
+
+
+def _radial(u, r, w):
+    """sd q(sd r) at w = r - u: (r/u) phi(w) (1 - e^{-2 u r}), and 0 where
+    phi(w) underflows, however large r is."""
+    with np.errstate(over="ignore"):  # 2ur past the float range: 1 - e^{-inf} = 1
+        two_ur = 2.0 * u * r
+    phi = gaussian_pdf(w, 1.0)
+    # (r/u)(1 - e^{-2ur}) -> 2 r^2 as 2ur -> 0; the series branch keeps the
+    # Maxwell limit finite when u underflows (large gamma t) or r -> 0
+    small = (two_ur < 1e-8) & (phi > 0)
+    rest = (two_ur >= 1e-8) & (phi > 0)  # empty when u = 0, since then 2ur = 0
+    out = np.zeros_like(phi)
+    out[small] = 2.0 * r[small] ** 2 * (1.0 - 0.5 * two_ur[small]) * phi[small]
+    out[rest] = (r[rest] / u) * -np.expm1(-two_ur[rest]) * phi[rest]
+    return out
+
+
 def killed_ou_density(params: ProcessParams, t: float, x):
     """Sub-probability density of X_t on survival; integrates to S(t).
 
-    p0(x) = e^{gamma t} [phi_tau(x e^{gamma t} - a) - phi_tau(x e^{gamma t} + a)].
-    x = 0 is allowed and returns the limit 0.
-
-    With y = x e^{gamma t} the bracket is evaluated as
-    phi_tau(y - a) (1 - e^{-2 y a / tau}): exact algebra, no cancellation
-    near y = 0 and no overflow in the tails.  The factor
-    e^{gamma t} / sqrt(2 pi tau), which is 1/sqrt(2 pi v) for the OU variance
-    v = tau e^{-2 gamma t}, is applied as one number: formed apart, the
-    bracket can be subnormal (about 1e-319 at gamma t = 345) before
-    e^{gamma t} scales it back up, and lose most of its digits.
+    p0(x) = e^{gamma t} [phi_tau(x e^{gamma t} - a) - phi_tau(x e^{gamma t} + a)],
+    which is phi(r - u) (1 - e^{-2 u r}) / sd with r = x / sd: no cancellation
+    near x = 0 and no overflow in the tails.  x = 0 is allowed and returns
+    the limit 0.
     """
-    t, = check_times((t,))
-    x = _check_x(x)
-    tau = time_change(params, t)
-    growth = math.exp(params.gamma * t)
-    y = x * growth
-    scale = growth / math.sqrt(2.0 * math.pi * tau)
-    a = params.a
-    with np.errstate(over="ignore"):  # a square past the float range: exp(-inf) = 0
-        bell = np.exp(-((y - a) ** 2) / (2.0 * tau))
-    out = scale * bell * -np.expm1(-2.0 * y * a / tau)
+    sd, u, r = _standardised(params, t, x)
+    out = _killed(u, r, r - u) / sd
     return float(out) if out.ndim == 0 else out
 
 
 def radial_density(params: ProcessParams, t: float, x):
     """Probability density of R_t: radial part of the 3-d Gaussian marginal,
     q(x) = (x / c) [phi_s(x - c) - phi_s(x + c)] with c = a e^{-gamma t} and
-    s the per-coordinate variance.  Integrates to 1; q(0) = 0."""
-    t, = check_times((t,))
+    s the per-coordinate variance, which is (r/u) phi(r - u) (1 - e^{-2 u r})
+    / sd with r = x / sd.  Integrates to 1; q(0) = 0."""
     scalar = np.ndim(x) == 0
-    x = np.atleast_1d(_check_x(x))
-    law = radial_transition(params, t)
-    c, s = law.center, law.sigma2
-    w = 2.0 * x * c / s
-    base = gaussian_pdf(x - c, s)
-    # (x/c)(1 - e^{-w}) -> 2 x^2/s as w -> 0; the series branch keeps the
-    # Maxwell limit finite when c underflows (large gamma t) or x -> 0
-    small = w < 1e-8
-    out = np.empty_like(w)
-    out[small] = (2.0 * x[small] ** 2 / s) * (1.0 - 0.5 * w[small]) * base[small]
-    rest = ~small  # empty when c = 0, since then w = 0 everywhere
-    out[rest] = (x[rest] / c) * -np.expm1(-w[rest]) * base[rest]
+    sd, u, r = _standardised(params, t, x)
+    r = np.atleast_1d(r)
+    out = _radial(u, r, r - u) / sd
     return float(out[0]) if scalar else out
 
 
@@ -119,7 +126,7 @@ def _identity_sides(params: ProcessParams, t: float, x):
     if np.any(x <= 0):
         raise ValueError("x must be > 0 for the residual")
     q = radial_density(params, t, x)
-    return killed_ou_density(params, t, x), (params.a / x) * math.exp(-params.gamma * t) * q, q
+    return killed_ou_density(params, t, x), params.a * math.exp(-params.gamma * t) * (q / x), q
 
 
 def density_identity_residual(params: ProcessParams, t: float, x):
@@ -140,25 +147,9 @@ def relative_identity_residual(params: ProcessParams, t: float, x):
     return float(rel) if rel.ndim == 0 else rel
 
 
-def _killed_support(params: ProcessParams, t: float) -> tuple[float, float]:
-    """(lo, hi) with the killed density negligible outside: a -/+ 12 sqrt(tau)
-    on the Brownian clock, mapped back by e^{-gamma t}."""
-    spread = TAIL_SIGMAS * math.sqrt(time_change(params, t))
-    scale = math.exp(-params.gamma * t)
-    return max(0.0, (params.a - spread) * scale), (params.a + spread) * scale
-
-
-def _radial_support(params: ProcessParams, t: float) -> tuple[float, float]:
-    law = radial_transition(params, t)
-    spread = TAIL_SIGMAS * math.sqrt(law.sigma2)
-    return max(0.0, law.center - spread), law.center + spread
-
-
 def _quad(fn, lo: float, hi: float, points=()) -> float:
     """Composite Gauss-Legendre quadrature of the vectorised fn over [lo, hi],
-    with the panels also split at points so that fn is smooth on each.  The
-    lower edge matters for a narrow peak far from 0, which a rule on [0, hi]
-    would miss."""
+    with the panels also split at points so that fn is smooth on each."""
     # the sorted distinct edges, as np.union1d gives them; its np.unique
     # would import numpy.ma
     edges = np.sort(np.concatenate((np.linspace(lo, hi, _PANELS + 1), points)))
@@ -170,12 +161,14 @@ def _quad(fn, lo: float, hi: float, points=()) -> float:
 
 def killed_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the killed density over (0, inf); should equal S(t)."""
-    return _quad(lambda x: killed_ou_density(params, t, x), *_killed_support(params, t))
+    _, u, _ = _standardised(params, t)
+    return _quad(lambda w: _killed(u, u + w, w), max(-u, -TAIL_SIGMAS), TAIL_SIGMAS)
 
 
 def radial_density_mass(params: ProcessParams, t: float) -> float:
     """Quadrature of the radial density over (0, inf); should equal 1."""
-    return _quad(lambda x: radial_density(params, t, x), *_radial_support(params, t))
+    _, u, _ = _standardised(params, t)
+    return _quad(lambda w: _radial(u, u + w, w), max(-u, -TAIL_SIGMAS), TAIL_SIGMAS)
 
 
 def killed_expectation_quadrature(
@@ -187,7 +180,8 @@ def killed_expectation_quadrature(
     """Quadrature of fn against the killed density: the analytic side of the
     killed-semigroup check.  fn is called once, on an array of nodes, and
     must return an array of the same shape.  Pass fn's discontinuity points
-    as breakpoints."""
-    lo, hi = _killed_support(params, t)
-    pts = [p for p in breakpoints if lo < p < hi]
-    return _quad(lambda x: fn(x) * killed_ou_density(params, t, x), lo, hi, pts)
+    as breakpoints; each breakpoint b is mapped to W = b / sd - u."""
+    sd, u, _ = _standardised(params, t)
+    lo = max(-u, -TAIL_SIGMAS)
+    pts = [w for w in (b / sd - u for b in breakpoints) if lo < w < TAIL_SIGMAS]
+    return _quad(lambda w: fn(sd * (u + w)) * _killed(u, u + w, w), lo, TAIL_SIGMAS, pts)

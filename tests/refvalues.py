@@ -67,9 +67,11 @@ def killed_conditional_cdf(gamma: float, a: float, t: float, x: float) -> float:
 #    law on its own stream; the rows that read the exact radial stream
 #    (transport-agreement, conditioning-gap, killed-semigroup,
 #    local-martingale-mc, euler-radial-ks) after commit 1b3f768, when that
-#    draw became one normal and one exponential per value, and with them the
-#    rounding-level htransform-residual[t=0.5], when the killed density began
-#    to apply e^{gamma t} / sqrt(2 pi tau) as one factor:
+#    draw became one normal and one exponential per value; and the
+#    closed-form rows (the killed-semigroup targets and gaps, the density
+#    masses and the htransform-residual values) after commit ab1a9e8, when
+#    the densities and their quadrature moved to the standardised coordinate
+#    X_t = sd (u + W), with the sampled values left as they were:
 #    (check, status, value, target, gap) ------------------------------------
 SUITE_N20000_SEED96 = (
     ("martingale-mean[t=0.5]", "pass", 0.9949440158465359, 1.0, 0.7608089725286236),
@@ -86,19 +88,19 @@ SUITE_N20000_SEED96 = (
     ("conditioning-gap[1(x>1)]", "pass", 0.4061984187758599, 0.41044269419858903, 0.6115191231072791),
     ("conditioning-gap[1(x<0.5)]", "pass", 0.25902695564816625, 0.2543242251573287, 0.5378851233107086),
     ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 1.0018672036890963, 0.24172589007003514),
-    ("killed-semigroup[one]", "pass", 0.42557605261034914, 0.4241764417797157, 0.6300395752450456),
-    ("killed-semigroup[1(x>1)]", "pass", 0.14886356677933962, 0.1494366526861181, 0.576690239551024),
-    ("killed-semigroup[1(x<0.5)]", "pass", 0.09847969223700882, 0.09723219929053561, 0.4767922984824066),
-    ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714422, 1.1102230246251565e-05),
-    ("killed-density-mass[t=0.5]", "pass", 0.7193528563918147, 0.7193528563918145, 2.220446049250313e-16),
+    ("killed-semigroup[one]", "pass", 0.42557605261034914, 0.42417644177971586, 0.6300395752449707),
+    ("killed-semigroup[1(x>1)]", "pass", 0.14886356677933962, 0.14943665268611808, 0.5766902395509961),
+    ("killed-semigroup[1(x<0.5)]", "pass", 0.09847969223700882, 0.09723219929053567, 0.4767922984823854),
+    ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714424, 5.551115123125783e-06),
+    ("killed-density-mass[t=0.5]", "pass", 0.7193528563918145, 0.7193528563918145, 0.0),
     ("radial-density-mass[t=0.5]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=0.5]", "pass", 1.3869967027288071e-14, 0.0, 1.3869967027288071e-14),
-    ("killed-density-mass[t=1]", "pass", 0.4241764417797156, 0.42417644177971575, 1.6653345369377348e-16),
-    ("radial-density-mass[t=1]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=1]", "pass", 2.1401504431214863e-14, 0.0, 2.1401504431214863e-14),
-    ("killed-density-mass[t=2]", "pass", 0.15317431284600863, 0.15317431284600858, 5.551115123125783e-17),
+    ("htransform-residual[t=0.5]", "pass", 4.895002412588805e-16, 0.0, 4.895002412588805e-16),
+    ("killed-density-mass[t=1]", "pass", 0.42417644177971586, 0.42417644177971575, 1.1102230246251565e-16),
+    ("radial-density-mass[t=1]", "pass", 1.0000000000000002, 1.0, 2.220446049250313e-16),
+    ("htransform-residual[t=1]", "pass", 4.599761204898943e-16, 0.0, 4.599761204898943e-16),
+    ("killed-density-mass[t=2]", "pass", 0.15317431284600858, 0.15317431284600858, 0.0),
     ("radial-density-mass[t=2]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=2]", "pass", 1.4193645148510794e-14, 0.0, 1.4193645148510794e-14),
+    ("htransform-residual[t=2]", "pass", 4.18932778883159e-16, 0.0, 4.18932778883159e-16),
     ("local-martingale-monotone", "pass", 0.7193528563918145, 1.0, -0.2710021289337072),
     ("local-martingale-mc[t=0.5]", "pass", 0.7202136430303719, 0.7193528563918145, 0.22326407207567314),
     ("local-martingale-mc[t=1]", "pass", 0.42391466516640647, 0.42417644177971575, 0.12006679999225292),
@@ -112,8 +114,8 @@ SUITE_N20000_SEED96 = (
 
 # -- run_suite(SuiteConfig(n_paths=BLOCK_SIZE + 4_464, seed=98)), i.e. 70,000
 #    paths in two blocks per estimator, as computed at commit 2fe095a, with
-#    the euler-radial and family rows re-pinned as above: (check, status,
-#    value, target, gap) -----------------------------------------------------
+#    the euler-radial, family and closed-form rows re-pinned as above:
+#    (check, status, value, target, gap) -------------------------------------
 SUITE_N70000_SEED98 = (
     ("martingale-mean[t=0.5]", "pass", 0.9997814991469799, 1.0, 0.06242006809559148),
     ("martingale-mean[t=1]", "pass", 0.9984532283753169, 1.0, 0.22870872633692244),
@@ -129,19 +131,19 @@ SUITE_N70000_SEED98 = (
     ("conditioning-gap[1(x>1)]", "pass", 0.4045288688665413, 0.4066200745187597, 0.5638678024552357),
     ("conditioning-gap[1(x<0.5)]", "pass", 0.2623531042914878, 0.2614069661936389, 0.20039615205973746),
     ("conditioning-gap[min(x^1,10)]", "pass", 1.0, 0.9987902060551941, 0.287669459420654),
-    ("killed-semigroup[one]", "pass", 0.42202364616322324, 0.4241764417797157, 1.8452332251151706),
-    ("killed-semigroup[1(x>1)]", "pass", 0.1505325633060191, 0.1494366526861181, 2.066729407150507),
-    ("killed-semigroup[1(x<0.5)]", "pass", 0.09591131263303783, 0.09723219929053561, 0.9619260399233955),
-    ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714422, 1.1102230246251565e-05),
-    ("killed-density-mass[t=0.5]", "pass", 0.7193528563918147, 0.7193528563918145, 2.220446049250313e-16),
+    ("killed-semigroup[one]", "pass", 0.42202364616322324, 0.42417644177971586, 1.8452332251153134),
+    ("killed-semigroup[1(x>1)]", "pass", 0.1505325633060191, 0.14943665268611808, 2.0667294071505595),
+    ("killed-semigroup[1(x<0.5)]", "pass", 0.09591131263303783, 0.09723219929053567, 0.961926039923436),
+    ("killed-semigroup[min(x^1,10)]", "pass", 0.36787944117144233, 0.3678794411714424, 0.0),
+    ("killed-density-mass[t=0.5]", "pass", 0.7193528563918145, 0.7193528563918145, 0.0),
     ("radial-density-mass[t=0.5]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=0.5]", "pass", 1.3869967027288071e-14, 0.0, 1.3869967027288071e-14),
-    ("killed-density-mass[t=1]", "pass", 0.4241764417797156, 0.42417644177971575, 1.6653345369377348e-16),
-    ("radial-density-mass[t=1]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=1]", "pass", 2.1401504431214863e-14, 0.0, 2.1401504431214863e-14),
-    ("killed-density-mass[t=2]", "pass", 0.15317431284600863, 0.15317431284600858, 5.551115123125783e-17),
+    ("htransform-residual[t=0.5]", "pass", 4.895002412588805e-16, 0.0, 4.895002412588805e-16),
+    ("killed-density-mass[t=1]", "pass", 0.42417644177971586, 0.42417644177971575, 1.1102230246251565e-16),
+    ("radial-density-mass[t=1]", "pass", 1.0000000000000002, 1.0, 2.220446049250313e-16),
+    ("htransform-residual[t=1]", "pass", 4.599761204898943e-16, 0.0, 4.599761204898943e-16),
+    ("killed-density-mass[t=2]", "pass", 0.15317431284600858, 0.15317431284600858, 0.0),
     ("radial-density-mass[t=2]", "pass", 1.0, 1.0, 0.0),
-    ("htransform-residual[t=2]", "pass", 1.4193645148510794e-14, 0.0, 1.4193645148510794e-14),
+    ("htransform-residual[t=2]", "pass", 4.18932778883159e-16, 0.0, 4.18932778883159e-16),
     ("local-martingale-monotone", "pass", 0.7193528563918145, 1.0, -0.2710021289337072),
     ("local-martingale-mc[t=0.5]", "pass", 0.7212327144681127, 0.7193528563918145, 0.9469323033986318),
     ("local-martingale-mc[t=1]", "pass", 0.4238931209105533, 0.42417644177971575, 0.2430005815004008),
@@ -153,13 +155,14 @@ SUITE_N70000_SEED98 = (
 )
 
 # -- SHA-256 of the same report, as computed at commit 8e187fe and re-pinned
-#    after commit 1b3f768 for the 2-variate radial draw and the one-factor
-#    killed density: its to_csv() and its to_json() with "meta" dropped,
+#    after commit 1b3f768 for the 2-variate radial draw, and after commit
+#    ab1a9e8 for the closed forms in the standardised coordinate: its
+#    to_csv() and its to_json() with "meta" dropped,
 #    re-dumped with sort_keys=True and no indent.  Unlike the rows above,
 #    these cover every byte, the seed, reason and threshold fields included -
 SUITE_N70000_SEED98_SHA256 = {
-    "csv": "f460a8359db9063ca995b3fc5cecfd4f719f7a74ca403b01b6cceb77ec8314bd",
-    "json": "30c1ba47bdd054d877d37414f1b9c3e6b8ac3fc151e08e1c7397b37b569b3f56",
+    "csv": "784f3520e6dd28276ef114bdb1b4e01ee2af4e46ee70f3423314814bfb1f30e4",
+    "json": "42836829ddac898336c4909f4ce26f974201c9eb4d246cfdc8b54d3ac7cef162",
 }
 
 # -- SHA-256 of the reports whose rows are skipped, digested as above:
@@ -168,15 +171,16 @@ SUITE_N70000_SEED98_SHA256 = {
 #    6.95), n_paths=300)), where the weight-unit-mass rows expect too few
 #    survivors and the conditioning-gap rows draw none.  The CSVs are as
 #    computed at commit 9493536; the JSON as computed after it, when a skipped
-#    row's threshold became null (it was a bare NaN, which is not JSON) ------
+#    row's threshold became null (it was a bare NaN, which is not JSON); both
+#    re-pinned after commit ab1a9e8 for the closed-form rows, as above -------
 SUITE_SKIPPED_SHA256 = {
     "n10": {
-        "csv": "84f894203d305747e9d5386b02cb8780ae0df4550a2914eec37ea7b6f498684e",
-        "json": "21db6231acc0ae6c3d8bd98586819e4e5d3e10e024025d0cfbe1733c4ab64758",
+        "csv": "464fb2a17950adc054ebf1ab4a56c9015d9a1384818e637fa15c1e1c8c85ee47",
+        "json": "dba16c727912a1bd1b43925ab893049cf044e40edd23afb1fcecf0cdc41beadb",
     },
     "gamma50": {
-        "csv": "4b270e18b7db8bee4090ad4bc66f66b8851da89526122b9c8df14ffb7a2874ab",
-        "json": "15c1fe326e16af0dfe9154aef580896e801afa65ab07d91e01315d7204e15347",
+        "csv": "9910f6456e7ad982c774628d38e5b1ad9822fb8500439ec2cad842392247c01d",
+        "json": "d840c9ff017e7aa88c5ca105c79450db2da786471e75090ecf6838ed94b2bd2a",
     },
 }
 
@@ -388,9 +392,10 @@ CLI_SINGLE_FAULTS = {
 # -- SHA-256 of the files written by `ouht density --gamma 1 --a 1 --t 1
 #    --x-min 0.01 --x-max 3 --format F` (500 log-spaced points) and by
 #    `ouht local-martingale --paths 20000 --seed 7` (times 0.25 0.5 1 2 4),
-#    as computed at commit a0c4b2b: output -> digest -------------------------
+#    as computed at commit a0c4b2b, the density ones re-pinned after commit
+#    ab1a9e8 for the standardised coordinate: output -> digest --------------
 DENSITY_SHA256_G1_A1_T1 = {
-    "csv": "24b9c85f2b2f9041b985f879429353aa688231ab65376e45fe5f8677685f70b4",
-    "json": "b166d8daa443950f5f65093600944019b97fccef37921ddf1bd497fc33ab6d4e",
+    "csv": "18a1ce2d27f3e9fed33f0ace01b15052745323826d5ce5050a6b6527b4f4ac32",
+    "json": "2e6f339a4bd41c43bf39c9786d13f6b23a1a877edbef8c8c1804a15cf738dd28",
 }
 LOCAL_MARTINGALE_SHA256_N20000_SEED7 = "fe83422be8df5ef286cd328d375f8cdd142047cdee030bacbc74e77f9c0877fe"

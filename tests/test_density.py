@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import ouht.density
 from ouht.density import (
     _NODES,
     _WEIGHTS,
-    _killed_support,
-    _radial_support,
     density_identity_residual,
     gaussian_pdf,
     killed_density_mass,
@@ -21,13 +22,18 @@ from ouht.density import (
     survival_probability,
 )
 from ouht.measure import default_functional_suite
-from ouht.process import ProcessParams, radial_transition
+from ouht.process import ProcessParams, ou_transition, radial_transition
 
 import refvalues as ref
 
 SWEEP_GAMMAS = (-0.5, 0.0, 1.0)
 SWEEP_TIMES = (0.25, 1.0, 4.0)
 SWEEP_STARTS = (0.5, 1.0, 3.0)
+EPS = np.finfo(float).eps
+# (gamma, a, t) where quadrature in x lost the law: a window narrower than
+# about 1e-8 of its center, or one that collapsed to a single float
+SCALE_EDGES = [(1.0, 1e10, 1.0), (1.0, 1e150, 1.0), (1.0, 1.0, 1e-6), (1.0, 1.0, 1e-20),
+               (1.0, 1.0, 1e-300)]
 
 
 def _log_grid(params, t, n=500):
@@ -111,6 +117,35 @@ def test_killed_mass_is_relatively_accurate_at_tiny_survival(gamma, t):
     assert abs(killed_density_mass(p, t) - s) <= 1e-12 * s
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(gamma=st.floats(-2.0, 5.0), log_a=st.floats(-3.0, 150.0), log_t=st.floats(-300.0, 0.5))
+def test_density_masses_hold_at_every_scale(gamma, log_a, log_t):
+    # a, t and u = a / sqrt(tau) over hundreds of decades: the quadrature
+    # window in W never narrows against its center
+    p, t = ProcessParams(gamma, 10.0**log_a), 10.0**log_t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = survival_probability(p, t)
+        assert abs(killed_density_mass(p, t) - s) <= 1e-12 * s
+        assert abs(radial_density_mass(p, t) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma,a,t", SCALE_EDGES)
+def test_killed_quadrature_of_a_tail_at_the_scale_edges(gamma, a, t):
+    # 1(x > c) with c at the killed center, against the CDF formula.  Both
+    # carry an input error of about eps * u, from rounding c and its image in
+    # W, so the comparison says nothing where u is past 1e15, as at a = 1e150
+    # and t = 1e-300; the two halves must still add up to S(t) there
+    p = ProcessParams(gamma, a)
+    law = ou_transition(p, t)
+    c, u = law.mean, law.mean / math.sqrt(law.variance)
+    s = survival_probability(p, t)
+    above = killed_expectation_quadrature(p, t, lambda x: (x > c) * 1.0, (c,))
+    below = killed_expectation_quadrature(p, t, lambda x: (x <= c) * 1.0, (c,))
+    assert abs(above + below - s) <= 1e-12 * s
+    assert abs(above - ref.killed_tail_probability(gamma, a, t, c)) <= 1e-12 + 4.0 * EPS * u
+
+
 def test_literal_gauss_legendre_rule_is_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(20)
     for got, want in ((_NODES, nodes), (_WEIGHTS, weights)):
@@ -130,12 +165,15 @@ def _adaptive_quad(fn, lo, hi, points=None):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_gauss_legendre_rule_matches_adaptive_quadrature(t):
     p = ProcessParams(1.0, 1.0)
-    lo, hi = _killed_support(p, t)
+    # both densities are negligible outside 12 sd of the center, in x
+    law = radial_transition(p, t)
+    spread = 12.0 * math.sqrt(law.sigma2)
+    lo, hi = max(0.0, law.center - spread), law.center + spread
     pairs = [
         (killed_density_mass(p, t),
          _adaptive_quad(lambda x: killed_ou_density(p, t, x), lo, hi)),
         (radial_density_mass(p, t),
-         _adaptive_quad(lambda x: radial_density(p, t, x), *_radial_support(p, t))),
+         _adaptive_quad(lambda x: radial_density(p, t, x), lo, hi)),
     ]
     for f in default_functional_suite():
         pts = sorted(b for b in f.breakpoints() if lo < b < hi) or None
@@ -205,6 +243,9 @@ def test_radial_density_maxwell_limit_when_center_underflows():
     assert np.all(np.isfinite(got))
     assert got == pytest.approx(maxwell, rel=1e-13)
     assert abs(radial_density_mass(p, t) - 1.0) <= 1e-8
+    # with u = 0, an x / sd past the float range must not give 0 * inf = NaN
+    x_max = np.finfo(float).max
+    assert killed_ou_density(p, t, x_max) == radial_density(p, t, x_max) == 0.0
 
 
 def test_radial_density_zero_limit_and_domain():
@@ -231,8 +272,15 @@ def test_identity_residual_leaves_out_subnormal_sides():
     assert relative_identity_residual(p, 1.0, _suite_residual_grid(p, 1.0)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("a", [1.0, 100.0])
-def test_identity_residual_sees_a_relative_error_of_1e_10(monkeypatch, a):
+@pytest.mark.parametrize("a,t", [(1.0, 1.0), (100.0, 1.0), (1.0, 1e-6), (1e10, 1.0)],
+                         ids=["1.0", "100.0", "t=1e-06", "1e10"])
+def test_identity_residual_sees_a_relative_error_of_1e_10(monkeypatch, a, t):
+    # the residual is at rounding level on the suite's grid, at t = 1e-6 and
+    # a = 1e10 as well, where it once read 2e-12 and 1: a relative error of
+    # 1e-10 in one side still stands out
+    p = ProcessParams(1.0, a)
+    grid = _suite_residual_grid(p, t)
+    assert relative_identity_residual(p, t, grid).max() <= 1e-12
     sides = ouht.density._identity_sides
 
     def skewed(params, t, x):
@@ -240,8 +288,7 @@ def test_identity_residual_sees_a_relative_error_of_1e_10(monkeypatch, a):
         return lhs * (1.0 + 1e-10), rhs, q
 
     monkeypatch.setattr(ouht.density, "_identity_sides", skewed)
-    p = ProcessParams(1.0, a)
-    assert relative_identity_residual(p, 1.0, _suite_residual_grid(p, 1.0)).max() > 1e-12
+    assert relative_identity_residual(p, t, grid).max() > 1e-12
 
 
 def test_identity_residual_leaves_out_a_subnormal_radial_density():
@@ -256,15 +303,20 @@ def test_identity_residual_leaves_out_a_subnormal_radial_density():
     assert 0.0 < relative_identity_residual(p, 1.0, xs[3]) <= 1e-12
 
 
-@pytest.mark.parametrize("x", [1e160, 1e300])
+@pytest.mark.parametrize("x", [5e-324, 1e160, 1e300, 1.7976931348623157e308])
 def test_densities_far_out_in_the_tail_are_0_without_an_overflow_warning(x):
-    # the Gaussian exponent's square overflows to inf there, and exp(-inf) = 0
-    # is the right density; RuntimeWarnings are errors under this suite
+    # far out, the Gaussian exponent's square (and at the float maximum x / sd
+    # too) overflows to inf, and exp(-inf) = 0 is the right density.  At
+    # x = 5e-324, a/x overflows and q(x) is 0, so the identity's right side is
+    # 0 and the residual is the subnormal killed side.  RuntimeWarnings are
+    # errors under this suite
     p = ProcessParams(1.0, 1.0)
-    assert gaussian_pdf(x, 1.0) == 0.0
-    assert killed_ou_density(p, 1.0, x) == 0.0
+    far = x > 1.0
+    assert (gaussian_pdf(x, 1.0) == 0.0) == far
+    killed = killed_ou_density(p, 1.0, x)
+    assert 0.0 <= killed < np.finfo(float).tiny and (killed == 0.0) == far
     assert radial_density(p, 1.0, x) == 0.0
-    assert density_identity_residual(p, 1.0, x) == 0.0
+    assert density_identity_residual(p, 1.0, x) == killed
     assert relative_identity_residual(p, 1.0, x) == 0.0
 
 
@@ -295,8 +347,8 @@ def test_identity_residual_sweep_on_log_grids():
 
 def test_identity_residual_at_tiny_survival_on_the_suite_grid():
     # S(6.9) is about 1e-149 at gamma 50: at the grid top the killed density's
-    # bracket alone is about 1e-319, a subnormal, unless e^{gamma t} is folded
-    # into its normalising constant first (the residual was 7.1e-6)
+    # bracket, formed on the tau clock apart from e^{gamma t}, is about 1e-319,
+    # a subnormal (the residual was 7.1e-6)
     p, t = ProcessParams(50.0, 1.0), 6.9
     law = radial_transition(p, t)
     hi = law.center + 10.0 * math.sqrt(law.sigma2)

@@ -218,6 +218,21 @@ def test_skipped_report_bytes_are_pinned(name, config):
     assert hashlib.sha256(_strip_meta(rep.to_json()).encode()).hexdigest() == digests["json"]
 
 
+@pytest.mark.parametrize("edge", [{"a": 1e10}, {"a": 1e150}, {"times": (1e-6,)},
+                                  {"times": (1e-20,)}, {"times": (1e-300,)}],
+                         ids=["a=1e10", "a=1e150", "t=1e-06", "t=1e-20", "t=1e-300"])
+def test_closed_form_rows_pass_at_the_scale_edges(edge):
+    # at 10 paths every sampled row skips, so only the closed-form rows are
+    # read; the mass and residual rows failed here while quadrature and the
+    # residual worked in x
+    config = SuiteConfig(n_paths=10, **edge)
+    rows = [c for c in run_suite(config).checks
+            if c.check.startswith(("killed-density-mass", "radial-density-mass",
+                                   "htransform-residual"))]
+    assert len(rows) == 3 * len(config.times)
+    assert [c.check for c in rows if c.status != PASS] == []
+
+
 def test_every_draw_is_read_by_some_row(monkeypatch):
     # a draw that no row reads costs every run its paths and shows nowhere
     drawn, read = set(), set()
