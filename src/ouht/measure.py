@@ -126,62 +126,54 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 
 # --- terminal samplers -----------------------------------------------------
 #
-# A sampler is called as sampler(params, times, rng, n, out=None) with
-# ascending times and returns a time-major (len(times), n) array whose row j
-# holds the n values at times[j], and nothing else; given out, it writes into
-# it and returns it.  The kernels underneath write the same way, each into
-# the trailing grid rows of the array it is handed, so a sampler hands its
-# out, whose rows are the grid times after 0, straight down.  No sampler
-# checks its law: run_draws and the commands do, once, before any block.
+# A sampler is called as sampler(params, times, rng, n, out) with ascending
+# times and a time-major (len(times), n) float64 out, which only _block
+# allocates; it fills row j with the n values at times[j] and returns
+# nothing.  The kernels underneath write the same way, each into the
+# trailing grid rows of the array it is handed, so a sampler hands its out,
+# whose rows are the grid times after 0, straight down.  No sampler checks
+# its law: run_draws and the commands do, once, before any block.
 # Samplers are module-level functions, the Euler ones bound to their
 # SchemeConfig by functools.partial(..., scheme=...), so that tasks pickle.
 # They look the process and simulate functions up in this module's globals
 # at call time, so a wrapper rebound there sees every call.
 
-def killed_exact(params, times, rng, n, out=None):
-    """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed.
-    The kernel writes the rows after time 0 into out, or, without out, into
-    a whole grid of its own whose time-0 row is left off."""
-    grid = TimeGrid.from_times(times)
-    return simulate_killed_ou_exact(params, grid, rng, n, out).values.T[-len(times):]
+def killed_exact(params, times, rng, n, out):
+    """X_{t and T0} by the bridge-corrected exact scheme: 0 once absorbed."""
+    simulate_killed_ou_exact(params, TimeGrid.from_times(times), rng, n, out)
 
 
-def killed_euler(params, times, rng, n, out=None, *, scheme):
+def killed_euler(params, times, rng, n, out, *, scheme):
     """X_{t and T0} by Euler-Maruyama with sign-check killing: 0 once absorbed."""
-    return euler_ou(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
+    euler_ou(params, TimeGrid.from_times(times), scheme, rng, n, out)
 
 
-def radial_exact(params, times, rng, n, out=None):
+def radial_exact(params, times, rng, n, out):
     """R_t along one path per row: the exact marginal at times[0], then the
     exact transition from each time to the next."""
-    out = np.empty((len(times), n)) if out is None else out
     sample_radial_exact(params, times[0], rng, size=n, out=out[0])
     for j in range(1, len(times)):
         sample_radial_step(params, out[j - 1], times[j] - times[j - 1], rng, out[j])
-    return out
 
 
-def radial_euler(params, times, rng, n, out=None, *, scheme):
+def radial_euler(params, times, rng, n, out, *, scheme):
     """R_t along one path per row by the drift-implicit Euler step, which
     stays positive without a guard."""
-    return euler_radial(params, TimeGrid.from_times(times), scheme, rng, n, out).values.T
+    euler_radial(params, TimeGrid.from_times(times), scheme, rng, n, out)
 
 
-def ou_exact(params, times, rng, n, out=None):
+def ou_exact(params, times, rng, n, out):
     """Unkilled X_t from the exact marginal, one independent draw per time."""
-    out = np.empty((len(times), n)) if out is None else out
     for j, t in enumerate(times):
         sample_ou_exact(params, t, rng, size=n, out=out[j])
-    return out
 
 
-def survival_flags(params, times, rng, n, out=None):
+def survival_flags(params, times, rng, n, out):
     """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
     a single time only.  Only the last of the 17 grid rows is kept."""
     (t,) = times
-    out = np.empty((1, n)) if out is None else out
     simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n, out)
-    return np.greater(out, 0.0, out=out)
+    np.greater(out, 0.0, out=out)
 
 
 # --- block-wise estimation -------------------------------------------------
@@ -206,9 +198,10 @@ class Draw:
 
 
 class _Columns:
-    """A block's columns of its draw's sample.  A serial block draws straight
-    into them; sent to a pool worker, this pickles empty, so the worker draws
-    into an array of its own and run_draws copies it in."""
+    """A raw block's columns of its draw's sample; an estimate block has no
+    view.  A serial block draws straight into them; sent to a pool worker,
+    this pickles empty, so the worker draws into an array of its own and
+    run_draws copies it in."""
 
     def __init__(self, view=None):
         self.view = view
@@ -219,14 +212,11 @@ class _Columns:
 
 def _block(task):
     sampler, params, times, seed, block, n, integrands, columns, _ = task
-    rng = stream(seed, block)
+    out = np.empty((len(times), n)) if columns.view is None else columns.view
+    sampler(params, times, stream(seed, block), n, out)
     if integrands is not None:
-        draws = sampler(params, times, rng, n)
-        return tuple(BlockStats.of(draws if g is None else g(draws)) for g in integrands)
-    if columns.view is None:
-        return sampler(params, times, rng, n)
-    sampler(params, times, rng, n, out=columns.view)
-    return None  # drawn in place: nothing to send back
+        return tuple(BlockStats.of(out if g is None else g(out)) for g in integrands)
+    return None if out is columns.view else out  # None: drawn in place, nothing to send back
 
 
 def _reduce(stats, seed):
@@ -250,13 +240,13 @@ def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
     samples = {key: np.empty((len(d.times), d.n_paths))
                for key, d in table.items() if d.integrands is None}
     tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands,
-              _Columns(samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n]) if key in samples
-              else None, key)
+              _Columns(samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n] if key in samples
+                       else None), key)
              for key, d in table.items()
              for j, n in enumerate(block_sizes(d.n_paths))]
     stats = {key: [] for key in table}
     for (*_, columns, key), result in zip(tasks, map_blocks(_block, tasks, workers)):
-        if columns is None:
+        if key not in samples:
             stats[key].append(result)
         elif result is not None:  # drawn in a pool worker
             columns.view[...] = result

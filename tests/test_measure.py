@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from functools import partial
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import ouht.cli
 import ouht.measure
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     Draw,
     TestFunctional,
+    _Columns,
     _block,
     at_time,
     forward_weighted,
@@ -39,6 +42,13 @@ from ouht.simulate import SchemeConfig, TimeGrid, simulate_killed_ou_exact
 import refvalues as ref
 
 P11 = ProcessParams(1.0, 1.0)
+
+
+def _drawn(sampler, params, times, rng, n):
+    """The block that sampler writes into a (len(times), n) array of its own."""
+    out = np.empty((len(times), n))
+    sampler(params, times, rng, n, out)
+    return out
 
 
 def test_functional_validation():
@@ -116,7 +126,7 @@ def test_forward_weight_on_paths():
 
 def test_forward_weight_gamma_zero_is_plain_ratio():
     p = ProcessParams(0.0, 2.0)
-    x = killed_exact(p, (1.0,), stream(305, 0), 5_000)[0]
+    x = _drawn(killed_exact, p, (1.0,), stream(305, 0), 5_000)[0]
     w = forward_weighted(p, 1.0, TestFunctional.constant_one(), x)
     assert np.allclose(w, x / p.a)
 
@@ -249,7 +259,7 @@ def test_radial_exact_rows_are_paths():
     # path the vector decays by e^{-gamma (t-s)} and gains independent noise,
     # so Cov(R_s^2, R_t^2) = e^{-2 gamma (t-s)} Var(R_s^2)
     s, t, n = 0.5, 1.0, 50_000
-    draws = radial_exact(P11, (s, t), stream(301, 0), n)
+    draws = _drawn(radial_exact, P11, (s, t), stream(301, 0), n)
     sq_s, sq_t = draws[0] ** 2, draws[1] ** 2
 
     law = radial_transition(P11, s)
@@ -266,7 +276,7 @@ def test_radial_exact_rows_are_paths():
 def test_radial_exact_first_time_is_the_marginal_draw():
     # the first row is sample_radial_exact's draw, so single-time
     # estimators (and verify) see the same numbers as before
-    draws = radial_exact(P11, (0.5, 1.0, 2.0), stream(302, 0), 1_000)
+    draws = _drawn(radial_exact, P11, (0.5, 1.0, 2.0), stream(302, 0), 1_000)
     assert np.array_equal(draws[0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))
 
 
@@ -276,7 +286,7 @@ def test_survival_flags_are_the_last_column_of_the_full_bridge(gamma):
     # are the full kernel's last column read as > 0, over two ragged blocks
     params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
     full = simulate_killed_ou_exact(params, TimeGrid.uniform(1.0, 16), stream(232, 0), n)
-    flags = survival_flags(params, (1.0,), stream(232, 0), n)
+    flags = _drawn(survival_flags, params, (1.0,), stream(232, 0), n)
     assert flags.shape == (1, n)
     assert flags.tobytes() == (full.values[:, -1] > 0.0).astype(float).tobytes()
     assert 0 < np.count_nonzero(flags == 0.0) < n
@@ -300,7 +310,7 @@ def test_survival_flags_peak_memory_is_a_few_block_rows():
     rng = stream(0, 0)
     tracemalloc.start()
     try:
-        survival_flags(P11, (1.0,), rng, BLOCK_SIZE)
+        _drawn(survival_flags, P11, (1.0,), rng, BLOCK_SIZE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -328,26 +338,65 @@ def test_raw_euler_sample_is_held_once():
 
 
 def test_unit_mass_block_peak_memory():
-    # the suite's unit-mass block: a four-row grid, the proposal and the
-    # state, and the integrands' temporaries; the bridge's uniforms go to the
-    # row each interval writes (a buffer of their own peaked at 7.0 rows)
+    # the suite's unit-mass block: its three rows, which the bridge fills
+    # with no time-0 row, the proposal and the state, and the integrands'
+    # temporaries; the bridge's uniforms go to the row each interval writes
+    # (a four-row grid with its time-0 row peaked at 6.0 rows, and a buffer
+    # of their own for the uniforms at 7.0)
     one = TestFunctional.constant_one()
     times = (0.5, 1.0, 2.0)
     integrands = tuple(partial(at_time, j, partial(forward_weighted, P11, t, one))
                        for j, t in enumerate(times))
-    task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, None, "unit-mass")
+    task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, _Columns(), "unit-mass")
     rows = _peak_block_rows(lambda: _block(task))
-    assert rows < 6.5, rows
+    assert rows < 5.5, rows
 
 
 def test_killed_exact_block_peak_memory():
-    # three times make a four-row grid; the bridge adds its proposal and its
-    # state, which also holds the crossing probability and the kill flags,
-    # and draws its uniforms into the row each interval writes (a
-    # crossing-probability row and a flag row made 8.1)
+    # the three rows of out, then the bridge's proposal and its state, which
+    # also holds the crossing probability and the kill flags; it draws its
+    # uniforms into the row each interval writes (a four-row grid with its
+    # time-0 row peaked at 6.0, and a crossing-probability row and a flag
+    # row on top of that made 8.1)
     rng = stream(0, 0)
-    rows = _peak_block_rows(lambda: killed_exact(P11, (0.5, 1.0, 2.0), rng, BLOCK_SIZE))
-    assert rows <= 7.2, rows
+    rows = _peak_block_rows(lambda: _drawn(killed_exact, P11, (0.5, 1.0, 2.0), rng, BLOCK_SIZE))
+    assert rows < 5.5, rows
+
+
+def _contract_sampler(params, times, rng, n, out):
+    """A sampler that refuses anything but the out that the contract hands it."""
+    if not (isinstance(out, np.ndarray) and out.shape == (len(times), n)
+            and out.dtype == np.float64 and out.flags.writeable):
+        raise AssertionError(f"not a writeable ({len(times)}, {n}) float64 out: {out!r}")
+    out[...] = rng.random(n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_draws_hands_every_sampler_its_block_out(workers):
+    # two blocks each, so that workers=2 runs both draws on the pool
+    times, n = (0.5, 1.0), BLOCK_SIZE + 300
+    table = {"estimate": Draw(_contract_sampler, times, n, 11, (None,)),
+             "raw": Draw(_contract_sampler, times, n, 12)}
+    results = run_draws(P11, table, workers)
+    assert results["estimate"][0].n == len(times) * n
+    sample = results["raw"]
+    assert sample.shape == (len(times), n)
+    assert sample.tobytes() == np.concatenate(
+        [_drawn(_contract_sampler, P11, times, stream(12, j), m)
+         for j, m in enumerate((BLOCK_SIZE, 300))], axis=1).tobytes()
+
+
+def test_no_sampler_gives_out_a_default():
+    # every sampler writes into the out that _block allocates: none of them,
+    # nor any that simulate offers, has a second mode that allocates its own
+    samplers = [fn for fn in vars(ouht.measure).values() if inspect.isfunction(fn)
+                and list(inspect.signature(fn).parameters)[:5] == ["params", "times", "rng",
+                                                                   "n", "out"]]
+    assert {fn.__name__ for fn in samplers} == {"killed_exact", "killed_euler", "radial_exact",
+                                                "radial_euler", "ou_exact", "survival_flags"}
+    for fn in [*samplers, *ouht.cli._SIM_SAMPLERS.values()]:
+        out = inspect.signature(fn).parameters["out"]
+        assert out.default is inspect.Parameter.empty, fn
 
 
 @pytest.mark.parametrize("sampler", [
@@ -361,7 +410,7 @@ def test_raw_sample_is_its_blocks_drawn_in_place(sampler):
     times = (1.0,) if sampler is survival_flags else (0.5, 1.0, 2.0)
     n = BLOCK_SIZE + 300
     sample = run_draws(P11, {0: Draw(sampler, times, n, 7)}, workers=1)[0]
-    blocks = [sampler(P11, times, stream(7, j), m) for j, m in enumerate((BLOCK_SIZE, 300))]
+    blocks = [_drawn(sampler, P11, times, stream(7, j), m) for j, m in enumerate((BLOCK_SIZE, 300))]
     assert sample.shape == (len(times), n)
     assert sample.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
