@@ -182,7 +182,8 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                  (qmass, 1.0, abs(qmass - 1.0), MASS_TOLERANCE, None)),
                 (f"htransform-residual[t={t:g}]",
                  "killed density equals (a/x) e^{-gamma t} times radial density",
-                 "two independent derivations", (), (worst, 0.0, worst, RESIDUAL_TOLERANCE, None))]
+                 "the weight (a/x) e^{-gamma t} at rounding level: both densities share "
+                 "phi(w)(1 - e^{-2ur})", (), (worst, 0.0, worst, RESIDUAL_TOLERANCE, None))]
 
     # strict local martingale: closed form monotone and below 1/a, MC overlay
     m_closed = [survival_probability(p, t) / p.a for t in times]

@@ -156,13 +156,15 @@ SUITE_N70000_SEED98 = (
 
 # -- SHA-256 of the same report, as computed at commit 8e187fe and re-pinned
 #    after commit 1b3f768 for the 2-variate radial draw, and after commit
-#    ab1a9e8 for the closed forms in the standardised coordinate: its
+#    ab1a9e8 for the closed forms in the standardised coordinate; its JSON
+#    re-pinned after commit 9e7771e, when the htransform-residual rows'
+#    oracle was renamed to the weight they check: its
 #    to_csv() and its to_json() with "meta" dropped,
 #    re-dumped with sort_keys=True and no indent.  Unlike the rows above,
 #    these cover every byte, the seed, reason and threshold fields included -
 SUITE_N70000_SEED98_SHA256 = {
     "csv": "784f3520e6dd28276ef114bdb1b4e01ee2af4e46ee70f3423314814bfb1f30e4",
-    "json": "42836829ddac898336c4909f4ce26f974201c9eb4d246cfdc8b54d3ac7cef162",
+    "json": "ea2f87f8a3e5350227205501e67886326f141648c9d635d8d82668226c46cd82",
 }
 
 # -- SHA-256 of the reports whose rows are skipped, digested as above:
@@ -172,15 +174,16 @@ SUITE_N70000_SEED98_SHA256 = {
 #    survivors and the conditioning-gap rows draw none.  The CSVs are as
 #    computed at commit 9493536; the JSON as computed after it, when a skipped
 #    row's threshold became null (it was a bare NaN, which is not JSON); both
-#    re-pinned after commit ab1a9e8 for the closed-form rows, as above -------
+#    re-pinned after commit ab1a9e8 for the closed-form rows, and the JSON
+#    after commit 9e7771e for the renamed residual oracle, as above ---------
 SUITE_SKIPPED_SHA256 = {
     "n10": {
         "csv": "464fb2a17950adc054ebf1ab4a56c9015d9a1384818e637fa15c1e1c8c85ee47",
-        "json": "dba16c727912a1bd1b43925ab893049cf044e40edd23afb1fcecf0cdc41beadb",
+        "json": "884c5e757c5aac9376c4776f7f63a36343c998c911df2d963d4145f08f270338",
     },
     "gamma50": {
         "csv": "9910f6456e7ad982c774628d38e5b1ad9822fb8500439ec2cad842392247c01d",
-        "json": "d840c9ff017e7aa88c5ca105c79450db2da786471e75090ecf6838ed94b2bd2a",
+        "json": "286b78440f3085e499345f1489ecad934dc94f5694f71eea7a5726af6a6fdacb",
     },
 }
 
