@@ -2,11 +2,11 @@
 
 Each reference is the textbook formula in 50-digit arithmetic, without the
 rearrangements the library makes for double precision (the series clock for
-small |gamma t|, the expm1 form of the killed bracket, the merged scale
-factor, the Maxwell series of the radial density).  The bounds are in units
-of double's eps: 16 for the clock and the survival probability, and 64 kappa
-for the two densities, where kappa = max(1, |z| x / sd) is about the
-condition number of a Gaussian density at x = center + z sd.
+small |gamma t|, the expm1 form of the killed bracket, the Maxwell series
+of the radial density).  The bounds are in units of double's eps: 16 for
+the clock and the survival probability, and 64 kappa for the two densities,
+where kappa = max(1, |z| x / sd) is about the condition number of a
+Gaussian density at x = center + z sd.
 
 The references take differences of two Gaussian densities as they stand.
 On this grid those differences cancel at most 17 of the 50 digits (at the

@@ -19,6 +19,7 @@ from ouht.process import ProcessParams
 from ouht.rng import BLOCK_SIZE, derive_seed
 from ouht.suite import SuiteConfig, run_suite
 
+import mutants
 import refvalues as ref
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -322,6 +323,23 @@ def test_unit_mass_rows_fail_a_sampler_that_absorbs_every_path(monkeypatch):
     rows = [c for c in rep.checks if c.check.startswith("weight-unit-mass[")]
     assert len(rows) == 3
     assert all(c.status == FAIL and c.value == 0.0 for c in rows)
+
+
+@pytest.mark.parametrize("name", [None, *mutants.MUTANTS])
+def test_each_gross_mutant_fails_the_suite(monkeypatch, name):
+    # the unpatched run fails no row at seed 0, and every gross wrong law
+    # fails a transport-agreement row.  weight-unit-mass is blind to the
+    # clock mutant: X e^{gamma t} stopped at 0 is a martingale on any clock
+    if name is not None:
+        mutants.apply(monkeypatch, name)
+    rep = run_suite(SuiteConfig(seed=0))
+    failed = {c.check.split("[")[0] for c in rep.checks if c.status == FAIL}
+    if name is None:
+        assert not failed, failed
+    else:
+        assert "transport-agreement" in failed, failed
+    if name == "killed-clock-t":
+        assert "weight-unit-mass" not in failed
 
 
 def _explicit_radial(params, times, rng, n, out, *, scheme):
