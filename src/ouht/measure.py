@@ -129,8 +129,8 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 # A sampler is called as sampler(params, times, rng, n, out) with ascending
 # times and a time-major (len(times), n) float64 out, which only _block
 # allocates; it fills row j with the n values at times[j] and returns
-# nothing.  The kernels underneath write the same way, each into the
-# trailing grid rows of the array it is handed, so a sampler hands its out,
+# nothing.  The kernels underneath write the same way, each into the grid
+# rows after time 0 of the array it is handed, so a sampler hands its out,
 # whose rows are the grid times after 0, straight down.  No sampler checks
 # its law: run_draws and the commands do, once, before any block.
 # Samplers are module-level functions, the Euler ones bound to their
@@ -166,14 +166,6 @@ def ou_exact(params, times, rng, n, out):
     """Unkilled X_t from the exact marginal, one independent draw per time."""
     for j, t in enumerate(times):
         sample_ou_exact(params, t, rng, size=n, out=out[j])
-
-
-def survival_flags(params, times, rng, n, out):
-    """1.0 for each bridge-corrected killed path (16 intervals) alive at t;
-    a single time only.  Only the last of the 17 grid rows is kept."""
-    (t,) = times
-    simulate_killed_ou_exact(params, TimeGrid.uniform(t, 16), rng, n, out)
-    np.greater(out, 0.0, out=out)
 
 
 # --- block-wise estimation -------------------------------------------------

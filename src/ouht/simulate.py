@@ -10,12 +10,11 @@ Three schemes:
 * drift-implicit Euler radial OU: the singular 1/R drift taken at the end
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
-Every kernel writes the trailing grid rows of a time-major out, which it
-allocates when none is handed in: with k rows on a grid of n times, row j
-holds every path at times[n - k + j].  The Euler kernels take the n - 1
-rows after the shared start a at time 0, through one walk in equal substeps
-of at most dt per interval; the exact kernel takes any k (all n by default),
-and writes a at time 0 when k = n.  Each returns one Paths over out.T.
+Every kernel writes the n_intervals grid rows after the shared start a at
+time 0 into a time-major out, which it allocates when none is handed in:
+row j holds every path at times[j + 1].  The Euler kernels step them
+through one walk in equal substeps of at most dt per interval.  Each
+returns one Paths over out.T.
 Absorption is stored in the values alone: a killed path reads 0 from the
 grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
@@ -80,8 +79,7 @@ class SchemeConfig:
 @dataclass(eq=False)
 class Paths:
     """A set of paths on a common grid: values[i, j] is path i at
-    times[j + start], where start is the grid index of the first stored row
-    (1 when the shared start a at time 0 is left out, as the Euler schemes do).
+    times[j + 1]; the shared start a at time 0 is left out.
 
     A killed path reads 0 from its absorption on, so a value is > 0 exactly
     while its path is alive; radial paths are > 0 throughout.
@@ -97,12 +95,8 @@ class Paths:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def start(self) -> int:
-        return self.grid.times.size - self.values.shape[1]
-
     def values_at(self, t: float) -> np.ndarray:
-        j = self.grid.index_of(t) - self.start
+        j = self.grid.index_of(t) - 1
         if j < 0:
             raise ValueError(f"t = {t} is the shared start, which these paths leave out")
         return self.values[:, j]
@@ -118,9 +112,8 @@ def simulate_killed_ou_exact(
     n_paths: int,
     out: np.ndarray | None = None,
 ) -> Paths:
-    """Exact killed-OU paths at the last len(out) grid times (every grid
-    time when out is not given), written into out: each row holds every
-    path at its time, and time 0 reads a when it is among them.
+    """Exact killed-OU paths at the grid times after 0, written into out:
+    each row holds every path at its time.
 
     The driving Brownian motion is sampled exactly at tau(t_i) and mapped
     back through X = e^{-gamma t} Y.  Within each interval, absorption is
@@ -128,33 +121,25 @@ def simulate_killed_ou_exact(
     exp(-2 y_i y_{i+1} / (tau_{i+1} - tau_i)); if y_{i+1} <= 0 it is certain.
     The joint law of (grid values, killing) is exact for any grid.
 
-    Every interval of the grid is stepped, with the same variates however
-    many rows are kept, so a kept row's bytes do not depend on the others.
     An interval draws its uniforms into the row of out its result goes to,
-    which is free until then; the intervals that end before out[0]'s time
-    have no row there and share one spare row.  Its proposal (formed over
-    its normals) lives in a reused buffer; its crossing probability, then
-    its kill flags, are formed in the buffer of the state the proposal
-    replaces.
+    which is free until then.  Its proposal (formed over its normals) lives
+    in a reused buffer; its crossing probability, then its kill flags, are
+    formed in the buffer of the state the proposal replaces.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if out is None:
-        out = np.empty((grid.times.size, n_paths))
+        out = np.empty((grid.n_intervals, n_paths))
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
-    first = times.size - len(out)  # the grid index of out[0]
 
-    if first == 0:
-        out[0] = params.a
     # float64 even for an int a; y_next is the proposal y + sqrt(dtau) z
     y = np.full(out.shape[1], params.a, dtype=float)
     y_next = np.empty_like(y)
-    spare = np.empty_like(y) if first > 1 else None
 
     for i in range(times.size - 1):
         dtau = taus[i + 1] - taus[i]
-        u = out[i + 1 - first] if i + 1 >= first else spare
+        u = out[i]
         rng.standard_normal(out=y_next)
         rng.random(out=u)
         y_next *= math.sqrt(dtau)
@@ -177,8 +162,7 @@ def simulate_killed_ou_exact(
             y_next *= y
             y_next += 0.0
         y, y_next = y_next, y
-        if i + 1 >= first:
-            np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=out[i + 1 - first])
+        np.multiply(y, math.exp(-params.gamma * times[i + 1]), out=u)
 
     return Paths(grid, out.T)
 

@@ -56,7 +56,6 @@ from .measure import (
     radial_euler,
     radial_exact,
     run_draws,
-    survival_flags,
 )
 from .process import ProcessParams, check_horizon, check_times, martingale_value, radial_transition
 from .rng import derive_seed
@@ -222,18 +221,17 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                                        derive_seed(seed, "euler-radial-reference")),
         **{("martingale", t): Draw(ou_exact, (t,), n, derive_seed(seed, "martingale", f"{t:g}"),
                                    (partial(martingale_value, p, t=t),)) for t in times},
-        # every time read off one killed path
+        # every time read off one killed path, and its survival at t_mid
         "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"),
-                          tuple(partial(at_time, j, partial(forward_weighted, p, t, one))
-                                for j, t in enumerate(times))),
+                          (*(partial(at_time, j, partial(forward_weighted, p, t, one))
+                             for j, t in enumerate(times)),
+                           partial(at_time, len(times) // 2, partial(alive, one)))),
         "transport-direct": Draw(killed_exact, (t_mid,), n, derive_seed(seed, "transport-direct"),
                                  tuple(partial(alive, f) for f in fs)),
         "weighted-radial": Draw(radial_exact, (t_mid,), n, derive_seed(seed, "weighted-radial"),
                                 tuple(partial(inverse_weighted, p, t_mid, f) for f in fs)),
         **conditioning,
         **curve_draws(p, times, n, derive_seed(seed, "local-martingale")),
-        "survival-exact": Draw(survival_flags, (t_mid,), n, derive_seed(seed, "survival-exact"),
-                               (None,)),
     }
     rows = [
         *((f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
@@ -259,10 +257,11 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         *((f"local-martingale-mc[t={t:g}]", "radial mean of e^{-gamma t}/X equals S(t)/a",
            "closed-form survival", (("local-martingale", i),),
            lambda ests, m=m_closed[i]: _sigma(ests[0], m)) for i, t in enumerate(times)),
-        # killing machinery: bridge-corrected survival against the closed form
+        # killing machinery: bridge-corrected survival, read off the unit-mass
+        # paths at t_mid, against the closed form
         ("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
-         "closed-form survival", ("survival-exact",),
-         lambda ests: _sigma(ests[0], survival_probability(p, t_mid))),
+         "closed-form survival", ("unit-mass",),
+         lambda ests: _sigma(ests[-1], survival_probability(p, t_mid))),
         ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
          "exact radial sampler", ("euler-radial", "euler-radial-reference"), euler_ks),
         ("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",

@@ -4,9 +4,9 @@ Each reference is the textbook formula in 50-digit arithmetic, without the
 rearrangements the library makes for double precision (the series clock for
 small |gamma t|, the expm1 form of the killed bracket, the Maxwell series
 of the radial density).  The bounds are in units of double's eps: 16 for
-the clock and the survival probability, and 64 kappa for the two densities,
-where kappa = max(1, |z| x / sd) is about the condition number of a
-Gaussian density at x = center + z sd.
+the clock, the survival probability and the mean and variance of X_t, and
+64 kappa for the two densities, where kappa = max(1, |z| x / sd) is about
+the condition number of a Gaussian density at x = center + z sd.
 
 The references take differences of two Gaussian densities as they stand.
 On this grid those differences cancel at most 17 of the 50 digits (at the
@@ -20,7 +20,7 @@ import pytest
 from mpmath import mp, mpf
 
 from ouht.density import killed_ou_density, radial_density, survival_probability
-from ouht.process import ProcessParams, time_change
+from ouht.process import ProcessParams, ou_transition, time_change
 
 GAMMAS = (-2.0, -0.3, 0.0, 1e-3, 1.0, 5.0)
 STARTS = (1e-3, 0.1, 1.0, 30.0)
@@ -53,9 +53,13 @@ def test_clock_and_survival_match_mpmath(gamma):
             for t in TIMES:
                 params = ProcessParams(gamma, a)
                 tau = _clock(gamma, t)
+                law = ou_transition(params, t)
+                # the variance of X_t is the clock with gamma negated
                 cases = {"time_change": (time_change(params, t), tau),
                          "survival_probability": (survival_probability(params, t),
-                                                  mp.erf(mpf(a) / mp.sqrt(2 * tau)))}
+                                                  mp.erf(mpf(a) / mp.sqrt(2 * tau))),
+                         "ou_transition mean": (law.mean, a * mp.exp(-mpf(gamma) * t)),
+                         "ou_transition variance": (law.variance, _clock(-gamma, t))}
                 for name, (value, exact) in cases.items():
                     worst[name] = max(worst.get(name, (0.0,)), (_ulps(value, exact), a, t))
     for name, (ulps, a, t) in worst.items():

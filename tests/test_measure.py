@@ -15,6 +15,7 @@ from ouht.measure import (
     TestFunctional,
     _Columns,
     _block,
+    alive,
     at_time,
     forward_weighted,
     conditional_identity_detail,
@@ -33,7 +34,6 @@ from ouht.measure import (
     radial_euler,
     radial_exact,
     run_draws,
-    survival_flags,
 )
 from ouht.process import ProcessParams, radial_transition, sample_radial_exact
 from ouht.rng import BLOCK_SIZE, stream
@@ -111,11 +111,11 @@ def test_inverse_weight_mean_recovers_survival():
 
 
 def test_forward_weight_on_paths():
-    # (X_{t and T0} / a) e^{gamma t} with f = 1: 1 at t = 0, and 0 exactly on
-    # the paths absorbed by t, read from their 0 value
+    # (X_{t and T0} / a) e^{gamma t} with f = 1: 1 at the start a at t = 0,
+    # and 0 exactly on the paths absorbed by t, read from their 0 value
     one = TestFunctional.constant_one()
     paths = simulate_killed_ou_exact(P11, TimeGrid.uniform(1.0, 4), stream(304, 0), 20_000)
-    assert np.all(forward_weighted(P11, 0.0, one, paths.values_at(0.0)) == 1.0)
+    assert np.all(forward_weighted(P11, 0.0, one, np.full(paths.n_paths, P11.a)) == 1.0)
     x = paths.values_at(1.0)
     w1 = forward_weighted(P11, 1.0, one, x)
     absorbed = x == 0.0
@@ -280,41 +280,17 @@ def test_radial_exact_first_time_is_the_marginal_draw():
     assert np.array_equal(draws[0], sample_radial_exact(P11, 0.5, stream(302, 0), size=1_000))
 
 
-@pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
-def test_survival_flags_are_the_last_column_of_the_full_bridge(gamma):
-    # keeping one row draws the same variates in the same order, so the flags
-    # are the full kernel's last column read as > 0, over two ragged blocks
-    params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
-    full = simulate_killed_ou_exact(params, TimeGrid.uniform(1.0, 16), stream(232, 0), n)
-    flags = _drawn(survival_flags, params, (1.0,), stream(232, 0), n)
-    assert flags.shape == (1, n)
-    assert flags.tobytes() == (full.values[:, -1] > 0.0).astype(float).tobytes()
-    assert 0 < np.count_nonzero(flags == 0.0) < n
-
-
-@pytest.mark.parametrize("k", [1, 4, 5])
+@pytest.mark.parametrize("k", [4])
 def test_killed_bridge_fills_the_trailing_grid_rows_it_is_handed(k):
-    # on a 4-interval grid, k rows are the full kernel's last k: the kept
-    # rows draw the same variates, and time 0 reads a when it is kept
-    params, grid, n = ProcessParams(0.8, 1.0), TimeGrid.uniform(2.0, 4), 3_000
+    # on a k-interval grid, the k rows after time 0 handed in are those the
+    # kernel allocates when none is: the same variates, written in place
+    params, grid, n = ProcessParams(0.8, 1.0), TimeGrid.uniform(2.0, k), 3_000
     full = simulate_killed_ou_exact(params, grid, stream(233, 0), n)
     out = np.empty((k, n))
     kept = simulate_killed_ou_exact(params, grid, stream(233, 0), n, out)
-    assert kept.values.base is out and kept.start == grid.times.size - k
-    assert out.tobytes() == np.ascontiguousarray(full.values.T[-k:]).tobytes()
+    assert kept.values.base is out and full.values.shape == (n, k)
+    assert out.tobytes() == np.ascontiguousarray(full.values.T).tobytes()
     assert 0 < np.count_nonzero(out[-1] == 0.0) < n
-
-
-def test_survival_flags_peak_memory_is_a_few_block_rows():
-    # the full 17-row grid with its flag copies peaked at 23.5 block rows
-    rng = stream(0, 0)
-    tracemalloc.start()
-    try:
-        _drawn(survival_flags, P11, (1.0,), rng, BLOCK_SIZE)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 8 * BLOCK_SIZE, peak / (8 * BLOCK_SIZE)
 
 
 def _peak_block_rows(draw):
@@ -340,13 +316,15 @@ def test_raw_euler_sample_is_held_once():
 def test_unit_mass_block_peak_memory():
     # the suite's unit-mass block: its three rows, which the bridge fills
     # with no time-0 row, the proposal and the state, and the integrands'
-    # temporaries; the bridge's uniforms go to the row each interval writes
-    # (a four-row grid with its time-0 row peaked at 6.0 rows, and a buffer
-    # of their own for the uniforms at 7.0)
+    # temporaries, the survival read at the middle time among them; the
+    # bridge's uniforms go to the row each interval writes (a four-row grid
+    # with its time-0 row peaked at 6.0 rows, and a buffer of their own for
+    # the uniforms at 7.0)
     one = TestFunctional.constant_one()
     times = (0.5, 1.0, 2.0)
-    integrands = tuple(partial(at_time, j, partial(forward_weighted, P11, t, one))
-                       for j, t in enumerate(times))
+    integrands = (*(partial(at_time, j, partial(forward_weighted, P11, t, one))
+                    for j, t in enumerate(times)),
+                  partial(at_time, len(times) // 2, partial(alive, one)))
     task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, _Columns(), "unit-mass")
     rows = _peak_block_rows(lambda: _block(task))
     assert rows < 5.5, rows
@@ -393,7 +371,7 @@ def test_no_sampler_gives_out_a_default():
                 and list(inspect.signature(fn).parameters)[:5] == ["params", "times", "rng",
                                                                    "n", "out"]]
     assert {fn.__name__ for fn in samplers} == {"killed_exact", "killed_euler", "radial_exact",
-                                                "radial_euler", "ou_exact", "survival_flags"}
+                                                "radial_euler", "ou_exact"}
     for fn in [*samplers, *ouht.cli._SIM_SAMPLERS.values()]:
         out = inspect.signature(fn).parameters["out"]
         assert out.default is inspect.Parameter.empty, fn
@@ -401,14 +379,12 @@ def test_no_sampler_gives_out_a_default():
 
 @pytest.mark.parametrize("sampler", [
     killed_exact, partial(killed_euler, scheme=SchemeConfig(dt=0.1)), radial_exact,
-    partial(radial_euler, scheme=SchemeConfig(dt=0.1)), ou_exact, survival_flags,
-], ids=["killed_exact", "killed_euler", "radial_exact", "radial_euler", "ou_exact",
-        "survival_flags"])
+    partial(radial_euler, scheme=SchemeConfig(dt=0.1)), ou_exact,
+], ids=["killed_exact", "killed_euler", "radial_exact", "radial_euler", "ou_exact"])
 def test_raw_sample_is_its_blocks_drawn_in_place(sampler):
     # each serial block draws into its columns of the one time-major sample;
     # the bytes are those of the block drawn into an array of its own
-    times = (1.0,) if sampler is survival_flags else (0.5, 1.0, 2.0)
-    n = BLOCK_SIZE + 300
+    times, n = (0.5, 1.0, 2.0), BLOCK_SIZE + 300
     sample = run_draws(P11, {0: Draw(sampler, times, n, 7)}, workers=1)[0]
     blocks = [_drawn(sampler, P11, times, stream(7, j), m) for j, m in enumerate((BLOCK_SIZE, 300))]
     assert sample.shape == (len(times), n)

@@ -74,7 +74,7 @@ def test_exact_killed_unreachable_boundary():
 def _every_grid_time(paths, a):
     """paths.values with the shared start column a put back where the
     scheme leaves it out, so every scheme is read on its whole grid."""
-    return np.hstack([np.full((paths.n_paths, paths.start), float(a)), paths.values])
+    return np.hstack([np.full((paths.n_paths, 1), float(a)), paths.values])
 
 
 KILLED_SCHEMES = {
@@ -119,8 +119,8 @@ def test_exact_killed_kernel_matches_the_allocating_reference(gamma, grid):
     params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
     kernel = simulate_killed_ou_exact(params, grid, stream(230, 0), n)
     reference = killed_ou_bridge(params, grid, stream(230, 0), n)
-    assert kernel.values.shape == reference.values.shape == (n, grid.times.size)
-    assert kernel.values.tobytes() == reference.values.tobytes()
+    assert kernel.values.shape == reference.values[:, 1:].shape == (n, grid.n_intervals)
+    assert kernel.values.tobytes() == np.ascontiguousarray(reference.values[:, 1:]).tobytes()
     assert 0 < np.count_nonzero(kernel.values[:, -1] == 0.0) < n
 
 

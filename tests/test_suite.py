@@ -250,7 +250,7 @@ def test_every_draw_is_read_by_some_row(monkeypatch):
 
     monkeypatch.setattr(ouht.suite, "run_draws", recording)
     rep = run_suite(SuiteConfig(n_paths=500, seed=99))
-    assert rep.n_skipped == 0 and len(drawn) == 15
+    assert rep.n_skipped == 0 and len(drawn) == 14
     assert read == drawn
 
 
@@ -270,7 +270,7 @@ def test_run_suite_draws_each_law_once_per_family(monkeypatch):
     assert len(calls) == 1
     (tasks,) = calls
     drawn = dict((seed, sampler) for sampler, seed in tasks)
-    assert len(set(tasks)) == len(drawn) == 15  # every draw on its own stream
+    assert len(set(tasks)) == len(drawn) == 14  # every draw on its own stream
     # the single-block Euler-row draws lead the task list
     assert [seed for _, seed in tasks[:2]] == [derive_seed(99, "euler-radial"),
                                                derive_seed(99, "euler-radial-reference")]
@@ -329,7 +329,9 @@ def test_unit_mass_rows_fail_a_sampler_that_absorbs_every_path(monkeypatch):
 def test_each_gross_mutant_fails_the_suite(monkeypatch, name):
     # the unpatched run fails no row at seed 0, and every gross wrong law
     # fails a transport-agreement row.  weight-unit-mass is blind to the
-    # clock mutant: X e^{gamma t} stopped at 0 is a martingale on any clock
+    # clock mutant: X e^{gamma t} stopped at 0 is a martingale on any clock.
+    # The survival row reads the killed kernel that the unit-mass rows read,
+    # so a wrong kill there fails it too
     if name is not None:
         mutants.apply(monkeypatch, name)
     rep = run_suite(SuiteConfig(seed=0))
@@ -340,6 +342,8 @@ def test_each_gross_mutant_fails_the_suite(monkeypatch, name):
         assert "transport-agreement" in failed, failed
     if name == "killed-clock-t":
         assert "weight-unit-mass" not in failed
+    if name in ("killed-sign-check-euler", "killed-bridge-half-exponent"):
+        assert "survival-exact-scheme" in failed, failed
 
 
 def _explicit_radial(params, times, rng, n, out, *, scheme):
