@@ -36,14 +36,16 @@ from .harness import aggregate
 from .measure import (Draw, killed_euler, killed_exact, local_martingale_curve, radial_euler,
                       radial_exact, run_draws)
 from .process import ProcessParams, check_horizon, check_times, radial_transition
+from .rng import BLOCK_SIZE
 from .simulate import SchemeConfig
 from .suite import SuiteConfig, run_suite
 
 OK, IO_ERROR, CONFIG_ERROR, VERIFY_FAILED = 0, 1, 2, 3
 
 # simulate formats its output this many CSV rows (or JSON array items) per
-# write, so the text in memory is a few hundred kB.  Unrelated to BLOCK_SIZE,
-# which fixes the random streams: any value gives the same bytes.
+# write, so the text and items in memory are a few hundred kB, beside the
+# one block row of its summary.  Unrelated to BLOCK_SIZE, which fixes the
+# random streams: any value gives the same bytes.
 WRITE_CHUNK = 4096
 
 
@@ -286,16 +288,18 @@ def _absorbed(values):
 
 def _write_simulate_csv(fh, cfg, values) -> None:
     """One t,path,value,absorbed row per path and time, WRITE_CHUNK rows per
-    write; values is time-major, one row per time."""
+    write, each chunk formatted by one % over its flat (path, value, absorbed)
+    items; values is time-major, one row per time."""
     fh.write("\n".join(_header("simulate", cfg)) + "\nt,path,value,absorbed\n")
     for t, at_t in zip(cfg["t"], values):
         row = _fmt(t) + ",%d,%.17g,%d\n"
         for start in range(0, at_t.size, WRITE_CHUNK):
             chunk = at_t[start:start + WRITE_CHUNK]
-            fh.write("".join(
-                row % r for r in zip(range(start, start + chunk.size), chunk.tolist(),
-                                     _absorbed(chunk).tolist())
-            ))
+            items = [None] * (3 * chunk.size)
+            items[0::3] = range(start, start + chunk.size)
+            items[1::3] = chunk.tolist()
+            items[2::3] = _absorbed(chunk).tolist()
+            fh.write(row * chunk.size % tuple(items))
 
 
 def _write_simulate_json(fh, cfg, summaries, values) -> None:
@@ -339,7 +343,10 @@ def cmd_simulate(args) -> int:
           f"gamma={params.gamma:g} a={params.a:g} paths={n_paths} seed={seed}")
     for t, at_t in zip(times, values):
         est = aggregate(at_t, seed=seed)
-        survival = float(1.0 - _absorbed(at_t).mean())
+        # counted a block at a time, so no row of n_paths flags is built
+        absorbed = sum(np.count_nonzero(_absorbed(at_t[lo:lo + BLOCK_SIZE]))
+                       for lo in range(0, n_paths, BLOCK_SIZE))
+        survival = 1.0 - absorbed / n_paths
         summaries.append({"t": t, "n": n_paths, "mean": est.mean,
                           "stderr": est.stderr, "survival": survival})
         print(f"  t={t:g}: mean={est.mean:.6g} stderr={est.stderr:.3g} survival={survival:.6g}")

@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import BLOCK_SIZE
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -31,15 +33,22 @@ class BlockStats(NamedTuple):
     m2: float
 
     @classmethod
-    def of(cls, samples) -> "BlockStats":
+    def of(cls, samples, out=None) -> "BlockStats":
+        """The block's statistics; the deviations go to `out` (the samples
+        themselves, where they may be overwritten), else to a new array."""
         x = np.asarray(samples, dtype=float).ravel()
         n = x.size
         if n == 0:
             return cls(0, 0.0, 0.0)
         total = float(x.sum())
-        dev = x - total / n
+        dev = np.subtract(x, total / n, out=out)
         # squared in place: one block row of scratch, not two
         return cls(n, total, float(np.multiply(dev, dev, out=dev).sum()))
+
+
+# under this no sum, squared deviation or between-block term of fewer than
+# 2^60 samples overflows (n (2 * 2^480)^2 < 2^1022): aggregate scales none
+SCALE_ABOVE = 2.0 ** 480
 
 
 def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
@@ -60,20 +69,26 @@ def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
 
 
 def aggregate(samples, seed: int | None = None) -> MCEstimate:
-    """Mean and standard error of a sample stream: reduce_blocks on the whole
-    input taken as one block."""
-    arr = samples if isinstance(samples, np.ndarray) else np.fromiter(samples, dtype=float)
-    with np.errstate(over="ignore"):
-        est = reduce_blocks([BlockStats.of(arr)], seed=seed)
-    if math.isfinite(est.stderr):
-        return est
-    top = float(np.max(np.abs(arr)))
-    if not math.isfinite(top):
-        return est
-    # finite samples whose sum or squared deviations overflow: the estimate of
-    # the samples scaled below 1 by a power of two, scaled back (both exact)
+    """Mean and standard error of a sample stream: reduce_blocks on its
+    BLOCK_SIZE slices, merged as run_draws merges its blocks, so the scratch
+    is one block row whatever the input's length.  On at most BLOCK_SIZE
+    samples below SCALE_ABOVE it is reduce_blocks([BlockStats.of(samples)]),
+    bit for bit."""
+    if not isinstance(samples, np.ndarray):
+        samples = np.fromiter(samples, dtype=float)
+    arr = np.asarray(samples, dtype=float).ravel()
+    slices = [arr[lo:lo + BLOCK_SIZE] for lo in range(0, arr.size, BLOCK_SIZE)]
+    top = float(max(arr.max(), -arr.min())) if arr.size else 0.0
+    if not SCALE_ABOVE < top < math.inf:
+        return reduce_blocks(map(BlockStats.of, slices), seed=seed)
+    # finite samples whose sums, squared deviations or between-block terms
+    # may overflow: the estimate of the samples scaled below 1 by a power of
+    # two, scaled back (both exact); each slice is scaled into one row,
+    # which then holds its deviations
     e = math.frexp(top)[1]
-    est = reduce_blocks([BlockStats.of(np.ldexp(arr, -e))], seed=seed)
+    row = np.empty(min(arr.size, BLOCK_SIZE))
+    est = reduce_blocks((BlockStats.of(np.ldexp(s, -e, out=row[:s.size]), out=row[:s.size])
+                         for s in slices), seed=seed)
     return MCEstimate(math.ldexp(est.mean, e), math.ldexp(est.stderr, e), est.n, seed)
 
 

@@ -1,7 +1,8 @@
 """Test-only reference forms of the exact samplers, kept as they were written
 before their in-place rewrites: the allocating Brownian-bridge killed-OU
 scheme (one new array per operation, stored column by column into an
-(n_paths, n_times) array) and the radial draw as the norm of three normals.
+(n_paths, n_times) array whose time-0 column the returned Paths leave out)
+and the radial draw as the norm of three normals.
 
 The bridge must agree byte for byte with simulate.simulate_killed_ou_exact,
 which draws the same variates in the same order; the 3-normal norm has the
@@ -31,7 +32,7 @@ def killed_ou_bridge(params, grid, rng, n_paths):
         log_p_cross = np.minimum(-2.0 * y * y_next / dtau, 0.0)
         y = np.where(u < np.exp(log_p_cross), 0.0, y_next)
         values[:, i + 1] = math.exp(-params.gamma * times[i + 1]) * y
-    return Paths(grid, values)
+    return Paths(grid, values[:, 1:])  # Paths leave the shared start out
 
 
 def gaussian_norm_3d(center, sd, rng, size):

@@ -222,14 +222,16 @@ SIMULATE_N65537_SEED12 = {
 #    (plus --dt 0.01 for euler; radial exact with --t 0.5 only), as computed
 #    at commit cc2e725, the radial-euler ones after commit e6fc482 for the
 #    drift-implicit step, the radial-exact ones after commit 1b3f768 for the
-#    2-variate draw: (process, scheme, format) -> digest --------------------
+#    2-variate draw, and the killed-exact, killed-euler and radial-euler JSON
+#    ones after commit 12d8ca0, whose mean and stderr now merge the two
+#    blocks' summaries: (process, scheme, format) -> digest ----------------
 SIMULATE_SHA256_N65537_SEED12 = {
     ("ou-killed", "exact", "csv"): "fde8c5dd7a246e2b60a26e23352a33bd12e8f26c70a5fb0a40af366854ff8d55",
-    ("ou-killed", "exact", "json"): "8ab7e4be3183f73828925fdf169cdfee4268a8813458f19c942afe084e22e235",
+    ("ou-killed", "exact", "json"): "e8d301961db887eabb4397547f78900bcf9da039b8457e3ba4fd3249d5cd1f06",
     ("ou-killed", "euler", "csv"): "e6a92299f690934793de0f255bd533fd68ef7a0e8416236d6bd7949fa84a3a70",
-    ("ou-killed", "euler", "json"): "c09175e0a90f65c55b3c80a4bdaa1f2628a7a5fea516b874370700525818adc4",
+    ("ou-killed", "euler", "json"): "c137ef3283a8f6c24837a6d2ed3b02f39c5438dd76074c9a32f9c8be8cf27334",
     ("radial", "euler", "csv"): "b461d093c67363e1ddc69e8bbd914ec26177db24dff1ffb8df1773a23b30513e",
-    ("radial", "euler", "json"): "8b2e2bdc0018d547f845a8d5828fd0a41af36457900dd078452a77745e303422",
+    ("radial", "euler", "json"): "b5b3b145509d8717975981d3373717d1e536d452a87d555727f75ff8062b38d6",
     ("radial", "exact", "csv"): "102a86c062d3ac9ec0fd5a95946699cfcf54c728e3923b9b4d9b73370e7eed18",
     ("radial", "exact", "json"): "251e4b017516fc7e2a0b3e4db0cd0a74e1107551207020d00d50c44003b735b4",
 }

@@ -5,6 +5,7 @@ import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +482,32 @@ def test_simulate_output_does_not_depend_on_the_write_chunk(tmp_path, monkeypatc
     assert len(rows) == 600
     if process == "ou-killed":  # absorbed paths among them
         assert {r.rsplit(",", 1)[1] for r in rows} == {"0", "1"}
+
+
+@pytest.mark.parametrize("process,fmt", [("ou-killed", "csv"), ("radial", "json")])
+def test_simulate_after_the_draw_holds_about_one_block_row(tmp_path, monkeypatch, process, fmt):
+    # traced from the drawn sample on: the summary, survival count and
+    # writer.  Summarising the 3 * BLOCK_SIZE + 1 path row at once took 3.0
+    # block rows of deviations; by blocks, with one writer chunk, the stage
+    # reads 1.11 (CSV) and 1.08 (JSON)
+    real_run_draws = ouht.cli.run_draws
+
+    def traced_from_the_sample(*args, **kwargs):
+        values = real_run_draws(*args, **kwargs)
+        tracemalloc.start()
+        return values
+
+    monkeypatch.setattr(ouht.cli, "run_draws", traced_from_the_sample)
+    try:
+        assert main(["simulate", "--process", process, "--gamma", "1", "--a", "1",
+                     "--t", "1", "--paths", str(3 * BLOCK_SIZE + 1),
+                     "--seed", "3", "--workers", "1", "--format", fmt,
+                     "--out", str(tmp_path / f"s.{fmt}")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = peak / (8 * BLOCK_SIZE)
+    assert 0 < rows < 1.5, rows
 
 
 SMALL_COMMANDS = [

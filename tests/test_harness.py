@@ -17,7 +17,7 @@ from ouht.harness import (
     reduce_blocks,
 )
 from ouht.process import ProcessParams, sample_ou_exact, sample_radial_exact
-from ouht.rng import stream
+from ouht.rng import BLOCK_SIZE, stream
 
 
 def test_aggregate_constant_stream():
@@ -123,12 +123,43 @@ def test_block_stats_squares_its_deviations_in_place():
 
 
 def test_aggregate_scales_samples_whose_squares_overflow():
-    # the squared deviations of 2^1000 * (1, 2, 3, 4) overflow; scaled by a
-    # power of two the estimate is that of (1, 2, 3, 4), bit for bit
-    small = aggregate(np.arange(1.0, 5.0), seed=7)
-    big = aggregate(np.ldexp(np.arange(1.0, 5.0), 1000), seed=7)
-    assert big == MCEstimate(math.ldexp(small.mean, 1000), math.ldexp(small.stderr, 1000), 4, 7)
-    assert math.isfinite(big.stderr)
+    # the squared deviations of 2^1000 * x overflow; scaled by a power of
+    # two the estimate is that of x, bit for bit.  Over two blocks each slice
+    # is scaled on its own, and the blocks' sums overflow (1, ..., n) or the
+    # gap between their means does when squared (normal)
+    for x in (np.arange(1.0, 5.0), np.arange(1.0, 2 * BLOCK_SIZE + 2),
+              stream(412, 0).normal(3.0, 2.0, size=2 * BLOCK_SIZE + 1)):
+        small = aggregate(x, seed=7)
+        big = aggregate(np.ldexp(x, 1000), seed=7)
+        assert big == MCEstimate(math.ldexp(small.mean, 1000), math.ldexp(small.stderr, 1000),
+                                 x.size, 7)
+        assert math.isfinite(big.stderr)
+
+
+@pytest.mark.parametrize("scale", [0, 1000])
+def test_aggregate_scratch_is_one_block_row(scale):
+    # a summary of the whole row took the deviations of all 2 * BLOCK_SIZE + 1
+    # samples at once, 2.0 block rows, and the overflow path (scale 1000) its
+    # scaled copy as well, 4.0; block by block each reads about 1.0
+    x = np.ldexp(stream(410, 0).normal(3.0, 2.0, size=2 * BLOCK_SIZE + 1), scale)
+    tracemalloc.start()
+    try:
+        aggregate(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * BLOCK_SIZE, peak / (8 * BLOCK_SIZE)
+
+
+def test_aggregate_of_one_block_is_its_block_stats_bit_for_bit():
+    # verify's one aggregate call (the Euler mean square, at most 50,000
+    # samples) is on a single block, so its bits are those of one BlockStats
+    rng = stream(411, 0)
+    sizes = [*range(2, 66), 4_095, 4_097, 50_000, BLOCK_SIZE - 1, BLOCK_SIZE,
+             *rng.integers(2, BLOCK_SIZE, size=8).tolist()]
+    for n in sizes:
+        x = rng.lognormal(0.0, 2.0, size=n)
+        assert aggregate(x, seed=5) == reduce_blocks([BlockStats.of(x)], seed=5), n
 
 
 def test_ks_statistic_edges():

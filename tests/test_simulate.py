@@ -119,9 +119,11 @@ def test_exact_killed_kernel_matches_the_allocating_reference(gamma, grid):
     params, n = ProcessParams(gamma, 1.0), BLOCK_SIZE + 4_464
     kernel = simulate_killed_ou_exact(params, grid, stream(230, 0), n)
     reference = killed_ou_bridge(params, grid, stream(230, 0), n)
-    assert kernel.values.shape == reference.values[:, 1:].shape == (n, grid.n_intervals)
-    assert kernel.values.tobytes() == np.ascontiguousarray(reference.values[:, 1:]).tobytes()
+    assert kernel.values.shape == reference.values.shape == (n, grid.n_intervals)
+    assert kernel.values.tobytes() == reference.values.tobytes()
     assert 0 < np.count_nonzero(kernel.values[:, -1] == 0.0) < n
+    t_end = grid.times[-1]
+    assert reference.survival_fraction(t_end) == kernel.survival_fraction(t_end) < 1.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, -0.7, 3.0])
