@@ -62,8 +62,12 @@ def reduce_blocks(blocks, seed: int | None = None) -> MCEstimate:
     n = sum(b.n for b in blocks)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    mean = math.fsum(b.total for b in blocks) / n
-    m2 = math.fsum(b.m2 + b.n * (b.total / b.n - mean) ** 2 for b in blocks if b.n)
+    try:
+        mean = math.fsum(b.total for b in blocks) / n
+        m2 = math.fsum(b.m2 + b.n * (b.total / b.n - mean) ** 2 for b in blocks if b.n)
+    except (OverflowError, ValueError):  # ValueError: fsum of +inf and -inf
+        raise OverflowError(f"cannot merge {len(blocks)} blocks: their totals, or the squared "
+                            "gaps between their means, leave the float range") from None
     var = m2 / (n - 1)
     return MCEstimate(mean=mean, stderr=math.sqrt(var / n), n=n, seed=seed)
 

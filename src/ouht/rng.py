@@ -51,8 +51,10 @@ def map_blocks(worker, tasks, workers: int = 1) -> list:
 
     The pool lives for this one call, and its modules are imported only
     then: a serial run never loads concurrent.futures.process or
-    multiprocessing.  The returned list is always in task order, so
-    downstream reductions are independent of the worker count.
+    multiprocessing.  Tasks go in chunks of ceil(len(tasks) / (4 * workers)),
+    multiprocessing.Pool.map's rule, not one message each.  The returned list
+    is always in task order, so downstream reductions are independent of the
+    worker count.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
@@ -63,6 +65,6 @@ def map_blocks(worker, tasks, workers: int = 1) -> list:
     # one of them has raised
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(worker, tasks, chunksize=-(-len(tasks) // (4 * workers))))
     finally:
         pool.shutdown(cancel_futures=True)

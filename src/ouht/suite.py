@@ -213,8 +213,8 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         return top, bound, top, bound, seed_e
 
     table = {
-        # the two single-block Euler-row draws go first, so that neither
-        # finishes last and alone on the pool
+        # the two single-block Euler-row draws go first and share the pool's
+        # first chunk, so that neither finishes last and alone on the pool
         "euler-radial": Draw(partial(radial_euler, scheme=SchemeConfig(dt=config.dt)),
                              (t_mid,), n_euler, seed_e),
         "euler-radial-reference": Draw(radial_exact, (t_mid,), n_euler,

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -376,34 +377,65 @@ def test_serial_commands_load_no_pool_quadrature_or_masked_modules(tmp_path, arg
 SHA256_OF_NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--version"],
-    ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.01", "--gamma", "1",
-     "--a", "1", "--t", "1", "--paths", "100", "--workers", "1", "--out", "x.csv"],
-    ["verify", "--paths", "200", "--workers", "1"],
-    ["verify", "--paths", "200", "--workers", "2"],
-    ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01", "--x-max", "3"],
-    ["local-martingale", "--paths", "200", "--workers", "1"],
-], ids=["version", "simulate-euler", "verify-serial", "verify-pool", "density",
-        "local-martingale"])
-def test_entry_path_keeps_openssl_out(tmp_path, argv):
-    # the streams never read OS entropy, so a process started through the
-    # entry function does not map OpenSSL; hashlib still hashes, builtin
+ENTRY_ARGV = {
+    "version": ["--version"],
+    "simulate-euler": ["simulate", "--process", "radial", "--scheme", "euler", "--dt", "0.01",
+                       "--gamma", "1", "--a", "1", "--t", "1", "--paths", "100", "--workers", "1",
+                       "--out", "x.csv"],
+    "verify-serial": ["verify", "--paths", "200", "--workers", "1"],
+    "verify-pool": ["verify", "--paths", "200", "--workers", "2"],
+    "density": ["density", "--gamma", "1", "--a", "1", "--t", "1", "--x-min", "0.01",
+                "--x-max", "3"],
+    "local-martingale": ["local-martingale", "--paths", "200", "--workers", "1"],
+}
+
+
+def _run_entry(tmp_path, argv, report, env=None):
+    # ouht.__main__.main(argv) in a fresh interpreter, then the lines `report` prints
     code = (
-        "import sys, ouht.__main__\n"
+        "import os, sys, ouht.__main__\n"
         "try:\n"
         f"    code = ouht.__main__.main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(sys.modules.get('_hashlib', 'absent'))\n"
-        "import hashlib\n"
-        "print(hashlib.sha256(b'').hexdigest())\n"
+        f"{report}"
         "sys.exit(code)\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-2:] == ["None", SHA256_OF_NOTHING]
+    return res.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", list(ENTRY_ARGV.values()), ids=list(ENTRY_ARGV))
+def test_entry_path_keeps_openssl_out(tmp_path, argv):
+    # the streams never read OS entropy, so a process started through the
+    # entry function does not map OpenSSL; hashlib still hashes, builtin
+    report = ("print(sys.modules.get('_hashlib', 'absent'))\n"
+              "import hashlib\n"
+              "print(hashlib.sha256(b'').hexdigest())\n")
+    assert _run_entry(tmp_path, argv, report)[-2:] == ["None", SHA256_OF_NOTHING]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or os.cpu_count() == 1,
+                    reason="needs /proc/self/task and more than one CPU")
+@pytest.mark.parametrize("name,preset", [
+    ("version", None), ("verify-serial", None), ("verify-pool", None),
+    ("simulate-euler", None), ("verify-serial", "2"),
+])
+def test_entry_path_starts_no_blas_threads(tmp_path, name, preset):
+    # numpy's OpenBLAS would start os.cpu_count() - 1 threads that spin
+    # before they sleep; the entry function asks it for one, unless the
+    # caller has chosen a count, and the pool leaves no thread behind
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    report = "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    threads, value = _run_entry(tmp_path, ENTRY_ARGV[name], report, env)[-1].split()
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
 
 
 def test_console_script_enters_through_the_entry_function():

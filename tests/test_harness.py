@@ -103,6 +103,19 @@ def test_reduce_blocks_needs_two_samples():
     assert est.mean == 2.0 and est.stderr == 1.0
 
 
+@pytest.mark.parametrize("blocks", [
+    # block means 1e300 apart: the between-block term squares past the float range
+    [BlockStats(1, 1e300, 0.0), BlockStats(1, -1e300, 0.0)],
+    # totals +inf and -inf, which fsum refuses to add
+    [BlockStats(2, math.inf, 0.0), BlockStats(1, 1.0, 0.0), BlockStats(2, -math.inf, 0.0)],
+], ids=["mean-gap", "opposite-infinities"])
+def test_reduce_blocks_names_a_merge_that_leaves_the_float_range(blocks):
+    message = (f"^cannot merge {len(blocks)} blocks: their totals, or the squared gaps "
+               "between their means, leave the float range$")
+    with pytest.raises(OverflowError, match=message):
+        reduce_blocks(blocks)
+
+
 def test_block_stats_pickle_small():
     stats = BlockStats.of(stream(408, 0).normal(size=65_536))
     assert len(pickle.dumps(stats)) < 200

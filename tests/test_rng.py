@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import pytest
 
@@ -7,6 +8,16 @@ from ouht import rng
 
 def _square(x):
     return x * x
+
+
+def _square_in(x):
+    return x * x, os.getpid()
+
+
+def _fail_on_22(x):
+    if x == 22:
+        raise ArithmeticError(f"block {x} failed")
+    return x
 
 
 def _fail_on_three(x):
@@ -23,6 +34,16 @@ def test_map_blocks_pool_lives_for_one_call():
     # is gone with it
     with pytest.raises(ArithmeticError, match="block 3 failed"):
         rng.map_blocks(_fail_on_three, range(8), 2)
+    assert multiprocessing.active_children() == []
+    # 40 tasks on 2 workers go in chunks of ceil(40 / 8) = 5, each run by
+    # one worker; a chunk's results come back in task order
+    results = rng.map_blocks(_square_in, range(40), 2)
+    assert [square for square, _ in results] == [t * t for t in range(40)]
+    assert all(len({pid for _, pid in results[lo:lo + 5]}) == 1 for lo in range(0, 40, 5))
+    assert multiprocessing.active_children() == []
+    # task 22 is in the middle of the chunk 20..24
+    with pytest.raises(ArithmeticError, match="^block 22 failed$"):
+        rng.map_blocks(_fail_on_22, range(40), 2)
     assert multiprocessing.active_children() == []
 
 
