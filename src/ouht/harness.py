@@ -103,25 +103,31 @@ def sigma_gap(value: float, target: float, stderr: float) -> float:
     return (value - target) / max(stderr, 1e-11 * max(1.0, abs(target)))
 
 
+KS_SLICE = 4096  # points per ks_statistic gap evaluation
+
+
 def ks_statistic(sample_a, sample_b) -> float:
     """sup_x |ECDF_a(x) - ECDF_b(x)| for two nonempty samples.
 
-    The supremum is taken at the points of a, then at those of b, so no joint
-    sample or joint-length CDF is formed.  The samples are sorted in copies:
-    a caller may still read its arrays in their own order (the suite sums the
-    Euler sample after its KS row, and a sorted sum would move its bits).
+    The supremum is taken at the points of a, then at those of b, KS_SLICE
+    points at a time, so no joint sample, joint-length CDF or sample-length
+    gap is formed; the max over slices is the max over all points, bit for
+    bit.  The samples are sorted in copies: a caller may still read its
+    arrays in their own order (the suite sums the Euler sample after its KS
+    row, and a sorted sum would move its bits).
     """
     a = np.sort(np.asarray(sample_a, dtype=float))
     b = np.sort(np.asarray(sample_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
 
-    def largest_gap(x):
-        gap = np.searchsorted(a, x, side="right") / a.size
-        gap -= np.searchsorted(b, x, side="right") / b.size
+    def largest_gap(c):
+        gap = np.searchsorted(a, c, side="right") / a.size
+        gap -= np.searchsorted(b, c, side="right") / b.size
         return float(np.abs(gap, out=gap).max())
 
-    return max(largest_gap(a), largest_gap(b))
+    return max(largest_gap(x[lo:lo + KS_SLICE]) for x in (a, b)
+               for lo in range(0, x.size, KS_SLICE))
 
 
 def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:

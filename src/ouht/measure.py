@@ -32,7 +32,7 @@ from .process import (
     sample_radial_exact,
     sample_radial_step,
 )
-from .rng import BLOCK_SIZE, block_sizes, derive_seed, map_blocks, stream
+from .rng import BLOCK_SIZE, block_sizes, derive_seed, map_blocks, shared_empty, stream
 from .simulate import TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
 _KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
@@ -134,7 +134,8 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 # whose rows are the grid times after 0, straight down.  No sampler checks
 # its law: run_draws and the commands do, once, before any block.
 # Samplers are module-level functions, the Euler ones bound to their
-# SchemeConfig by functools.partial(..., scheme=...), so that tasks pickle.
+# SchemeConfig by functools.partial(..., scheme=...); pool workers inherit
+# their tasks by fork, so neither a sampler nor an integrand needs to pickle.
 # They look the process and simulate functions up in this module's globals
 # at call time, so a wrapper rebound there sees every call.
 
@@ -189,26 +190,12 @@ class Draw:
     integrands: tuple | None = None
 
 
-class _Columns:
-    """A raw block's columns of its draw's sample; an estimate block has no
-    view.  A serial block draws straight into them; sent to a pool worker,
-    this pickles empty, so the worker draws into an array of its own and
-    run_draws copies it in."""
-
-    def __init__(self, view=None):
-        self.view = view
-
-    def __reduce__(self):
-        return _Columns, ()
-
-
 def _block(task):
-    sampler, params, times, seed, block, n, integrands, columns, _ = task
-    out = np.empty((len(times), n)) if columns.view is None else columns.view
+    sampler, params, times, seed, block, n, integrands, view, _ = task
+    out = np.empty((len(times), n)) if view is None else view
     sampler(params, times, stream(seed, block), n, out)
     if integrands is not None:
         return tuple(BlockStats.of(out if g is None else g(out)) for g in integrands)
-    return None if out is columns.view else out  # None: drawn in place, nothing to send back
 
 
 def _reduce(stats, seed):
@@ -223,25 +210,25 @@ def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
     pass ou_transition, which names gamma and t, before any block is drawn.
     An estimate needs n_paths >= 2; an integrand that keeps fewer than 2 of
     them (an average over survivors that no path reaches) gets a NaN estimate
-    with its count.  A sample is allocated once and its blocks written into it."""
+    with its count.  A sample is allocated once and each block drawn into its
+    columns; with workers > 1 it is in shared memory, which the forked pool
+    workers write into, so they send back only estimate blocks' BlockStats."""
     for d in table.values():
         if d.integrands is not None and d.n_paths < 2:
             raise ValueError(f"need at least 2 samples, got {d.n_paths}")
         for t in d.times:
             ou_transition(params, t)
-    samples = {key: np.empty((len(d.times), d.n_paths))
+    samples = {key: (shared_empty if workers > 1 else np.empty)((len(d.times), d.n_paths))
                for key, d in table.items() if d.integrands is None}
     tasks = [(d.sampler, params, d.times, d.seed, j, n, d.integrands,
-              _Columns(samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n] if key in samples
-                       else None), key)
+              samples[key][:, j * BLOCK_SIZE:j * BLOCK_SIZE + n] if key in samples else None,
+              key)
              for key, d in table.items()
              for j, n in enumerate(block_sizes(d.n_paths))]
     stats = {key: [] for key in table}
-    for (*_, columns, key), result in zip(tasks, map_blocks(_block, tasks, workers)):
+    for (*_, key), result in zip(tasks, map_blocks(_block, tasks, workers)):
         if key not in samples:
             stats[key].append(result)
-        elif result is not None:  # drawn in a pool worker
-            columns.view[...] = result
     return {key: samples[key] if key in samples
             else tuple(_reduce(block_stats, d.seed) for block_stats in zip(*stats[key]))
             for key, d in table.items()}
@@ -254,7 +241,7 @@ def _estimate(params, f, sampler, integrand, t, n_paths, seed, workers):
 
 # --- integrands ------------------------------------------------------------
 #
-# Module-level, so that partial(integrand, ...) pickles.  Each is elementwise
+# Module-level, bound by partial(integrand, ...).  Each is elementwise
 # on a one-time block; at_time hands row j of a multi-time block on.
 
 def at_time(j, integrand, block):

@@ -46,25 +46,49 @@ def block_sizes(n_total: int) -> list[int]:
     return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
+def shared_empty(shape) -> np.ndarray:
+    """np.empty(shape) in an anonymous MAP_SHARED mapping: pool workers
+    forked after it is made write into the parent's pages."""
+    import mmap
+
+    n = int(np.prod(shape))  # a mapping needs at least one byte
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), count=n).reshape(shape)
+
+
+_inherited = {}  # a forked pool worker's "worker" and "tasks", set as it starts
+
+
+def _run_range(lo, hi):
+    return [_inherited["worker"](t) for t in _inherited["tasks"][lo:hi]]
+
+
 def map_blocks(worker, tasks, workers: int = 1) -> list:
     """Apply ``worker`` to each task, in order; optionally on a process pool.
 
     The pool lives for this one call, and its modules are imported only
     then: a serial run never loads concurrent.futures.process or
-    multiprocessing.  Tasks go in chunks of ceil(len(tasks) / (4 * workers)),
-    multiprocessing.Pool.map's rule, not one message each.  The returned list
-    is always in task order, so downstream reductions are independent of the
-    worker count.
+    multiprocessing.  Its workers are forked, so they inherit ``worker`` and
+    the tasks, which are never pickled: a worker is sent the (lo, hi) bounds
+    of a chunk of ceil(len(tasks) / (4 * workers)) tasks, the rule of
+    multiprocessing.Pool.map, and sends back the chunk's results.  At most
+    one worker per chunk is started.  The returned list is always in task
+    order, so downstream reductions are independent of the worker count.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # not a with block: its exit would wait for every queued block after
+    size = -(-len(tasks) // (4 * workers))
+    los = range(0, len(tasks), size)
+    # not a with block: its exit would wait for every queued chunk after
     # one of them has raised
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(los)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherited.update,
+                               initargs=({"worker": worker, "tasks": tasks},))
     try:
-        return list(pool.map(worker, tasks, chunksize=-(-len(tasks) // (4 * workers))))
+        return [r for chunk in pool.map(_run_range, los, [lo + size for lo in los]) for r in chunk]
     finally:
         pool.shutdown(cancel_futures=True)

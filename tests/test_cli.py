@@ -356,15 +356,16 @@ def test_commands_do_not_load_scipy(tmp_path, argv):
     ["local-martingale", "--paths", "200", "--workers", "1"],
 ], ids=["version", "simulate", "verify", "density", "local-martingale"])
 def test_serial_commands_load_no_pool_quadrature_or_masked_modules(tmp_path, argv):
-    # a serial run starts no pool, the quadrature rule is a literal, and the
-    # panel edges are found without np.unique, which loads numpy.ma
+    # a serial run starts no pool and shares no sample, the quadrature rule
+    # is a literal, and the panel edges are found without np.unique, which
+    # loads numpy.ma
     code = (
         "import sys, ouht.cli\n"
         "try:\n"
         f"    code = ouht.cli.main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'mmap', 'multiprocessing',\n"
         "                         'numpy.ma', 'numpy.polynomial') if m in sys.modules))\n"
         "sys.exit(code)\n"
     )
@@ -372,6 +373,32 @@ def test_serial_commands_load_no_pool_quadrature_or_masked_modules(tmp_path, arg
                          capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+def _peak_rss_kib(argv, cwd):
+    # ru_maxrss of `python -m ouht argv` and its pool workers, from os.wait4
+    # in a small launcher: a child's ru_maxrss starts at the peak RSS of the
+    # process that forked it, and this test process holds numpy and scipy
+    launcher = ("import os, subprocess, sys\n"
+                "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(p.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    res = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "ouht", *argv],
+                         cwd=cwd, capture_output=True, text=True, timeout=600)
+    code, kib = map(int, res.stdout.split())
+    assert code == 0, res.stderr
+    return kib
+
+
+def test_pool_simulate_holds_its_sample_once(tmp_path):
+    # the pool's workers draw into the parent's shared sample and send no
+    # block back, so the pool peaks within a quarter of the sample's bytes
+    # of the serial peak, where pickled blocks copied into it read +7.4 MiB
+    n = 1_000_000
+    argv = ["simulate", "--process", "radial", "--scheme", "exact", "--gamma", "1", "--a", "1",
+            "--t", "1", "--paths", str(n), "--out", "x.csv"]
+    serial, pool = (_peak_rss_kib([*argv, "--workers", w], tmp_path) for w in ("1", "2"))
+    assert pool <= serial + 8 * n / 4 / 1024, (serial, pool)
 
 
 SHA256_OF_NOTHING = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

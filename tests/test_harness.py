@@ -10,6 +10,7 @@ from ouht.harness import (
     BlockStats,
     CheckResult,
     ExperimentReport,
+    KS_SLICE,
     MCEstimate,
     aggregate,
     ks_statistic,
@@ -208,6 +209,12 @@ def _ks_allocating(sample_a, sample_b):
     return float(np.abs(cdf_a - cdf_b).max())
 
 
+def _integer_valued(seed, n):
+    # 60 distinct values: every KS_SLICE boundary of the sorted sample falls
+    # inside a run of ties
+    return stream(seed, 0).integers(0, 60, size=n).astype(float)
+
+
 @pytest.mark.parametrize("a,b", [
     (stream(406, 0).normal(size=3_000), stream(406, 1).normal(0.1, 1.2, size=1_777)),
     # ties within and across the samples
@@ -216,6 +223,9 @@ def _ks_allocating(sample_a, sample_b):
     (np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0])),
     (np.array([0.5]), np.array([0.25, 0.5, 3.0])),
     (np.array([0.1]), stream(406, 4).normal(size=5_000)),
+    # more than one KS_SLICE, unequal sizes, ties across slice boundaries
+    (_integer_valued(411, 50_000), _integer_valued(412, 50_001)),
+    (_integer_valued(413, 3 * KS_SLICE), _integer_valued(414, KS_SLICE + 1)),
 ])
 def test_ks_statistic_in_place_equals_the_allocating_formula(a, b):
     for x, y in ((a, b), (b, a)):
@@ -224,9 +234,10 @@ def test_ks_statistic_in_place_equals_the_allocating_formula(a, b):
 
 
 def test_ks_statistic_peak_memory_is_a_few_sample_lengths():
-    # two sorted copies and the gap at one sample's points with its two
-    # searchsorted temporaries; the joint sample and its two CDFs peaked at
-    # 8.2 sample lengths
+    # two sorted copies and the gap at one KS_SLICE of points with its
+    # searchsorted temporaries, about four slice-length arrays; the gap at a
+    # whole sample's points peaked at 5 sample lengths, and the joint sample
+    # and its two CDFs at 8.2
     n = 50_000
     a, b = stream(410, 0).normal(size=n), stream(410, 1).normal(size=n)
     tracemalloc.start()
@@ -235,7 +246,7 @@ def test_ks_statistic_peak_memory_is_a_few_sample_lengths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * n, peak / (8 * n)
+    assert peak < 2 * 8 * n + 6 * 8 * KS_SLICE, (peak - 2 * 8 * n) / (8 * KS_SLICE)
 
 
 def test_ks_statistic_same_law_below_critical():

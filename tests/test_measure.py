@@ -1,5 +1,8 @@
 import inspect
 import math
+import multiprocessing
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 
@@ -9,11 +12,11 @@ from scipy import integrate
 
 import ouht.cli
 import ouht.measure
+import ouht.rng
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     Draw,
     TestFunctional,
-    _Columns,
     _block,
     alive,
     at_time,
@@ -325,7 +328,7 @@ def test_unit_mass_block_peak_memory():
     integrands = (*(partial(at_time, j, partial(forward_weighted, P11, t, one))
                     for j, t in enumerate(times)),
                   partial(at_time, len(times) // 2, partial(alive, one)))
-    task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, _Columns(), "unit-mass")
+    task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, None, "unit-mass")
     rows = _peak_block_rows(lambda: _block(task))
     assert rows < 5.5, rows
 
@@ -391,7 +394,50 @@ def test_raw_sample_is_its_blocks_drawn_in_place(sampler):
     assert sample.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_draws_refuses_a_raw_draw_of_no_paths(workers):
+    # on two workers the sample is a shared mapping, and mmap refuses a length of 0
+    with pytest.raises(ValueError, match=r"^n_total must be >= 1, got 0$"):
+        run_draws(P11, {0: Draw(radial_exact, (1.0,), 0, 0)}, workers)
+
+
 def test_run_draws_refuses_an_estimate_from_one_path():
     draw = Draw(radial_exact, (1.0,), 1, 0, (None,))
     with pytest.raises(ValueError, match=r"^need at least 2 samples, got 1$"):
         run_draws(ProcessParams(1.0, 1.0), {0: draw})
+
+
+def test_pool_raw_blocks_are_drawn_into_a_shared_sample(monkeypatch):
+    # the forked workers write each raw block into the parent's sample, so
+    # every block sends back None, and the bytes are the serial run's
+    results = []
+
+    def recording_map_blocks(worker, tasks, workers):
+        results.extend(ouht.rng.map_blocks(worker, tasks, workers))
+        return results
+
+    times, n = (0.5, 1.0), 2 * BLOCK_SIZE + 300
+    monkeypatch.setattr(ouht.measure, "map_blocks", recording_map_blocks)
+    pooled = run_draws(P11, {0: Draw(radial_exact, times, n, 13)}, workers=2)[0]
+    assert results == [None, None, None]
+    assert multiprocessing.active_children() == []
+    serial = run_draws(P11, {0: Draw(radial_exact, times, n, 13)}, workers=1)[0]
+    assert pooled.tobytes() == serial.tobytes()
+
+
+def test_pool_run_starts_no_resource_tracker():
+    # the shared sample is an anonymous mapping, not multiprocessing's
+    # shared_memory, which starts a resource-tracker process and names a
+    # file in /dev/shm
+    code = (
+        "import multiprocessing\n"
+        "from multiprocessing import resource_tracker\n"
+        "from ouht.measure import Draw, radial_exact, run_draws\n"
+        "from ouht.process import ProcessParams\n"
+        "run_draws(ProcessParams(1.0, 1.0), {0: Draw(radial_exact, (1.0,), 70_000, 3)}, 2)\n"
+        "print(resource_tracker._resource_tracker._pid, multiprocessing.active_children())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "None []"

@@ -54,3 +54,36 @@ def test_stream_tags_and_block_sizes_refuse_bad_values():
         rng.stream(0, 1.5)
     with pytest.raises(ValueError, match=r"^n_total must be >= 1, got 0$"):
         rng.block_sizes(0)
+
+
+def _call(task):
+    fn, x = task
+    return fn(x)
+
+
+def test_map_blocks_pool_inherits_its_tasks():
+    # forked workers inherit the worker and the tasks, which are never
+    # pickled: neither a task holding a lambda nor a lambda worker could be
+    tasks = [(lambda x, k=k: x + k, 10 * k) for k in range(6)]
+    assert rng.map_blocks(_call, tasks, 2) == [11 * k for k in range(6)]
+    assert rng.map_blocks(lambda t: t + 1, range(5), 2) == [1, 2, 3, 4, 5]
+    assert multiprocessing.active_children() == []
+
+
+def test_map_blocks_starts_at_most_one_worker_per_chunk(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    # 3 tasks on 4 workers go in 3 chunks of one task
+    assert rng.map_blocks(_square, range(3), 4) == [0, 1, 4]
+    # 40 tasks on 2 workers go in 8 chunks of 5
+    assert rng.map_blocks(_square, range(40), 2) == [t * t for t in range(40)]
+    assert started == [3, 2]
+    assert multiprocessing.active_children() == []
