@@ -35,75 +35,59 @@ from .process import (
 from .rng import BLOCK_SIZE, block_sizes, derive_seed, map_blocks, shared_empty, stream
 from .simulate import TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
-_KINDS = ("constant_one", "indicator_above", "indicator_below", "capped_polynomial")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFunctional:
-    """A bounded test function on (0, inf): indicators, capped monomials, 1."""
+    """A bounded test function on (0, inf): indicators, capped monomials, 1.
+    Each classmethod checks its arguments and sets the elementwise values
+    function, the label and the breakpoints together."""
 
     __test__ = False  # keep pytest collection away from the Test* name
 
-    kind: str
-    c: float | None = None
-    k: int | None = None
-    cap: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind in ("indicator_above", "indicator_below"):
-            if self.c is None or not math.isfinite(self.c):
-                raise ValueError("indicator threshold must be finite")
-        if self.kind == "capped_polynomial":
-            if self.k is None or self.k < 0 or self.k != int(self.k):
-                raise ValueError("polynomial degree must be an integer >= 0")
-            if self.cap is None or not (math.isfinite(self.cap) and self.cap > 0):
-                raise ValueError("cap must be finite and > 0: uncapped polynomials are unbounded")
+    values: Callable
+    name: str
+    kinks: tuple[float, ...] = ()
 
     @classmethod
     def constant_one(cls) -> "TestFunctional":
-        return cls("constant_one")
+        return cls(np.ones_like, "one")
 
     @classmethod
     def indicator_above(cls, c: float) -> "TestFunctional":
-        return cls("indicator_above", c=float(c))
+        c = _threshold(c)
+        return cls(lambda x: (x > c).astype(float), f"1(x>{c:g})", (c,))
 
     @classmethod
     def indicator_below(cls, c: float) -> "TestFunctional":
-        return cls("indicator_below", c=float(c))
+        c = _threshold(c)
+        return cls(lambda x: (x < c).astype(float), f"1(x<{c:g})", (c,))
 
     @classmethod
     def capped_polynomial(cls, k: int, cap: float) -> "TestFunctional":
-        return cls("capped_polynomial", k=int(k), cap=float(cap))
+        if not (k >= 0 and float(k).is_integer()):
+            raise ValueError("polynomial degree must be an integer >= 0")
+        k, cap = int(k), float(cap)
+        if not (math.isfinite(cap) and cap > 0):
+            raise ValueError("cap must be finite and > 0: uncapped polynomials are unbounded")
+        return cls(lambda x: np.minimum(x**k, cap), f"min(x^{k},{cap:g})",
+                   (cap ** (1.0 / k),) if k > 0 else ())
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant_one":
-            out = np.ones_like(x)
-        elif self.kind == "indicator_above":
-            out = (x > self.c).astype(float)
-        elif self.kind == "indicator_below":
-            out = (x < self.c).astype(float)
-        else:
-            out = np.minimum(x**self.k, self.cap)
+        out = self.values(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def breakpoints(self) -> tuple[float, ...]:
         """Discontinuity/kink locations, for quadrature splitting."""
-        if self.kind in ("indicator_above", "indicator_below"):
-            return (self.c,)
-        if self.kind == "capped_polynomial" and self.k > 0:
-            return (self.cap ** (1.0 / self.k),)
-        return ()
+        return self.kinks
 
     def label(self) -> str:
-        if self.kind == "constant_one":
-            return "one"
-        if self.kind == "capped_polynomial":
-            return f"min(x^{self.k},{self.cap:g})"
-        op = ">" if self.kind == "indicator_above" else "<"
-        return f"1(x{op}{self.c:g})"
+        return self.name
+
+
+def _threshold(c) -> float:
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError("indicator threshold must be finite")
+    return c
 
 
 def default_functional_suite() -> tuple[TestFunctional, ...]:
@@ -129,9 +113,9 @@ def inverse_weight(params: ProcessParams, r_value, t: float):
 # A sampler is called as sampler(params, times, rng, n, out) with ascending
 # times and a time-major (len(times), n) float64 out, which only _block
 # allocates; it fills row j with the n values at times[j] and returns
-# nothing.  The kernels underneath write the same way, each into the grid
-# rows after time 0 of the array it is handed, so a sampler hands its out,
-# whose rows are the grid times after 0, straight down.  No sampler checks
+# nothing.  The kernels underneath fill the out they are handed with the
+# grid rows after time 0, so a sampler hands its out, whose rows are the
+# grid times after 0, straight down.  No sampler checks
 # its law: run_draws and the commands do, once, before any block.
 # Samplers are module-level functions, the Euler ones bound to their
 # SchemeConfig by functools.partial(..., scheme=...); pool workers inherit

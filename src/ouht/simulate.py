@@ -10,11 +10,10 @@ Three schemes:
 * drift-implicit Euler radial OU: the singular 1/R drift taken at the end
   of each step (Alfonsi 2005), which keeps every path positive unguarded.
 
-Every kernel writes the n_intervals grid rows after the shared start a at
-time 0 into a time-major out, which it allocates when none is handed in:
-row j holds every path at times[j + 1].  The Euler kernels step them
-through one walk in equal substeps of at most dt per interval.  Each
-returns one Paths over out.T.
+Every kernel fills the time-major out it is handed with the n_intervals
+grid rows after the shared start a at time 0: row j holds every path at
+times[j + 1].  The Euler kernels step them through one walk in equal
+substeps of at most dt per interval.  Each returns one Paths over out.T.
 Absorption is stored in the values alone: a killed path reads 0 from the
 grid time after its absorption on, as the stopped path X_{t and T0} does.
 """
@@ -43,10 +42,6 @@ class TimeGrid:
         check_times(times[1:])
 
     @classmethod
-    def uniform(cls, t_end: float, n_intervals: int) -> "TimeGrid":
-        return cls(np.linspace(0.0, t_end, n_intervals + 1))
-
-    @classmethod
     def from_times(cls, times) -> "TimeGrid":
         """Grid through the given positive times, with 0 prepended."""
         return cls(np.concatenate(([0.0], np.asarray(times, dtype=float))))
@@ -54,15 +49,6 @@ class TimeGrid:
     @property
     def n_intervals(self) -> int:
         return self.times.size - 1
-
-    def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i):
-            if 0 <= j < self.times.size and math.isclose(
-                self.times[j], t, rel_tol=1e-12, abs_tol=1e-12
-            ):
-                return j
-        raise ValueError(f"t = {t} is not on the grid")
 
 
 @dataclass(frozen=True)
@@ -95,25 +81,16 @@ class Paths:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def values_at(self, t: float) -> np.ndarray:
-        j = self.grid.index_of(t) - 1
-        if j < 0:
-            raise ValueError(f"t = {t} is the shared start, which these paths leave out")
-        return self.values[:, j]
-
-    def survival_fraction(self, t: float) -> float:
-        return float(np.mean(self.values_at(t) > 0.0))
-
 
 def simulate_killed_ou_exact(
     params: ProcessParams,
     grid: TimeGrid,
     rng: np.random.Generator,
     n_paths: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> Paths:
-    """Exact killed-OU paths at the grid times after 0, written into out:
-    each row holds every path at its time.
+    """Exact killed-OU paths at the grid times after 0, written into the
+    (n_intervals, n_paths) out: each row holds every path at its time.
 
     The driving Brownian motion is sampled exactly at tau(t_i) and mapped
     back through X = e^{-gamma t} Y.  Within each interval, absorption is
@@ -128,8 +105,6 @@ def simulate_killed_ou_exact(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if out is None:
-        out = np.empty((grid.n_intervals, n_paths))
     times = grid.times
     taus = np.array([time_change(params, t) for t in times])
 
@@ -168,15 +143,13 @@ def simulate_killed_ou_exact(
 
 
 def _euler_walk(params: ProcessParams, grid: TimeGrid, scheme: SchemeConfig, n_paths: int,
-                out: np.ndarray | None):
-    """Check n_paths and return out (allocated when not given), with a in
-    row 0, and an iterator over the substeps: an interval of length delta
-    takes m = ceil(delta/dt) of h = delta/m, each handed over as (h, state,
-    row); it reads state and writes row, the row of its interval's end."""
+                out: np.ndarray):
+    """Check n_paths, put a in row 0 of out and return an iterator over the
+    substeps: an interval of length delta takes m = ceil(delta/dt) of
+    h = delta/m, each handed over as (h, state, row); it reads state and
+    writes row, the row of its interval's end."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if out is None:
-        out = np.empty((grid.n_intervals, n_paths))
     out[0] = params.a  # float64 even for an int a
 
     def substeps():
@@ -187,7 +160,7 @@ def _euler_walk(params: ProcessParams, grid: TimeGrid, scheme: SchemeConfig, n_p
                 yield delta / m, state, out[i]
                 state = out[i]
 
-    return out, substeps()
+    return substeps()
 
 
 def euler_ou(
@@ -196,17 +169,18 @@ def euler_ou(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> Paths:
-    """Euler-Maruyama killed OU: x += -gamma x h + sqrt(h) z on substeps of
-    size <= dt, absorbed at the first substep value <= 0.
+    """Euler-Maruyama killed-OU paths at the grid times after 0, written into
+    the (n_intervals, n_paths) out: x += -gamma x h + sqrt(h) z on substeps
+    of size <= dt, absorbed at the first substep value <= 0.
 
     Killing is by sign check only, so intra-step crossings are missed and the
     survival is biased high by O(sqrt(dt)); the exact scheme is the unbiased
     reference.  A substep draws its normals into the row it writes, once it
     has read the state there.
     """
-    out, substeps = _euler_walk(params, grid, scheme, n_paths, out)
+    substeps = _euler_walk(params, grid, scheme, n_paths, out)
     step, alive = np.empty(n_paths), np.empty(n_paths, dtype=bool)
 
     for h, x, row in substeps:
@@ -230,11 +204,12 @@ def euler_radial(
     scheme: SchemeConfig,
     rng: np.random.Generator,
     n_paths: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> Paths:
-    """Drift-implicit Euler for dR = (1/R - gamma R) dt + dB on substeps of
-    size h <= dt: with y = R + sqrt(h) z and k = 1 + gamma h, the step solves
-    k R'^2 - y R' - h = 0 for its positive root
+    """Drift-implicit Euler radial paths at the grid times after 0, written
+    into the (n_intervals, n_paths) out, for dR = (1/R - gamma R) dt + dB on
+    substeps of size h <= dt: with y = R + sqrt(h) z and k = 1 + gamma h,
+    the step solves k R'^2 - y R' - h = 0 for its positive root
 
         R' = (y + sqrt(y^2 + 4 k h)) / (2 k),
 
@@ -245,7 +220,7 @@ def euler_radial(
     A substep forms y in its one scratch row and the root in the row it
     writes.
     """
-    out, substeps = _euler_walk(params, grid, scheme, n_paths, out)
+    substeps = _euler_walk(params, grid, scheme, n_paths, out)
     y, negative = np.empty(n_paths), None
 
     for h, r, row in substeps:

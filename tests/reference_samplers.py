@@ -7,7 +7,7 @@ and the radial draw as the norm of three normals.
 The bridge must agree byte for byte with simulate.simulate_killed_ou_exact,
 which draws the same variates in the same order; the 3-normal norm has the
 same law as process._gaussian_norm but reads the stream differently, so the
-two are compared in distribution only.
+two are compared in distribution only.  fill hands a kernel a new out.
 """
 
 import math
@@ -33,6 +33,11 @@ def killed_ou_bridge(params, grid, rng, n_paths):
         y = np.where(u < np.exp(log_p_cross), 0.0, y_next)
         values[:, i + 1] = math.exp(-params.gamma * times[i + 1]) * y
     return Paths(grid, values[:, 1:])  # Paths leave the shared start out
+
+
+def fill(kernel, params, grid, *args):
+    """kernel's Paths on grid, drawn into a new out; args end with n_paths."""
+    return kernel(params, grid, *args, np.empty((grid.n_intervals, args[-1])))
 
 
 def gaussian_norm_3d(center, sd, rng, size):

@@ -251,10 +251,11 @@ EULER_RADIAL_G05_A005_DT005 = "4f1ac3a87b802d54d929ad31d6677af8be732c63aadf5aff6
 EULER_RADIAL_RAGGED_GM300 = "8ca30d0501cab40d6658930b1eba3691b10b8a0723562e1e14afafd45ba11762"
 EULER_OU_RAGGED_G1_A05 = "eebc4618e99fd8183795402dc572ad364eeee6274844837d133a138a69a640df"
 
-# -- SHA-256 of values.tobytes() for simulate_killed_ou_exact(P, TimeGrid.uniform(2.0,
-#    16), stream(220, 0), 4096) and euler_ou(P, TimeGrid.uniform(2.0, 16),
-#    SchemeConfig(dt=0.01), stream(221, 0), 4096), P = ProcessParams(1, 1), as
-#    computed at commit 63be3de: scheme -> digest --------------------------
+# -- SHA-256 of the values, with the time-0 column a put back in front, of
+#    simulate_killed_ou_exact(P, grid, stream(220, 0), 4096) and euler_ou(P,
+#    grid, SchemeConfig(dt=0.01), stream(221, 0), 4096) on grid =
+#    TimeGrid(np.linspace(0.0, 2.0, 17)), P = ProcessParams(1, 1), as computed
+#    at commit 63be3de: scheme -> digest ------------------------------------
 KILLED_SHA256_G1_A1_T2_N16 = {
     "exact": "f9798942df34e74bbfc250dfd9cb5996eb11d41c0fcd78852dec40a562311630",
     "euler": "5c0209f9b0c8d156ae63946adeac4360dddd917bf204650f549db0cd52008c1a",

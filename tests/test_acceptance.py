@@ -47,6 +47,7 @@ from ouht.rng import stream
 from ouht.simulate import SchemeConfig, TimeGrid, euler_ou, euler_radial, simulate_killed_ou_exact
 
 import refvalues as ref
+from reference_samplers import fill
 
 SWEEP = [
     (gamma, a, t)
@@ -197,8 +198,9 @@ def test_criterion_07_zero_rate_reduction():
 def test_criterion_08_singular_drift_validation():
     p = ProcessParams(1.0, 1.0)
     n, dt = 100_000, 1e-3
-    sample = euler_radial(p, TimeGrid(np.array([0.0, 1.0])), SchemeConfig(dt=dt), stream(660, 0), n)
-    r_euler = sample.values_at(1.0)
+    sample = fill(euler_radial, p, TimeGrid(np.array([0.0, 1.0])), SchemeConfig(dt=dt),
+                  stream(660, 0), n)
+    r_euler = sample.values[:, 0]
     r_exact = sample_radial_exact(p, 1.0, stream(661, 0), size=n)
     d = ks_statistic(r_euler, r_exact)
     crit = ks_two_sample_critical(n, n, alpha=0.01)
@@ -219,16 +221,18 @@ def test_criterion_09_killing_machinery():
     target = survival_probability(p, 1.0)
 
     n_exact = 1_000_000
-    paths = simulate_killed_ou_exact(p, TimeGrid.uniform(1.0, 16), stream(670, 0), n_exact)
-    surv = paths.survival_fraction(1.0)
+    paths = fill(simulate_killed_ou_exact, p, TimeGrid(np.linspace(0.0, 1.0, 17)),
+                 stream(670, 0), n_exact)
+    surv = float(np.mean(paths.values[:, -1] > 0.0))
     se = math.sqrt(surv * (1.0 - surv) / n_exact)
     exact_ok = abs(surv - target) <= 4.0 * se
 
     n_euler = 200_000
     gaps = []
     for k, dt in enumerate((0.05, 0.02, 0.01, 0.005)):
-        killed = euler_ou(p, TimeGrid(np.array([0.0, 1.0])), SchemeConfig(dt=dt), stream(671, k), n_euler)
-        gaps.append(abs(killed.survival_fraction(1.0) - target))
+        killed = fill(euler_ou, p, TimeGrid(np.array([0.0, 1.0])), SchemeConfig(dt=dt),
+                      stream(671, k), n_euler)
+        gaps.append(abs(np.mean(killed.values[:, 0] > 0.0) - target))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     final_ok = gaps[-1] < 0.01  # unattainable for sign-check killing: bias ~ 0.4 sqrt(dt)
 

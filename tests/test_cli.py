@@ -457,7 +457,13 @@ def test_entry_path_starts_no_blas_threads(tmp_path, name, preset):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    report = "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    # Thread.join can return before the pool's manager thread has left
+    # /proc/self/task, so the probe polls for one entry for up to 5 s
+    report = ("import time\n"
+              f"deadline = time.monotonic() + {5.0 if preset is None else 0.0}\n"
+              "while len(os.listdir('/proc/self/task')) > 1 and time.monotonic() < deadline:\n"
+              "    time.sleep(0.01)\n"
+              "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n")
     threads, value = _run_entry(tmp_path, ENTRY_ARGV[name], report, env)[-1].split()
     if preset is None:
         assert (threads, value) == ("1", "1")

@@ -13,6 +13,7 @@ from scipy import integrate
 import ouht.cli
 import ouht.measure
 import ouht.rng
+import ouht.simulate
 from ouht.density import radial_density, survival_probability
 from ouht.measure import (
     Draw,
@@ -43,6 +44,7 @@ from ouht.rng import BLOCK_SIZE, stream
 from ouht.simulate import SchemeConfig, TimeGrid, simulate_killed_ou_exact
 
 import refvalues as ref
+from reference_samplers import fill, killed_ou_bridge
 
 P11 = ProcessParams(1.0, 1.0)
 
@@ -55,8 +57,8 @@ def _drawn(sampler, params, times, rng, n):
 
 
 def test_functional_validation():
-    with pytest.raises(ValueError):
-        TestFunctional("powers_of_x")
+    with pytest.raises(ValueError, match=r"^polynomial degree must be an integer >= 0$"):
+        TestFunctional.capped_polynomial(2.5, 10.0)
     with pytest.raises(ValueError):
         TestFunctional.capped_polynomial(2, math.inf)
     with pytest.raises(ValueError):
@@ -117,9 +119,10 @@ def test_forward_weight_on_paths():
     # (X_{t and T0} / a) e^{gamma t} with f = 1: 1 at the start a at t = 0,
     # and 0 exactly on the paths absorbed by t, read from their 0 value
     one = TestFunctional.constant_one()
-    paths = simulate_killed_ou_exact(P11, TimeGrid.uniform(1.0, 4), stream(304, 0), 20_000)
+    paths = fill(simulate_killed_ou_exact, P11, TimeGrid(np.linspace(0.0, 1.0, 5)), stream(304, 0),
+                 20_000)
     assert np.all(forward_weighted(P11, 0.0, one, np.full(paths.n_paths, P11.a)) == 1.0)
-    x = paths.values_at(1.0)
+    x = paths.values[:, -1]
     w1 = forward_weighted(P11, 1.0, one, x)
     absorbed = x == 0.0
     assert absorbed.any()
@@ -285,14 +288,14 @@ def test_radial_exact_first_time_is_the_marginal_draw():
 
 @pytest.mark.parametrize("k", [4])
 def test_killed_bridge_fills_the_trailing_grid_rows_it_is_handed(k):
-    # on a k-interval grid, the k rows after time 0 handed in are those the
-    # kernel allocates when none is: the same variates, written in place
-    params, grid, n = ProcessParams(0.8, 1.0), TimeGrid.uniform(2.0, k), 3_000
-    full = simulate_killed_ou_exact(params, grid, stream(233, 0), n)
+    # on a k-interval grid, the k rows after time 0 handed in hold the
+    # allocating reference bridge's values: the same variates, written in place
+    params, grid, n = ProcessParams(0.8, 1.0), TimeGrid(np.linspace(0.0, 2.0, k + 1)), 3_000
+    reference = killed_ou_bridge(params, grid, stream(233, 0), n)
     out = np.empty((k, n))
     kept = simulate_killed_ou_exact(params, grid, stream(233, 0), n, out)
-    assert kept.values.base is out and full.values.shape == (n, k)
-    assert out.tobytes() == np.ascontiguousarray(full.values.T).tobytes()
+    assert kept.values.base is out and reference.values.shape == (n, k)
+    assert out.tobytes() == np.ascontiguousarray(reference.values.T).tobytes()
     assert 0 < np.count_nonzero(out[-1] == 0.0) < n
 
 
@@ -369,13 +372,16 @@ def test_run_draws_hands_every_sampler_its_block_out(workers):
 
 def test_no_sampler_gives_out_a_default():
     # every sampler writes into the out that _block allocates: none of them,
-    # nor any that simulate offers, has a second mode that allocates its own
+    # nor any that simulate offers, nor a kernel beneath them, has a second
+    # mode that allocates its own
     samplers = [fn for fn in vars(ouht.measure).values() if inspect.isfunction(fn)
                 and list(inspect.signature(fn).parameters)[:5] == ["params", "times", "rng",
                                                                    "n", "out"]]
     assert {fn.__name__ for fn in samplers} == {"killed_exact", "killed_euler", "radial_exact",
                                                 "radial_euler", "ou_exact"}
-    for fn in [*samplers, *ouht.cli._SIM_SAMPLERS.values()]:
+    kernels = [ouht.simulate.simulate_killed_ou_exact, ouht.simulate.euler_ou,
+               ouht.simulate.euler_radial]
+    for fn in [*samplers, *ouht.cli._SIM_SAMPLERS.values(), *kernels]:
         out = inspect.signature(fn).parameters["out"]
         assert out.default is inspect.Parameter.empty, fn
 
