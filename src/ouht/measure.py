@@ -249,15 +249,19 @@ def alive(f, x):
     return f(x) * (x > 0.0)
 
 
-def _survivors(f, x):
+def survivors(f, x):
+    """f(X_t) on the killed draws at t that survive to t, whose mean is
+    E_P[f(X_t) | t < T0]."""
     return f(x[x > 0.0])
 
 
-def _over(f, r):
+def over(f, r):
+    """f(R_t) / R_t on radial draws at t."""
     return f(r) / r
 
 
-def _scaled_reciprocal(c, r):
+def scaled_reciprocal(c, r):
+    """c / R_t on radial draws at t."""
     return c / r
 
 
@@ -353,27 +357,29 @@ def conditional_draws(fs: tuple[TestFunctional, ...], t: float, n_paths: int,
                       seed: int) -> dict:
     """The three draws behind the conditioning identity, keyed by the tag that
     derives each stream from seed: the left-hand side, E_Q[1/X_t] and the
-    survivors, each drawn once and shared by every f in fs."""
+    survivors, each drawn once and shared by every f in fs, in the order in
+    which conditional_results takes their estimates."""
     for f in fs:
         _check_functional(f)
-    sides = {"conditional-lhs": (radial_exact, [partial(_over, f) for f in fs]),
-             "conditional-qinv": (radial_exact, [partial(_scaled_reciprocal, 1.0)]),
-             "conditional-killed": (killed_exact, [partial(_survivors, f) for f in fs])}
+    sides = {"conditional-lhs": (radial_exact, [partial(over, f) for f in fs]),
+             "conditional-qinv": (radial_exact, [partial(scaled_reciprocal, 1.0)]),
+             "conditional-killed": (killed_exact, [partial(survivors, f) for f in fs])}
     return {tag: Draw(sampler, (t,), n_paths, derive_seed(seed, tag), tuple(integrands))
             for tag, (sampler, integrands) in sides.items()}
 
 
-def conditional_results(draws: dict, results: dict) -> tuple[ConditionalIdentityResult, ...]:
-    """Both sides of the conditioning identity for every f, read off the
-    run_draws results of conditional_draws.  A ValueError names the survivor
-    count when fewer than 2 paths survive to t."""
-    lhs, q_inv, conds = (results[tag] for tag in draws)
+def conditional_results(lhs, q_inv: MCEstimate, conds,
+                        n_paths: int) -> tuple[ConditionalIdentityResult, ...]:
+    """Both sides of the conditioning identity for every f, from the
+    estimates of f/X_t (one per f), of 1/X_t, and of f on the survivors out
+    of n_paths killed paths (one per f).  The three sides must come from
+    three disjoint streams.  A ValueError names the survivor count when
+    fewer than 2 paths survive to t."""
     if conds and conds[0].n < 2:
-        raise ValueError(f"only {conds[0].n} surviving paths out of "
-                         f"{draws['conditional-killed'].n_paths}: "
+        raise ValueError(f"only {conds[0].n} surviving paths out of {n_paths}: "
                          "n_paths too small for a conditional estimate")
     return tuple(
-        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv[0], conditional_mean=c)
+        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv, conditional_mean=c)
         for l, c in zip(lhs, conds)
     )
 
@@ -387,7 +393,8 @@ def conditional_identity_detail(
     workers: int = 1,
 ) -> ConditionalIdentityResult:
     draws = conditional_draws((f,), t, n_paths, seed)
-    return conditional_results(draws, run_draws(params, draws, workers))[0]
+    lhs, (q_inv,), conds = run_draws(params, draws, workers).values()
+    return conditional_results(lhs, q_inv, conds, n_paths)[0]
 
 
 def conditional_identity_gap(
@@ -418,7 +425,7 @@ def curve_draws(params: ProcessParams, times, n_paths: int, seed: int) -> dict:
     check_horizon(params, times)
     return {("local-martingale", i):
             Draw(radial_exact, (t,), n_paths, derive_seed(seed, "local-martingale", i),
-                 (partial(_scaled_reciprocal, math.exp(-params.gamma * t)),))
+                 (partial(scaled_reciprocal, math.exp(-params.gamma * t)),))
             for i, t in enumerate(times)}
 
 

@@ -5,9 +5,11 @@ Every check compares a Monte Carlo estimate against an independent oracle
 gap either in combined standard errors (threshold 4) or as an absolute
 error (fixed tolerance).  Seeds are derived per check family from the master
 seed, so the report is reproducible bit-for-bit regardless of the worker
-count.  The rows of one family read one shared draw of one law, so their
-gaps are correlated; the two sides of every comparison stay on disjoint
-streams.
+count.  Each law is drawn once per time and per side that has to stay
+independent, and every row that reads that law at that time on that side
+reads the one draw: the killed law at every time is one draw, the radial law
+at the middle time two.  Rows that share a draw are correlated; the two (or
+three) sides of every comparison stay on disjoint streams.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .measure import (
     TestFunctional,
     alive,
     at_time,
-    conditional_draws,
     conditional_results,
     curve_draws,
     default_functional_suite,
@@ -53,9 +54,12 @@ from .measure import (
     inverse_weighted,
     killed_exact,
     ou_exact,
+    over,
     radial_euler,
     radial_exact,
     run_draws,
+    scaled_reciprocal,
+    survivors,
 )
 from .process import ProcessParams, check_horizon, check_times, martingale_value, radial_transition
 from .rng import derive_seed
@@ -114,10 +118,11 @@ class SuiteConfig:
 
 # --- the suite -------------------------------------------------------------
 
-def _sigma(est, target, stderr=None, seed=None):
-    """A check in standard errors: (value, target, gap, threshold, seed)."""
+def _sigma(est, target, stderr=None):
+    """A check in standard errors: (value, target, gap, threshold, seed), the
+    seed est's own."""
     gap = abs(sigma_gap(est.mean, target, est.stderr if stderr is None else stderr))
-    return est.mean, target, gap, SIGMA_THRESHOLD, est.seed if seed is None else seed
+    return est.mean, target, gap, SIGMA_THRESHOLD, est.seed
 
 
 def run_suite(config: SuiteConfig) -> ExperimentReport:
@@ -134,8 +139,15 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     times, t_mid, fs = config.times, config.t_mid, FUNCTIONALS
     one = TestFunctional.constant_one()
     n_euler = min(n, 50_000)
-    seed_e, seed_c = derive_seed(seed, "euler-radial"), derive_seed(seed, "conditioning")
-    conditioning = conditional_draws(fs, t_mid, n, seed_c)
+    seed_e = derive_seed(seed, "euler-radial")
+    # where each row's estimates sit in its draw's tuple.  unit-mass: the
+    # forward weight at every time, then at t_mid the survival, alive(f) for
+    # each f and the survivors' f for each f; weighted-radial: the inverse
+    # weighted f for each f, then f/R for each f; the local-martingale draw at
+    # t_mid: e^{-gamma t}/R, then 1/R
+    mid, k = len(times) // 2, len(fs)
+    at_alive, at_survivors = len(times) + 1, len(times) + 1 + k
+    reciprocal = ("local-martingale", mid)
 
     # total mass of the forward weight.  Its mean of 1 rests on surviving
     # paths, so with too few of them expected the row means nothing
@@ -148,20 +160,21 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     # transport: killed-OU MC vs weighted radial MC.  weight_bias scales this
     # row's weighted estimate, as scaling every weight would in law; the
     # killed-semigroup rows read the same estimate unscaled
-    def transport(i, directs, ests):
-        direct, est = directs[i], ests[i]
+    def transport(i, killed, radial):
+        direct, est = killed[at_alive + i], radial[i]
         scale = 1.0 + config.weight_bias
         weighted = replace(est, mean=est.mean * scale, stderr=est.stderr * scale)
         return _sigma(weighted, direct.mean, math.hypot(direct.stderr, weighted.stderr))
 
-    # conditioning identity: its lhs, q_inv and survivor sides are one draw
-    # each, on three streams derived from the family seed
-    def conditioned(i, *sides):
+    # conditioning identity: its lhs, q_inv and survivor sides are read off
+    # three different draws, the two radial ones and the killed one, so that
+    # the delta-method stderr may treat them as independent
+    def conditioned(i, radial, recip, killed):
         try:
-            d = conditional_results(conditioning, dict(zip(conditioning, sides)))[i]
+            d = conditional_results(radial[k:], recip[1], killed[at_survivors:], n)[i]
         except ValueError as exc:
             return str(exc)
-        return _sigma(d.lhs, d.rhs, d.combined_stderr, seed_c)
+        return _sigma(d.lhs, d.rhs, d.combined_stderr)
 
     # density normalizations and the pointwise identity
     def densities(t):
@@ -212,6 +225,11 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         top = float(euler[0].max())
         return top, bound, top, bound, seed_e
 
+    # the local-martingale draw at t_mid, the second radial draw there, also
+    # gives the conditioning rows E_Q[1/X] on a stream disjoint from their lhs
+    curve = curve_draws(p, times, n, derive_seed(seed, "local-martingale"))
+    curve[reciprocal] = replace(curve[reciprocal], integrands=(
+        *curve[reciprocal].integrands, partial(scaled_reciprocal, 1.0)))
     table = {
         # the two single-block Euler-row draws go first and share the pool's
         # first chunk, so that neither finishes last and alone on the pool
@@ -221,17 +239,17 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
                                        derive_seed(seed, "euler-radial-reference")),
         **{("martingale", t): Draw(ou_exact, (t,), n, derive_seed(seed, "martingale", f"{t:g}"),
                                    (partial(martingale_value, p, t=t),)) for t in times},
-        # every time read off one killed path, and its survival at t_mid
+        # every time read off one killed path, and at t_mid its survival and
+        # the killed sides of the transport and conditioning rows
         "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"),
                           (*(partial(at_time, j, partial(forward_weighted, p, t, one))
                              for j, t in enumerate(times)),
-                           partial(at_time, len(times) // 2, partial(alive, one)))),
-        "transport-direct": Draw(killed_exact, (t_mid,), n, derive_seed(seed, "transport-direct"),
-                                 tuple(partial(alive, f) for f in fs)),
+                           *(partial(at_time, mid, partial(alive, f)) for f in (one, *fs)),
+                           *(partial(at_time, mid, partial(survivors, f)) for f in fs))),
         "weighted-radial": Draw(radial_exact, (t_mid,), n, derive_seed(seed, "weighted-radial"),
-                                tuple(partial(inverse_weighted, p, t_mid, f) for f in fs)),
-        **conditioning,
-        **curve_draws(p, times, n, derive_seed(seed, "local-martingale")),
+                                (*(partial(inverse_weighted, p, t_mid, f) for f in fs),
+                                 *(partial(over, f) for f in fs))),
+        **curve,
     }
     rows = [
         *((f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
@@ -240,11 +258,12 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
            ("unit-mass",), partial(unit_mass, j, t)) for j, t in enumerate(times)),
         *((f"transport-agreement[{f.label()}]",
            "killed-OU mean of f equals weighted radial mean of f", "two-sided MC",
-           ("transport-direct", "weighted-radial"), partial(transport, i))
+           ("unit-mass", "weighted-radial"), partial(transport, i))
           for i, f in enumerate(fs)),
         *((f"conditioning-gap[{f.label()}]",
            "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC",
-           tuple(conditioning), partial(conditioned, i)) for i, f in enumerate(fs)),
+           ("weighted-radial", reciprocal, "unit-mass"), partial(conditioned, i))
+          for i, f in enumerate(fs)),
         # killed semigroup: weighted radial MC vs quadrature of the closed form
         *((f"killed-semigroup[{f.label()}]",
            "weighted radial mean of f equals integral of f against the killed density",
@@ -261,7 +280,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         # paths at t_mid, against the closed form
         ("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
          "closed-form survival", ("unit-mass",),
-         lambda ests: _sigma(ests[-1], survival_probability(p, t_mid))),
+         lambda ests: _sigma(ests[len(times)], survival_probability(p, t_mid))),
         ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
          "exact radial sampler", ("euler-radial", "euler-radial-reference"), euler_ks),
         ("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",

@@ -795,9 +795,9 @@ def test_traced_verify_records_the_sampler_layers(tmp_path):
     assert total("process.sample_ou_exact", "draws") > 0
     assert total("simulate.simulate_killed_ou_exact", "path_steps") > 0
     assert total("simulate.euler_radial", "path_substeps") > 0
-    # one block each of unit-mass, transport-direct and conditional-killed:
-    # every bridge call goes through the one killed kernel
-    assert [s["name"] for s in spans].count("simulate.simulate_killed_ou_exact") == 3
+    # one block of unit-mass, the one killed draw: every bridge call goes
+    # through the one killed kernel
+    assert [s["name"] for s in spans].count("simulate.simulate_killed_ou_exact") == 1
     # the parser must pick the command up through the module global the tracer rebinds
     assert [s["name"] for s in spans if s["parent"] is None] == ["cli.command"]
 

@@ -250,37 +250,80 @@ def test_every_draw_is_read_by_some_row(monkeypatch):
 
     monkeypatch.setattr(ouht.suite, "run_draws", recording)
     rep = run_suite(SuiteConfig(n_paths=500, seed=99))
-    assert rep.n_skipped == 0 and len(drawn) == 14
+    # two Euler-row draws, martingale and local-martingale at each of the 3
+    # times, unit-mass and weighted-radial
+    assert rep.n_skipped == 0 and len(drawn) == 10
     assert read == drawn
 
 
 def test_run_suite_draws_each_law_once_per_family(monkeypatch):
     # one map_blocks call carries every block of every draw; a task names its
-    # sampler and stream seed, so each (sampler, seed) pair is one draw of one law
-    calls = []
-    real = ouht.measure.map_blocks
+    # sampler and stream seed, so each (sampler, seed) pair is one draw of one
+    # law.  A row reads its draws just before its CheckResult is built, so
+    # the reads since the last CheckResult are that row's draws
+    calls, table, pending, reads = [], {}, [], {}
+    real_map, real_run, real_check = (ouht.measure.map_blocks, ouht.suite.run_draws,
+                                      ouht.suite.CheckResult)
 
     def counting(worker, tasks, workers=1):
         calls.append([(task[0], task[3]) for task in tasks])
-        return real(worker, tasks, workers)
+        return real_map(worker, tasks, workers)
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            pending.append(table[key])
+            return super().__getitem__(key)
+
+    def recording(params, draws, workers=1):
+        table.update(draws)
+        return Recording(real_run(params, draws, workers))
+
+    def check_result(check, *args, **kwargs):
+        reads[check] = pending[:]
+        pending.clear()
+        return real_check(check, *args, **kwargs)
 
     monkeypatch.setattr(ouht.measure, "map_blocks", counting)
+    monkeypatch.setattr(ouht.suite, "run_draws", recording)
+    monkeypatch.setattr(ouht.suite, "CheckResult", check_result)
     rep = run_suite(SuiteConfig(n_paths=500, seed=99))
-    assert rep.all_pass and len(rep.checks) == 35
+    assert rep.all_pass and len(rep.checks) == 35 and list(reads) == [c.check for c in rep.checks]
     assert len(calls) == 1
     (tasks,) = calls
     drawn = dict((seed, sampler) for sampler, seed in tasks)
-    assert len(set(tasks)) == len(drawn) == 14  # every draw on its own stream
+    assert len(set(tasks)) == len(drawn) == len(table) == 10  # every draw on its own stream
     # the single-block Euler-row draws lead the task list
     assert [seed for _, seed in tasks[:2]] == [derive_seed(99, "euler-radial"),
                                                derive_seed(99, "euler-radial-reference")]
-    rows = [c for c in rep.checks if c.check.startswith("conditioning-gap[")]
-    assert len(rows) == 4
-    for c in rows:
-        sides = [derive_seed(c.seed, tag)
-                 for tag in ("conditional-lhs", "conditional-qinv", "conditional-killed")]
-        assert len(set(sides)) == 3
-        assert [drawn.get(seed) for seed in sides] == [radial_exact, radial_exact, killed_exact]
+    # the sides of every comparison are on pairwise distinct streams
+    compared = {check: draws for check, draws in reads.items() if len(draws) >= 2}
+    assert len(compared) == 9  # 4 transport, 4 conditioning and the KS row
+    for check, draws in compared.items():
+        assert len({d.seed for d in draws}) == len(draws), check
+    for f in ("one", "1(x>1)", "1(x<0.5)", "min(x^1,10)"):
+        transport = compared[f"transport-agreement[{f}]"]
+        assert [d.sampler for d in transport] == [killed_exact, radial_exact]
+        # lhs, E_Q[1/X] and the survivors
+        conditioning = compared[f"conditioning-gap[{f}]"]
+        assert [d.sampler for d in conditioning] == [radial_exact, radial_exact, killed_exact]
+
+
+def test_run_suite_submits_130_blocks_at_a_million_paths(monkeypatch):
+    # 8 draws of 16 blocks and the two single-block Euler-row draws.  A second
+    # draw of a law at a time would add 16; count the tasks without drawing
+    class Submitted(Exception):
+        pass
+
+    submitted = []
+
+    def submit(worker, tasks, workers=1):
+        submitted.append(len(tasks))
+        raise Submitted
+
+    monkeypatch.setattr(ouht.measure, "map_blocks", submit)
+    with pytest.raises(Submitted):
+        run_suite(SuiteConfig(n_paths=1_000_000))
+    assert submitted == [130]
 
 
 @pytest.mark.parametrize("times", [(6.9,), (0.5, 6.9, 6.95)])
