@@ -44,8 +44,8 @@ class TestFunctional:
     __test__ = False  # keep pytest collection away from the Test* name
 
     values: Callable
-    name: str
-    kinks: tuple[float, ...] = ()
+    label: str
+    breakpoints: tuple[float, ...] = ()  # discontinuities and kinks, for quadrature splitting
 
     @classmethod
     def constant_one(cls) -> "TestFunctional":
@@ -74,13 +74,6 @@ class TestFunctional:
     def __call__(self, x):
         out = self.values(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Discontinuity/kink locations, for quadrature splitting."""
-        return self.kinks
-
-    def label(self) -> str:
-        return self.name
 
 
 def _threshold(c) -> float:
@@ -159,19 +152,21 @@ def ou_exact(params, times, rng, n, out):
 # table order.  Block j of a draw comes from stream(seed, j) and each draw is
 # reduced in its own block order, so neither the worker count nor the table
 # order changes a result.  An integrand maps the whole (len(times), n) block
-# to the samples being averaged (None averages the draws themselves).
+# to the samples being averaged (None averages the draws themselves).  A draw
+# names its integrands and its estimates come back under those names; a block
+# sends back its BlockStats in the order of the names.
 
 @dataclass(frozen=True)
 class Draw:
     """n_paths paths of sampler at times, block j on stream(seed, j).  With
     integrands=None the run returns the (len(times), n_paths) sample; with a
-    tuple, one estimate per integrand."""
+    {name: integrand} dict, {name: estimate}."""
 
     sampler: Callable
     times: tuple[float, ...]
     n_paths: int
     seed: int
-    integrands: tuple | None = None
+    integrands: dict | None = None
 
 
 def _block(task):
@@ -179,7 +174,7 @@ def _block(task):
     out = np.empty((len(times), n)) if view is None else view
     sampler(params, times, stream(seed, block), n, out)
     if integrands is not None:
-        return tuple(BlockStats.of(out if g is None else g(out)) for g in integrands)
+        return tuple(BlockStats.of(out if g is None else g(out)) for g in integrands.values())
 
 
 def _reduce(stats, seed):
@@ -189,7 +184,7 @@ def _reduce(stats, seed):
 
 def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
     """Every Draw in table (key -> Draw) from one map_blocks call: key -> its
-    sample, or its tuple of MCEstimates, reduced block by block so that no
+    sample, or its {name: MCEstimate}, reduced block by block so that no
     worker returns more than a few numbers per integrand.  Each draw's times
     pass ou_transition, which names gamma and t, before any block is drawn.
     An estimate needs n_paths >= 2; an integrand that keeps fewer than 2 of
@@ -214,13 +209,13 @@ def run_draws(params: ProcessParams, table: dict, workers: int = 1) -> dict:
         if key not in samples:
             stats[key].append(result)
     return {key: samples[key] if key in samples
-            else tuple(_reduce(block_stats, d.seed) for block_stats in zip(*stats[key]))
+            else dict(zip(d.integrands, (_reduce(b, d.seed) for b in zip(*stats[key]))))
             for key, d in table.items()}
 
 
 def _estimate(params, f, sampler, integrand, t, n_paths, seed, workers):
     _check_functional(f)
-    return run_draws(params, {0: Draw(sampler, (t,), n_paths, seed, (integrand,))}, workers)[0][0]
+    return run_draws(params, {0: Draw(sampler, (t,), n_paths, seed, {0: integrand})}, workers)[0][0]
 
 
 # --- integrands ------------------------------------------------------------
@@ -330,11 +325,17 @@ def estimate_radial_expectation_direct(
 @dataclass(frozen=True)
 class ConditionalIdentityResult:
     """Both sides of E_Q[f/X_t] = E_Q[1/X_t] E_P[f | t < T0], estimated on
-    three disjoint streams, with the delta-method combined stderr."""
+    three disjoint streams, with the delta-method combined stderr.  Fewer
+    than 2 survivors of the lhs.n paths drawn raise a ValueError."""
 
     lhs: MCEstimate
     q_inverse_mean: MCEstimate
     conditional_mean: MCEstimate
+
+    def __post_init__(self):
+        if self.conditional_mean.n < 2:
+            raise ValueError(f"only {self.conditional_mean.n} surviving paths out of "
+                             f"{self.lhs.n}: n_paths too small for a conditional estimate")
 
     @property
     def rhs(self) -> float:
@@ -353,37 +354,6 @@ class ConditionalIdentityResult:
         return sigma_gap(self.lhs.mean, self.rhs, self.combined_stderr)
 
 
-def conditional_draws(fs: tuple[TestFunctional, ...], t: float, n_paths: int,
-                      seed: int) -> dict:
-    """The three draws behind the conditioning identity, keyed by the tag that
-    derives each stream from seed: the left-hand side, E_Q[1/X_t] and the
-    survivors, each drawn once and shared by every f in fs, in the order in
-    which conditional_results takes their estimates."""
-    for f in fs:
-        _check_functional(f)
-    sides = {"conditional-lhs": (radial_exact, [partial(over, f) for f in fs]),
-             "conditional-qinv": (radial_exact, [partial(scaled_reciprocal, 1.0)]),
-             "conditional-killed": (killed_exact, [partial(survivors, f) for f in fs])}
-    return {tag: Draw(sampler, (t,), n_paths, derive_seed(seed, tag), tuple(integrands))
-            for tag, (sampler, integrands) in sides.items()}
-
-
-def conditional_results(lhs, q_inv: MCEstimate, conds,
-                        n_paths: int) -> tuple[ConditionalIdentityResult, ...]:
-    """Both sides of the conditioning identity for every f, from the
-    estimates of f/X_t (one per f), of 1/X_t, and of f on the survivors out
-    of n_paths killed paths (one per f).  The three sides must come from
-    three disjoint streams.  A ValueError names the survivor count when
-    fewer than 2 paths survive to t."""
-    if conds and conds[0].n < 2:
-        raise ValueError(f"only {conds[0].n} surviving paths out of {n_paths}: "
-                         "n_paths too small for a conditional estimate")
-    return tuple(
-        ConditionalIdentityResult(lhs=l, q_inverse_mean=q_inv, conditional_mean=c)
-        for l, c in zip(lhs, conds)
-    )
-
-
 def conditional_identity_detail(
     params: ProcessParams,
     f: TestFunctional,
@@ -392,9 +362,15 @@ def conditional_identity_detail(
     seed: int,
     workers: int = 1,
 ) -> ConditionalIdentityResult:
-    draws = conditional_draws((f,), t, n_paths, seed)
-    lhs, (q_inv,), conds = run_draws(params, draws, workers).values()
-    return conditional_results(lhs, q_inv, conds, n_paths)[0]
+    """The conditioning identity for f from three draws on the streams that
+    their tags derive from seed: f/X_t, 1/X_t and f on the survivors."""
+    _check_functional(f)
+    sides = {"conditional-lhs": (radial_exact, partial(over, f)),
+             "conditional-qinv": (radial_exact, partial(scaled_reciprocal, 1.0)),
+             "conditional-killed": (killed_exact, partial(survivors, f))}
+    got = run_draws(params, {tag: Draw(sampler, (t,), n_paths, derive_seed(seed, tag), {tag: g})
+                             for tag, (sampler, g) in sides.items()}, workers)
+    return ConditionalIdentityResult(*(got[tag][tag] for tag in sides))
 
 
 def conditional_identity_gap(
@@ -419,13 +395,14 @@ class CurvePoint:
 
 def curve_draws(params: ProcessParams, times, n_paths: int, seed: int) -> dict:
     """The draws behind local_martingale_curve, one per time, keyed by the
-    tags ("local-martingale", i) that derive their streams from seed; the
-    horizon is checked first, as the closed form S(t) needs it."""
+    tags ("local-martingale", i) that derive their streams from seed, each
+    estimating e^{-gamma t}/X_t as "discounted"; the horizon is checked
+    first, as the closed form S(t) needs it."""
     times = check_times(times)
     check_horizon(params, times)
     return {("local-martingale", i):
             Draw(radial_exact, (t,), n_paths, derive_seed(seed, "local-martingale", i),
-                 (partial(scaled_reciprocal, math.exp(-params.gamma * t)),))
+                 {"discounted": partial(scaled_reciprocal, math.exp(-params.gamma * t))})
             for i, t in enumerate(times)}
 
 
@@ -445,6 +422,6 @@ def local_martingale_curve(
     """
     draws = curve_draws(params, times, n_paths, seed)
     results = run_draws(params, draws, workers)
-    return [CurvePoint(t=d.times[0], estimate=results[key][0],
+    return [CurvePoint(t=d.times[0], estimate=results[key]["discounted"],
                        closed_form=survival_probability(params, d.times[0]) / params.a)
             for key, d in draws.items()]

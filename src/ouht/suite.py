@@ -9,7 +9,8 @@ count.  Each law is drawn once per time and per side that has to stay
 independent, and every row that reads that law at that time on that side
 reads the one draw: the killed law at every time is one draw, the radial law
 at the middle time two.  Rows that share a draw are correlated; the two (or
-three) sides of every comparison stay on disjoint streams.
+three) sides of every comparison stay on disjoint streams.  Rows read a
+draw's estimates by name, a test functional's by its label as well.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ from .harness import (
     sigma_gap,
 )
 from .measure import (
+    ConditionalIdentityResult,
     Draw,
     TestFunctional,
     alive,
     at_time,
-    conditional_results,
     curve_draws,
     default_functional_suite,
     forward_weighted,
@@ -113,7 +114,7 @@ class SuiteConfig:
         out = asdict(self)
         del out["workers"]  # no reported value depends on it; meta names it
         return {**out, "times": list(self.times),
-                "functionals": [f.label() for f in FUNCTIONALS]}
+                "functionals": [f.label for f in FUNCTIONALS]}
 
 
 # --- the suite -------------------------------------------------------------
@@ -131,8 +132,9 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     Beside the draw table, whose draws go to the pool at once, the rows are
     one list in report order of (check, identity, oracle, draw keys, read).
     A row with keys is read off exactly those draws, or skipped below
-    MIN_PATHS_FOR_MC paths; read returns (value, target, gap, threshold,
-    seed) or a reason to skip.  A row with no keys is its own tuple.
+    MIN_PATHS_FOR_MC paths: read gets each draw's {name: estimate}, or its
+    sample, and returns (value, target, gap, threshold, seed) or a reason to
+    skip.  A row with no keys is its own tuple.
     """
     t_start = time.perf_counter()
     p, n, seed = config.params, config.n_paths, config.seed
@@ -140,13 +142,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     one = TestFunctional.constant_one()
     n_euler = min(n, 50_000)
     seed_e = derive_seed(seed, "euler-radial")
-    # where each row's estimates sit in its draw's tuple.  unit-mass: the
-    # forward weight at every time, then at t_mid the survival, alive(f) for
-    # each f and the survivors' f for each f; weighted-radial: the inverse
-    # weighted f for each f, then f/R for each f; the local-martingale draw at
-    # t_mid: e^{-gamma t}/R, then 1/R
-    mid, k = len(times) // 2, len(fs)
-    at_alive, at_survivors = len(times) + 1, len(times) + 1 + k
+    mid = len(times) // 2
     reciprocal = ("local-martingale", mid)
 
     # total mass of the forward weight.  Its mean of 1 rests on surviving
@@ -155,13 +151,13 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         survivors = n * survival_probability(p, t)
         if survivors < MIN_EXPECTED_SURVIVORS:
             return f"expected survivors n_paths*S(t) = {survivors:.3g} < {MIN_EXPECTED_SURVIVORS}"
-        return _sigma(ests[j], 1.0)
+        return _sigma(ests["weight", j], 1.0)
 
     # transport: killed-OU MC vs weighted radial MC.  weight_bias scales this
     # row's weighted estimate, as scaling every weight would in law; the
     # killed-semigroup rows read the same estimate unscaled
-    def transport(i, killed, radial):
-        direct, est = killed[at_alive + i], radial[i]
+    def transport(f, killed, radial):
+        direct, est = killed["alive", f.label], radial["weighted", f.label]
         scale = 1.0 + config.weight_bias
         weighted = replace(est, mean=est.mean * scale, stderr=est.stderr * scale)
         return _sigma(weighted, direct.mean, math.hypot(direct.stderr, weighted.stderr))
@@ -169,9 +165,10 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     # conditioning identity: its lhs, q_inv and survivor sides are read off
     # three different draws, the two radial ones and the killed one, so that
     # the delta-method stderr may treat them as independent
-    def conditioned(i, radial, recip, killed):
+    def conditioned(f, radial, recip, killed):
         try:
-            d = conditional_results(radial[k:], recip[1], killed[at_survivors:], n)[i]
+            d = ConditionalIdentityResult(radial["over", f.label], recip["inverse"],
+                                          killed["survivors", f.label])
         except ValueError as exc:
             return str(exc)
         return _sigma(d.lhs, d.rhs, d.combined_stderr)
@@ -228,8 +225,8 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
     # the local-martingale draw at t_mid, the second radial draw there, also
     # gives the conditioning rows E_Q[1/X] on a stream disjoint from their lhs
     curve = curve_draws(p, times, n, derive_seed(seed, "local-martingale"))
-    curve[reciprocal] = replace(curve[reciprocal], integrands=(
-        *curve[reciprocal].integrands, partial(scaled_reciprocal, 1.0)))
+    curve[reciprocal] = replace(curve[reciprocal], integrands={
+        **curve[reciprocal].integrands, "inverse": partial(scaled_reciprocal, 1.0)})
     table = {
         # the two single-block Euler-row draws go first and share the pool's
         # first chunk, so that neither finishes last and alone on the pool
@@ -238,49 +235,50 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
         "euler-radial-reference": Draw(radial_exact, (t_mid,), n_euler,
                                        derive_seed(seed, "euler-radial-reference")),
         **{("martingale", t): Draw(ou_exact, (t,), n, derive_seed(seed, "martingale", f"{t:g}"),
-                                   (partial(martingale_value, p, t=t),)) for t in times},
+                                   {"mean": partial(martingale_value, p, t=t)}) for t in times},
         # every time read off one killed path, and at t_mid its survival and
-        # the killed sides of the transport and conditioning rows
-        "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"),
-                          (*(partial(at_time, j, partial(forward_weighted, p, t, one))
-                             for j, t in enumerate(times)),
-                           *(partial(at_time, mid, partial(alive, f)) for f in (one, *fs)),
-                           *(partial(at_time, mid, partial(survivors, f)) for f in fs))),
-        "weighted-radial": Draw(radial_exact, (t_mid,), n, derive_seed(seed, "weighted-radial"),
-                                (*(partial(inverse_weighted, p, t_mid, f) for f in fs),
-                                 *(partial(over, f) for f in fs))),
+        # the killed sides of the transport and conditioning rows; the
+        # survival is alive(one), which transport-agreement[one] reads too
+        "unit-mass": Draw(killed_exact, times, n, derive_seed(seed, "unit-mass"), {
+            **{("weight", j): partial(at_time, j, partial(forward_weighted, p, t, one))
+               for j, t in enumerate(times)},
+            **{("alive", f.label): partial(at_time, mid, partial(alive, f)) for f in (one, *fs)},
+            **{("survivors", f.label): partial(at_time, mid, partial(survivors, f)) for f in fs}}),
+        "weighted-radial": Draw(radial_exact, (t_mid,), n, derive_seed(seed, "weighted-radial"), {
+            **{("weighted", f.label): partial(inverse_weighted, p, t_mid, f) for f in fs},
+            **{("over", f.label): partial(over, f) for f in fs}}),
         **curve,
     }
     rows = [
         *((f"martingale-mean[t={t:g}]", "mean of X_t*exp(gamma*t) equals a", "starting point a",
-           (("martingale", t),), lambda ests: _sigma(ests[0], p.a)) for t in times),
+           (("martingale", t),), lambda ests: _sigma(ests["mean"], p.a)) for t in times),
         *((f"weight-unit-mass[t={t:g}]", "mean forward weight equals 1", "unit mass",
            ("unit-mass",), partial(unit_mass, j, t)) for j, t in enumerate(times)),
-        *((f"transport-agreement[{f.label()}]",
+        *((f"transport-agreement[{f.label}]",
            "killed-OU mean of f equals weighted radial mean of f", "two-sided MC",
-           ("unit-mass", "weighted-radial"), partial(transport, i))
-          for i, f in enumerate(fs)),
-        *((f"conditioning-gap[{f.label()}]",
+           ("unit-mass", "weighted-radial"), partial(transport, f))
+          for f in fs),
+        *((f"conditioning-gap[{f.label}]",
            "E_Q[f/X] equals E_Q[1/X] * E_P[f | survival]", "disjoint-stream MC",
-           ("weighted-radial", reciprocal, "unit-mass"), partial(conditioned, i))
-          for i, f in enumerate(fs)),
+           ("weighted-radial", reciprocal, "unit-mass"), partial(conditioned, f))
+          for f in fs),
         # killed semigroup: weighted radial MC vs quadrature of the closed form
-        *((f"killed-semigroup[{f.label()}]",
+        *((f"killed-semigroup[{f.label}]",
            "weighted radial mean of f equals integral of f against the killed density",
-           "quadrature", ("weighted-radial",), lambda ests, i=i, f=f: _sigma(
-               ests[i], killed_expectation_quadrature(p, t_mid, f, f.breakpoints())))
-          for i, f in enumerate(fs)),
+           "quadrature", ("weighted-radial",), lambda ests, f=f: _sigma(
+               ests["weighted", f.label],
+               killed_expectation_quadrature(p, t_mid, f, f.breakpoints))) for f in fs),
         *(row for t in times for row in densities(t)),
         ("local-martingale-monotone", "m(t) = S(t)/a decreases strictly and stays below 1/a",
          "closed-form survival", (), (max(m_closed), 1.0 / p.a, worst_rise, 0.0, None)),
         *((f"local-martingale-mc[t={t:g}]", "radial mean of e^{-gamma t}/X equals S(t)/a",
            "closed-form survival", (("local-martingale", i),),
-           lambda ests, m=m_closed[i]: _sigma(ests[0], m)) for i, t in enumerate(times)),
+           lambda ests, m=m_closed[i]: _sigma(ests["discounted"], m)) for i, t in enumerate(times)),
         # killing machinery: bridge-corrected survival, read off the unit-mass
         # paths at t_mid, against the closed form
         ("survival-exact-scheme", "bridge-corrected survival equals 2*Phi(a/sqrt(tau)) - 1",
          "closed-form survival", ("unit-mass",),
-         lambda ests: _sigma(ests[len(times)], survival_probability(p, t_mid))),
+         lambda ests: _sigma(ests["alive", one.label], survival_probability(p, t_mid))),
         ("euler-radial-ks", "Euler radial terminal law equals the exact radial law",
          "exact radial sampler", ("euler-radial", "euler-radial-reference"), euler_ks),
         ("euler-radial-msq", "Euler radial mean square equals center^2 + 3*sigma2 up to O(dt)",

@@ -414,3 +414,74 @@ DENSITY_SHA256_G1_A1_T1 = {
     "json": "2e6f339a4bd41c43bf39c9786d13f6b23a1a877edbef8c8c1804a15cf738dd28",
 }
 LOCAL_MARTINGALE_SHA256_N20000_SEED7 = "fe83422be8df5ef286cd328d375f8cdd142047cdee030bacbc74e77f9c0877fe"
+
+
+# -- the measure API's MCEstimates, as (mean, stderr, n, seed), at
+#    ProcessParams(1, 1) with BLOCK_SIZE + 1 = 65,537 paths (two blocks), as
+#    computed at commit a8e8f33: each estimate_* function for each default
+#    functional at t = 1 and seed 5 (name, label) -> estimate; then
+#    conditional_identity_detail at t = 1, seed 3 and workers=2, label ->
+#    (lhs, q_inverse_mean, conditional_mean); then local_martingale_curve at
+#    times (0.5, 1) and seed 4, as (t, estimate, closed_form) --------------
+MEASURE_API_ESTIMATES = {
+    ("estimate_killed_expectation_via_Q", "one"):
+        (0.42593605986495353, 0.0016326063764644406, 65537, 5),
+    ("estimate_killed_expectation_via_Q", "1(x>1)"):
+        (0.14935524982274756, 0.000548147263316228, 65537, 5),
+    ("estimate_killed_expectation_via_Q", "1(x<0.5)"):
+        (0.09848237418963705, 0.0018030512800417246, 65537, 5),
+    ("estimate_killed_expectation_via_Q", "min(x^1,10)"):
+        (0.36787944117144233, 1.1576407373540528e-19, 65537, 5),
+    ("estimate_killed_expectation_direct", "one"):
+        (0.4272853502601584, 0.001932360637868646, 65537, 5),
+    ("estimate_killed_expectation_direct", "1(x>1)"):
+        (0.1494270412133604, 0.0013926129168579699, 65537, 5),
+    ("estimate_killed_expectation_direct", "1(x<0.5)"):
+        (0.09797518958756123, 0.0011612542929043306, 65537, 5),
+    ("estimate_killed_expectation_direct", "min(x^1,10)"):
+        (0.37015598979336994, 0.002033503926605559, 65537, 5),
+    ("estimate_Q_expectation_via_P", "one"):
+        (1.0061883007505894, 0.005527636771792006, 65537, 5),
+    ("estimate_Q_expectation_via_P", "1(x>1)"):
+        (0.5548268197763875, 0.005317574291480462, 65537, 5),
+    ("estimate_Q_expectation_via_P", "1(x<0.5)"):
+        (0.08629389287121965, 0.0010978598652966627, 65537, 5),
+    ("estimate_Q_expectation_via_P", "min(x^1,10)"):
+        (1.1091021391006188, 0.008301815479836232, 65537, 5),
+    ("estimate_radial_expectation_direct", "one"):
+        (1.0, 0.0, 65537, 5),
+    ("estimate_radial_expectation_direct", "1(x>1)"):
+        (0.5538092985641698, 0.0019417817457386874, 65537, 5),
+    ("estimate_radial_expectation_direct", "1(x<0.5)"):
+        (0.0855699833681737, 0.0010926875511835382, 65537, 5),
+    ("estimate_radial_expectation_direct", "min(x^1,10)"):
+        (1.102309346851332, 0.0018113196434130152, 65537, 5),
+}
+MEASURE_API_CONDITIONAL = {
+    "one": (
+        (1.1564199867756277, 0.0033681054130138706, 65537, 2334885880687405538),
+        (1.1517666498025803, 0.0032980457939264514, 65537, 2116548675933391898),
+        (1.0, 0.0, 28056, 9574696519965620253),
+    ),
+    "1(x>1)": (
+        (0.40755946252671016, 0.001488229860748711, 65537, 2334885880687405538),
+        (1.1517666498025803, 0.0032980457939264514, 65537, 2116548675933391898),
+        (0.3556458511548332, 0.00285802518466858, 28056, 9574696519965620253),
+    ),
+    "1(x<0.5)": (
+        (0.27113250975033204, 0.003964858057923895, 65537, 2334885880687405538),
+        (1.1517666498025803, 0.0032980457939264514, 65537, 2116548675933391898),
+        (0.23053892215568864, 0.002514550261981541, 28056, 9574696519965620253),
+    ),
+    "min(x^1,10)": (
+        (1.0, 0.0, 65537, 2334885880687405538),
+        (1.1517666498025803, 0.0032980457939264514, 65537, 2116548675933391898),
+        (0.8684168824114986, 0.002712752199217533, 28056, 9574696519965620253),
+    ),
+}
+MEASURE_API_CURVE = (
+    (0.5, (0.7184820489492899, 0.002030589627191916, 65537, 16855432759276892895),
+     0.7193528563918145),
+    (1.0, (0.423470773174681, 0.0012289344710937275, 65537, 6304644238234968117),
+     0.42417644177971575),
+)

@@ -121,7 +121,7 @@ def test_criterion_04_killed_semigroup_recovery():
     worst_sigma = 0.0
     for f_idx, f in enumerate(default_functional_suite()):
         est = estimate_killed_expectation_via_Q(p, f, 1.0, n, 620 + f_idx)
-        target = killed_expectation_quadrature(p, 1.0, f, f.breakpoints())
+        target = killed_expectation_quadrature(p, 1.0, f, f.breakpoints)
         worst_sigma = max(worst_sigma, abs(est.mean - target) / max(est.stderr, 1e-11))
     worst_killed_mass = 0.0
     worst_radial_mass = 0.0

@@ -176,8 +176,8 @@ def test_gauss_legendre_rule_matches_adaptive_quadrature(t):
          _adaptive_quad(lambda x: radial_density(p, t, x), lo, hi)),
     ]
     for f in default_functional_suite():
-        pts = sorted(b for b in f.breakpoints() if lo < b < hi) or None
-        pairs.append((killed_expectation_quadrature(p, t, f, f.breakpoints()),
+        pts = sorted(b for b in f.breakpoints if lo < b < hi) or None
+        pairs.append((killed_expectation_quadrature(p, t, f, f.breakpoints),
                       _adaptive_quad(lambda x: f(x) * killed_ou_density(p, t, x), lo, hi, pts)))
     for got, want in pairs:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -15,7 +15,9 @@ import ouht.measure
 import ouht.rng
 import ouht.simulate
 from ouht.density import radial_density, survival_probability
+from ouht.harness import MCEstimate
 from ouht.measure import (
+    ConditionalIdentityResult,
     Draw,
     TestFunctional,
     _block,
@@ -74,12 +76,21 @@ def test_functional_semantics():
     assert np.array_equal(TestFunctional.indicator_below(0.5)(x), [1, 0, 0, 0])
     capped = TestFunctional.capped_polynomial(2, 4.0)
     assert np.allclose(capped(x), [0.04, 0.25, 1.0, 4.0])
-    assert capped.breakpoints() == (2.0,)
-    assert TestFunctional.indicator_above(1.0).breakpoints() == (1.0,)
-    assert TestFunctional.constant_one().breakpoints() == ()
+    assert capped.breakpoints == (2.0,)
+    assert TestFunctional.indicator_above(1.0).breakpoints == (1.0,)
+    assert TestFunctional.constant_one().breakpoints == ()
     assert capped(5.0) == 4.0
-    labels = {f.label() for f in default_functional_suite()}
+    labels = {f.label for f in default_functional_suite()}
     assert len(labels) == len(default_functional_suite())
+    # the suite's draws key estimates by label, and its survival row reads the
+    # estimate of the functional labelled "one": only the constant has that label
+    (one,) = [f for f in default_functional_suite() if f.label == "one"]
+    assert np.array_equal(one(x), np.ones(4))
+    others = [*(TestFunctional.indicator_above(c) for c in (-1.0, 0.0, 1.0, 1e9)),
+              *(TestFunctional.indicator_below(c) for c in (-1.0, 0.0, 1.0, 1e9)),
+              *(TestFunctional.capped_polynomial(k, cap) for k in (0, 1, 3) for cap in (1.0, 10.0))]
+    assert TestFunctional.constant_one().label == "one"
+    assert [f.label for f in others if f.label == "one"] == []
 
 
 def test_estimators_reject_plain_callables():
@@ -157,7 +168,7 @@ def test_transport_agreement_both_directions():
         gap = abs(direct.mean - weighted.mean) / max(
             math.hypot(direct.stderr, weighted.stderr), 1e-11
         )
-        assert gap <= 4.0, f.label()
+        assert gap <= 4.0, f.label
 
     f = TestFunctional.indicator_above(1.0)
     q_direct = estimate_radial_expectation_direct(P11, f, t, n, 309)
@@ -191,7 +202,7 @@ def test_transport_gamma_zero_matches_bessel_quadrature():
 def test_conditional_identity_gaps_within_four_sigma():
     for f in default_functional_suite():
         gap = conditional_identity_gap(P11, f, 1.0, 200_000, 312)
-        assert abs(gap) <= 4.0, f.label()
+        assert abs(gap) <= 4.0, f.label
 
 
 def test_conditional_identity_uses_disjoint_streams():
@@ -206,6 +217,34 @@ def test_conditional_identity_needs_survivors():
     p = ProcessParams(1.0, 0.01)
     with pytest.raises(ValueError):
         conditional_identity_detail(p, TestFunctional.constant_one(), 2.0, 2, 1)
+
+
+def test_conditional_identity_refuses_fewer_than_two_survivors():
+    # the result checks its own survivor count, and names it against the
+    # paths drawn, the lhs count
+    lhs, q_inv = MCEstimate(1.2, 0.01, 300, 1), MCEstimate(1.1, 0.01, 300, 2)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=rf"^only {n} surviving paths out of 300: "
+                                             r"n_paths too small for a conditional estimate$"):
+            ConditionalIdentityResult(lhs, q_inv, MCEstimate(math.nan, math.nan, n, 3))
+    assert ConditionalIdentityResult(lhs, q_inv, MCEstimate(0.5, 0.1, 2, 3)).rhs == 1.1 * 0.5
+
+
+def test_measure_api_estimates_are_pinned():
+    # two blocks each; the conditioning detail on the pool
+    n, fs = BLOCK_SIZE + 1, default_functional_suite()
+    estimators = (estimate_killed_expectation_via_Q, estimate_killed_expectation_direct,
+                  estimate_Q_expectation_via_P, estimate_radial_expectation_direct)
+    assert {(fn.__name__, f.label): fn(P11, f, 1.0, n, 5) for fn in estimators for f in fs} == {
+        key: MCEstimate(*est) for key, est in ref.MEASURE_API_ESTIMATES.items()}
+    details = {f.label: conditional_identity_detail(P11, f, 1.0, n, 3, workers=2) for f in fs}
+    assert {label: (d.lhs, d.q_inverse_mean, d.conditional_mean)
+            for label, d in details.items()} == {
+        label: tuple(MCEstimate(*est) for est in sides)
+        for label, sides in ref.MEASURE_API_CONDITIONAL.items()}
+    curve = local_martingale_curve(P11, (0.5, 1.0), n, 4)
+    assert [(pt.t, pt.estimate, pt.closed_form) for pt in curve] == [
+        (t, MCEstimate(*est), closed) for t, est, closed in ref.MEASURE_API_CURVE]
 
 
 def test_local_martingale_curve():
@@ -239,8 +278,8 @@ def test_curve_draws_reject_non_finite_times(bad):
         curve_draws(P11, [0.5, bad], 1000, 1)
 
 
-@pytest.mark.parametrize("sampler,integrands", [(killed_exact, None), (radial_exact, (None,)),
-                                                (ou_exact, (None,))])
+@pytest.mark.parametrize("sampler,integrands", [(killed_exact, None), (radial_exact, {0: None}),
+                                                (ou_exact, {0: None})])
 def test_run_draws_checks_each_horizon_before_any_block(monkeypatch, sampler, integrands):
     # e^{-2 gamma t} = e^{1000} overflows: the draw is refused before map_blocks
     def no_draws(*args, **kwargs):
@@ -328,9 +367,9 @@ def test_unit_mass_block_peak_memory():
     # the uniforms at 7.0)
     one = TestFunctional.constant_one()
     times = (0.5, 1.0, 2.0)
-    integrands = (*(partial(at_time, j, partial(forward_weighted, P11, t, one))
-                    for j, t in enumerate(times)),
-                  partial(at_time, len(times) // 2, partial(alive, one)))
+    integrands = {**{("weight", j): partial(at_time, j, partial(forward_weighted, P11, t, one))
+                     for j, t in enumerate(times)},
+                  ("alive", "one"): partial(at_time, len(times) // 2, partial(alive, one))}
     task = (killed_exact, P11, times, 0, 0, BLOCK_SIZE, integrands, None, "unit-mass")
     rows = _peak_block_rows(lambda: _block(task))
     assert rows < 5.5, rows
@@ -359,10 +398,10 @@ def _contract_sampler(params, times, rng, n, out):
 def test_run_draws_hands_every_sampler_its_block_out(workers):
     # two blocks each, so that workers=2 runs both draws on the pool
     times, n = (0.5, 1.0), BLOCK_SIZE + 300
-    table = {"estimate": Draw(_contract_sampler, times, n, 11, (None,)),
+    table = {"estimate": Draw(_contract_sampler, times, n, 11, {"mean": None}),
              "raw": Draw(_contract_sampler, times, n, 12)}
     results = run_draws(P11, table, workers)
-    assert results["estimate"][0].n == len(times) * n
+    assert results["estimate"]["mean"].n == len(times) * n
     sample = results["raw"]
     assert sample.shape == (len(times), n)
     assert sample.tobytes() == np.concatenate(
@@ -408,7 +447,7 @@ def test_run_draws_refuses_a_raw_draw_of_no_paths(workers):
 
 
 def test_run_draws_refuses_an_estimate_from_one_path():
-    draw = Draw(radial_exact, (1.0,), 1, 0, (None,))
+    draw = Draw(radial_exact, (1.0,), 1, 0, {0: None})
     with pytest.raises(ValueError, match=r"^need at least 2 samples, got 1$"):
         run_draws(ProcessParams(1.0, 1.0), {0: draw})
 

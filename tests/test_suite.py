@@ -17,7 +17,7 @@ from ouht.harness import FAIL, PASS, SKIPPED
 from ouht.measure import killed_exact, radial_exact
 from ouht.process import ProcessParams
 from ouht.rng import BLOCK_SIZE, derive_seed
-from ouht.suite import SuiteConfig, run_suite
+from ouht.suite import FUNCTIONALS, SuiteConfig, run_suite
 
 import mutants
 import refvalues as ref
@@ -324,6 +324,27 @@ def test_run_suite_submits_130_blocks_at_a_million_paths(monkeypatch):
     with pytest.raises(Submitted):
         run_suite(SuiteConfig(n_paths=1_000_000))
     assert submitted == [130]
+
+
+def test_unit_mass_draw_shares_the_survival_integrand(monkeypatch):
+    # the forward weight at each time, then alive(f) and the survivors' f for
+    # each functional: the survival row reads alive(one), the integrand that
+    # transport-agreement[one] reads, so it is not evaluated twice
+    class Submitted(Exception):
+        pass
+
+    tables = []
+
+    def submit(params, table, workers=1):
+        tables.append(table)
+        raise Submitted
+
+    monkeypatch.setattr(ouht.suite, "run_draws", submit)
+    config = SuiteConfig()
+    with pytest.raises(Submitted):
+        run_suite(config)
+    (table,) = tables
+    assert len(table["unit-mass"].integrands) == len(config.times) + 2 * len(FUNCTIONALS) == 11
 
 
 @pytest.mark.parametrize("times", [(6.9,), (0.5, 6.9, 6.95)])
